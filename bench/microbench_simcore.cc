@@ -94,6 +94,28 @@ void BM_SimQueueChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimQueueChurn)->Arg(1000)->Arg(10000);
 
+/// A fixed-4 block write's queue shape: one monotone far-future burst,
+/// 240 ns apart, posted up front and drained. Nearly every event goes
+/// through the overflow heap and ~140 migrate per window advance. Arg =
+/// burst size; time per event may grow with log(size) from the heap pops,
+/// never with the size itself (migration cost proportional to the
+/// migrants, not to the heap).
+void BM_SimQueueFarFuture(benchmark::State& state) {
+  const int burst = static_cast<int>(state.range(0));
+  u64 events = 0;
+  struct Noop {
+    void operator()() const {}
+  };
+  for (auto _ : state) {
+    sim::Simulation sim;
+    for (int i = 0; i < burst; ++i) sim.post(us(40) + i * ns(240), Noop{});
+    sim.run();
+    events += sim.events_executed();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+}
+BENCHMARK(BM_SimQueueFarFuture)->Arg(10000)->Arg(100000);
+
 /// Process context-switch cost (delay -> kernel -> resume round trip).
 void BM_SimProcessSwitch(benchmark::State& state) {
   const int hops = static_cast<int>(state.range(0));

@@ -98,8 +98,11 @@ class Engine {
   u64 op_timeouts() const { return timeouts_; }
   /// Packets referencing a dead (timed-out) or mismatched request, dropped.
   u64 stale_packets() const { return stale_packets_; }
-  /// Undecodable packets (unknown kind / bad request index), dropped.
-  u64 malformed_packets() const { return malformed_packets_; }
+  /// Undecodable packets (unknown kind / bad request index, or frames the
+  /// device could not reassemble), dropped.
+  u64 malformed_packets() const {
+    return malformed_packets_ + dev_.dropped_frames();
+  }
   /// Rendezvous protocol traffic (docs/adi.md "Counters").
   u64 rndv_rts() const { return rndv_rts_; }
   u64 rndv_cts() const { return rndv_cts_; }

@@ -1,7 +1,6 @@
 #include "scrmpi/ch_bbp.h"
 
 #include <cstring>
-#include <stdexcept>
 
 namespace scrnet::scrmpi {
 
@@ -64,22 +63,31 @@ void BbpChannel::rndv_release(const RndvPlacement& placement) {
 }
 
 std::optional<Packet> BbpChannel::poll_packet() {
-  const auto src = ep_.msg_avail();
-  if (!src) return std::nullopt;
-  auto r = ep_.recv(*src, rxbuf_);
-  if (!r.ok() || r.value().truncated)
-    throw std::runtime_error("ch_bbp: malformed packet");
-  if (r.value().len < kHeaderBytes)
-    throw std::runtime_error("ch_bbp: runt packet");
-  Packet pkt;
-  u32 words[kHeaderWords];
-  std::memcpy(words, rxbuf_.data(), kHeaderBytes);
-  pkt.hdr = decode_header(words);
-  const u32 body = r.value().len - kHeaderBytes;
-  if (body != pkt.hdr.len) throw std::runtime_error("ch_bbp: length mismatch");
-  pkt.payload.assign(rxbuf_.begin() + kHeaderBytes,
-                     rxbuf_.begin() + kHeaderBytes + body);
-  return pkt;
+  // A ring link that heals mid-message delivers only some of a message's
+  // words, so under fault injection a frame can arrive torn, truncated or
+  // shorter than the envelope. Count and drop it, as the ADI does with
+  // undecodable packets; the operation it carried then times out. Every
+  // recv consumes the message msg_avail announced, so the loop ends.
+  while (const auto src = ep_.msg_avail()) {
+    auto r = ep_.recv(*src, rxbuf_);
+    if (!r.ok() || r.value().truncated || r.value().len < kHeaderBytes) {
+      ++dropped_frames_;
+      continue;
+    }
+    Packet pkt;
+    u32 words[kHeaderWords];
+    std::memcpy(words, rxbuf_.data(), kHeaderBytes);
+    pkt.hdr = decode_header(words);
+    const u32 body = r.value().len - kHeaderBytes;
+    if (body != pkt.hdr.len) {
+      ++dropped_frames_;
+      continue;
+    }
+    pkt.payload.assign(rxbuf_.begin() + kHeaderBytes,
+                       rxbuf_.begin() + kHeaderBytes + body);
+    return pkt;
+  }
+  return std::nullopt;
 }
 
 }  // namespace scrnet::scrmpi

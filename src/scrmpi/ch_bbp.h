@@ -25,6 +25,7 @@ class BbpChannel final : public ChannelDevice {
   Status send_packet(u32 dst, const PktHeader& hdr,
                      std::span<const u8> payload) override;
   std::optional<Packet> poll_packet() override;
+  u64 dropped_frames() const override { return dropped_frames_; }
 
   bool has_native_mcast() const override { return true; }
   Status mcast_packet(std::span<const u32> dsts, const PktHeader& hdr,
@@ -79,6 +80,7 @@ class BbpChannel final : public ChannelDevice {
 
   bbp::Endpoint& ep_;
   std::vector<u8> rxbuf_;
+  u64 dropped_frames_ = 0;
 };
 
 }  // namespace scrnet::scrmpi

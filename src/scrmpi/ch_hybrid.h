@@ -43,6 +43,9 @@ class HybridChannel final : public ChannelDevice {
   Status send_packet(u32 dst, const PktHeader& hdr,
                      std::span<const u8> payload) override;
   std::optional<Packet> poll_packet() override;
+  u64 dropped_frames() const override {
+    return low_.dropped_frames() + high_.dropped_frames();
+  }
 
   bool has_native_mcast() const override { return low_.has_native_mcast(); }
   Status mcast_packet(std::span<const u32> dsts, const PktHeader& hdr,

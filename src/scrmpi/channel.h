@@ -131,6 +131,10 @@ class ChannelDevice {
   /// fully reassembled packet if one is available (non-blocking).
   virtual std::optional<Packet> poll_packet() = 0;
 
+  /// Frames poll_packet received but could not reassemble into a packet
+  /// (torn or truncated under fault injection); counted and dropped.
+  virtual u64 dropped_frames() const { return 0; }
+
   /// True when the device can multicast a packet in a single network step
   /// (SCRAMNet's hardware replication; the hook MPICH reserves for devices
   /// with extra functionality).

@@ -59,6 +59,7 @@ class EventQueue {
     u64 heap_fallback = 0;   // callables that needed a heap allocation
     u64 pool_chunks = 0;     // node-pool growth events (chunk allocations)
     u64 overflow_posted = 0; // events that landed beyond the bucket horizon
+    u64 overflow_scanned = 0; // entries migration counted, popped or partitioned
     u64 max_calendar = 0;    // high-water mark of events in the calendar
   };
 
@@ -337,27 +338,47 @@ class EventQueue {
     ++window_live_;
   }
 
+  /// Overflow entries at heap index `i` and below that lie before `horizon`,
+  /// counted exactly up to `cap`; past it the walk stops and returns some
+  /// value > cap. Heap order makes those entries one subtree at the root,
+  /// so the walk examines O(min(count, cap)) entries.
+  usize count_migrants(usize i, SimTime horizon, usize cap) const {
+    if (i >= overflow_.size() || overflow_[i].t >= horizon) return 0;
+    usize n = 1;
+    if (n <= cap) n += count_migrants(2 * i + 1, horizon, cap - n);
+    if (n <= cap) n += count_migrants(2 * i + 2, horizon, cap - n);
+    return n;
+  }
+
   /// Move overflow events now inside the window into their buckets.
   void migrate_overflow() {
     const SimTime horizon = win_start_ + kSpan;
-    // A handful of migrants (the typical window advance) is cheapest via
-    // pop_heap; a bulk migration is cheaper as one partition pass plus a
-    // re-heapify of whatever stays behind. Buckets sort on drain, so the
-    // pop order of the migrated span doesn't matter here.
-    u32 popped = 0;
-    while (!overflow_.empty() && overflow_.front().t < horizon) {
-      if (++popped > 8) {
-        auto stay = std::partition(
-            overflow_.begin(), overflow_.end(),
-            [horizon](const Entry& e) { return e.t >= horizon; });
-        for (auto it = stay; it != overflow_.end(); ++it) {
-          bucket_put(
-              static_cast<u32>(static_cast<u64>(it->t - win_start_) >> kBucketShift), *it);
-        }
-        overflow_.erase(stay, overflow_.end());
-        std::make_heap(overflow_.begin(), overflow_.end(), EntryAfter{});
-        return;
+    // Few migrants relative to the heap (a long monotone run, e.g. a fixed-4
+    // block write, drains ~140 per window) are cheapest via pop_heap at
+    // O(m log n); a bulk migration is cheaper as one partition pass plus a
+    // re-heapify of whatever stays behind. Count the migrants first and
+    // partition only when they exceed 1/16 of the heap: that bounds the O(n)
+    // pass by 16 m, so an advance never costs more than O(m log n), and no
+    // pops are wasted before a partition. Buckets sort on drain, so the
+    // order in which migrants reach them doesn't matter here.
+    const usize pop_limit = std::max<usize>(8, overflow_.size() / 16);
+    const usize migrants = count_migrants(0, horizon, pop_limit);
+    stats_.overflow_scanned += migrants;  // the count walk
+    if (migrants > pop_limit) {
+      stats_.overflow_scanned += overflow_.size();
+      auto stay = std::partition(
+          overflow_.begin(), overflow_.end(),
+          [horizon](const Entry& e) { return e.t >= horizon; });
+      for (auto it = stay; it != overflow_.end(); ++it) {
+        bucket_put(
+            static_cast<u32>(static_cast<u64>(it->t - win_start_) >> kBucketShift), *it);
       }
+      overflow_.erase(stay, overflow_.end());
+      std::make_heap(overflow_.begin(), overflow_.end(), EntryAfter{});
+      return;
+    }
+    stats_.overflow_scanned += migrants;  // the pops
+    for (usize k = 0; k < migrants; ++k) {
       std::pop_heap(overflow_.begin(), overflow_.end(), EntryAfter{});
       const Entry e = overflow_.back();
       overflow_.pop_back();

@@ -401,6 +401,7 @@ EventQueue::Stats Simulation::queue_stats() const {
     agg.heap_fallback += q.heap_fallback;
     agg.pool_chunks += q.pool_chunks;
     agg.overflow_posted += q.overflow_posted;
+    agg.overflow_scanned += q.overflow_scanned;
     agg.max_calendar = std::max(agg.max_calendar, q.max_calendar);
   });
   return agg;

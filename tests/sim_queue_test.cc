@@ -41,34 +41,110 @@ TEST(EventQueueTest, SlotKeepsEarlierPushOnTie) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
 }
 
-TEST(EventQueueTest, GlobalOrderAcrossBucketsAndOverflow) {
-  // Pseudo-random times spanning several bucket windows and the overflow
-  // horizon (~33.6 us): pops must come out sorted by (t, insertion seq).
-  sim::EventQueue q;
+/// Posts recording events straight into an EventQueue, numbered in post
+/// order, and checks that draining pops them sorted by (t, post order).
+/// `on_run` lets an event post follow-ups (at or after its own time) while
+/// the queue drains, which is how same-time ties reach a bucket directly.
+struct OrderProbe {
   struct Rec {
     SimTime t;
-    int seq;
+    int id;
   };
+  sim::EventQueue q;
   std::vector<Rec> popped;
-  u32 lcg = 12345;
-  std::vector<SimTime> times;
-  for (int i = 0; i < 2000; ++i) {
-    lcg = lcg * 1664525u + 1013904223u;
-    // Mix of in-window, same-bucket, and far-overflow times.
-    const SimTime t = static_cast<SimTime>(lcg % 3 == 0 ? lcg % 4096
-                                                        : lcg % 90'000'000u);
-    times.push_back(t);
-    q.push(t, [&popped, t, i] { popped.push_back({t, i}); });
+  int posted = 0;
+  std::function<void(SimTime, int)> on_run;
+
+  void post(SimTime t) {
+    const int id = posted++;
+    q.push(t, [this, t, id] {
+      popped.push_back({t, id});
+      if (on_run) on_run(t, id);
+    });
   }
-  sim::EventQueue::Popped ev;
-  while (q.pop(&ev)) q.run_and_release(ev);
-  ASSERT_EQ(popped.size(), times.size());
-  for (usize i = 1; i < popped.size(); ++i) {
-    ASSERT_LE(popped[i - 1].t, popped[i].t) << "time order violated at " << i;
-    if (popped[i - 1].t == popped[i].t)
-      ASSERT_LT(popped[i - 1].seq, popped[i].seq) << "tie order violated at " << i;
+
+  void drain_and_expect_order() {
+    sim::EventQueue::Popped ev;
+    while (q.pop(&ev)) q.run_and_release(ev);
+    ASSERT_EQ(popped.size(), static_cast<usize>(posted));
+    for (usize i = 1; i < popped.size(); ++i) {
+      ASSERT_LE(popped[i - 1].t, popped[i].t) << "time order violated at " << i;
+      if (popped[i - 1].t == popped[i].t) {
+        ASSERT_LT(popped[i - 1].id, popped[i].id) << "tie order violated at " << i;
+      }
+    }
+    EXPECT_GT(q.stats().overflow_posted, 0u) << "test never exercised overflow";
   }
-  EXPECT_GT(q.stats().overflow_posted, 0u) << "test never exercised overflow";
+};
+
+TEST(EventQueueTest, GlobalOrderAcrossBucketsAndOverflow) {
+  {
+    // Pseudo-random times spanning several bucket windows and the overflow
+    // horizon (~33.6 us).
+    OrderProbe p;
+    u32 lcg = 12345;
+    for (int i = 0; i < 2000; ++i) {
+      lcg = lcg * 1664525u + 1013904223u;
+      // Mix of in-window, same-bucket, and far-overflow times.
+      p.post(static_cast<SimTime>(lcg % 3 == 0 ? lcg % 4096 : lcg % 90'000'000u));
+    }
+    p.drain_and_expect_order();
+  }
+  {
+    // Few migrants from a large heap: a 20K-event monotone run 240 ns apart
+    // moves ~140 entries per window advance, far under 1/16 of the heap, so
+    // migration pops them one by one. Every 7th run event posts two ties
+    // with later run events: 2.4 us ahead lands in a bucket beside an entry
+    // that migrated from overflow; 36 us ahead lands in overflow beside one
+    // posted there at the start.
+    constexpr int kRun = 20'000;
+    OrderProbe p;
+    p.on_run = [&p](SimTime t, int id) {
+      if (id < kRun && id % 7 == 0) {
+        p.post(t + ns(2400));
+        p.post(t + us(36));
+      }
+    };
+    for (int i = 0; i < kRun; ++i) p.post(us(50) + i * ns(240));
+    p.drain_and_expect_order();
+  }
+  {
+    // Most of the heap migrating at once: 5000 events on a 10 ns grid inside
+    // one 30 us span far past the horizon (many same-time ties among them),
+    // plus a tail beyond the span that stays behind. The window jump to the
+    // span migrates nearly the whole heap in one partition pass. The first
+    // event after the jump posts ties with later span events directly into
+    // buckets.
+    OrderProbe p;
+    p.on_run = [&p](SimTime t, int) {
+      if (p.popped.size() != 2) return;
+      for (int k = 0; k < 300; ++k) p.post(t + k * ns(10));
+    };
+    u32 lcg = 777;
+    for (int i = 0; i < 5000; ++i) {
+      lcg = lcg * 1664525u + 1013904223u;
+      p.post(us(200) + static_cast<SimTime>((lcg >> 8) % 3000) * ns(10));
+    }
+    for (int i = 0; i < 200; ++i) p.post(us(240) + i * ns(500));
+    p.drain_and_expect_order();
+  }
+}
+
+TEST(EventQueueTest, OverflowMigrationCostIsProportionalToMigrants) {
+  // A fixed-4 block write's shape: 100K monotone events 240 ns apart, all
+  // beyond the horizon, ~140 migrating per window advance. Migration must
+  // touch each overflow entry a bounded number of times in total; a
+  // full-heap pass per window advance would scan hundreds per entry.
+  sim::Simulation simu;
+  constexpr int kEvents = 100'000;
+  int ran = 0;
+  for (int i = 0; i < kEvents; ++i)
+    simu.post(us(40) + i * ns(240), [&ran] { ++ran; });
+  simu.run();
+  EXPECT_EQ(ran, kEvents);
+  const auto st = simu.queue_stats();
+  EXPECT_GE(st.overflow_posted, u64{kEvents - 1});
+  EXPECT_LE(st.overflow_scanned, 17 * st.overflow_posted);
 }
 
 TEST(EventQueueTest, ReschedulingAcrossWindowsKeepsOrder) {

@@ -111,6 +111,30 @@ TEST(Workload, LossyIncastCompletesOnEveryDevice) {
   }
 }
 
+TEST(Workload, FlappingLinkTearsMessagesIntoTimeoutsNotThrows) {
+  // A ring link that heals mid-message delivers only part of a BBP
+  // message's words: the receiver sees a torn or runt frame. MPI over
+  // ch_bbp (alone or as hybrid's low leg) must count and drop it, so the
+  // operation times out instead of the rank throwing.
+  auto flapping = [](Pattern p, Device d) {
+    Spec s;
+    s.name = "t_flap";
+    s.pattern = p;
+    s.device = d;
+    s.nodes = 8;
+    s.op_timeout = ms(2);
+    s.faults.flapping_link(3, us(300), us(200), us(200), 4);
+    return run(s);
+  };
+  for (const auto& [p, d] : {std::pair{Pattern::kHotspot, Device::kBbp},
+                             std::pair{Pattern::kRpc, Device::kHybrid},
+                             std::pair{Pattern::kRpc, Device::kBbp},
+                             std::pair{Pattern::kHotspot, Device::kHybrid}}) {
+    const Report r = flapping(p, d);
+    EXPECT_GT(r.ops_timeout, 0u) << to_string(p) << "/" << to_string(d);
+  }
+}
+
 TEST(Workload, RetriesAreCountedAndBounded) {
   Spec s;
   s.name = "t_retry";
