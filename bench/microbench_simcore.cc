@@ -135,8 +135,7 @@ BENCHMARK(BM_SimProcessSwitch)->Arg(1000);
 
 /// Process spawn + run-to-exit + teardown cost. The bodies are empty, so
 /// lifetimes never overlap: the fiber scheduler must serve every process
-/// after the first from its recycled stack pool (one mmap total); the
-/// thread fallback pays a thread create/join per process.
+/// after the first from its recycled stack pool (one mmap total).
 void BM_SimSpawnTeardown(benchmark::State& state) {
   const int procs = static_cast<int>(state.range(0));
   u64 spawned = 0;
@@ -151,58 +150,20 @@ void BM_SimSpawnTeardown(benchmark::State& state) {
 }
 BENCHMARK(BM_SimSpawnTeardown)->Arg(1000);
 
-/// Window machinery of the sharded kernel: Arg shards each run a tick
-/// chain, and every tick posts a +400 ns event to the next shard through
-/// the outbox/merge path, so each lockstep window carries real cross-shard
-/// traffic. Arg=1 is the sequential kernel's price for the same event
-/// count -- the overhead floor the conservative windows must amortize.
-void BM_SimParallelWindow(benchmark::State& state) {
-  const u32 jobs = static_cast<u32>(state.range(0));
-  constexpr int kTicks = 4000;
-  u64 events = 0;
-  for (auto _ : state) {
-    sim::Simulation sim(sim::SimConfig{.sim_jobs = jobs});
-    sim.set_lookahead(ns(400));
-    for (u32 s = 0; s < jobs; ++s) {
-      sim.spawn_on(s, "tick", [&, s, jobs](sim::Process& p) {
-        for (int i = 0; i < kTicks; ++i) {
-          p.delay(ns(400));
-          sim.post_at_shard((s + 1) % jobs, p.now() + ns(400), [] {});
-        }
-      });
-    }
-    sim.run();
-    events += sim.events_executed();
-  }
-  state.counters["events/s"] =
-      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimParallelWindow)->Arg(1)->Arg(2)->Arg(4)
-    ->MeasureProcessCPUTime()->UseRealTime();
-
-/// End-to-end 64-node ring at Arg shards (driving the ring layer directly
-/// keeps the event mix pure kernel): every node's host streams block writes
-/// into its own region with staggered starts, and each write's packets
-/// walk all 63 downstream nodes. The wall-clock speedup intra-run sharding
-/// buys on a big topology; compare Arg=1 against Arg=4 on a multicore host
-/// (on one core they roughly tie -- the sharded path degrades to inline
-/// window drains).
-void BM_SimParallelRing64(benchmark::State& state) {
-  const u32 sim_jobs = static_cast<u32>(state.range(0));
+/// End-to-end 64-node ring (driving the ring layer directly keeps the event
+/// mix pure kernel): every node's host streams block writes into its own
+/// region with staggered starts, and each write's packets walk all 63
+/// downstream nodes. The host-time cost of one big topology.
+void BM_Ring64Stream(benchmark::State& state) {
   constexpr u32 kNodes = 64;
   constexpr u32 kWords = 64;
   u64 bytes = 0;
   std::vector<u32> block(kWords, 0xC3C3C3C3u);
   for (auto _ : state) {
-    sim::Simulation sim(sim::SimConfig{.sim_jobs = sim_jobs});
-    scramnet::RingConfig rc{.nodes = kNodes, .bank_words = 1u << 15};
-    scramnet::Ring ring(sim, rc);
-    if (sim.jobs() > 1) {
-      ring.set_partition(harness::block_partition(kNodes, sim.jobs()));
-      sim.set_lookahead(rc.hop_latency);
-    }
+    sim::Simulation sim;
+    scramnet::Ring ring(sim, scramnet::RingConfig{.nodes = kNodes, .bank_words = 1u << 15});
     for (u32 n = 0; n < kNodes; ++n) {
-      sim.spawn_on(ring.shard_of(n), "host", [&, n](sim::Process& p) {
+      sim.spawn("host", [&, n](sim::Process& p) {
         scramnet::SimHostPort port(ring, n, p);
         p.delay(ns(73) * (n + 1));  // tie-free staggered start
         for (int i = 0; i < 6; ++i) {
@@ -217,8 +178,7 @@ void BM_SimParallelRing64(benchmark::State& state) {
   state.counters["bytes/s"] =
       benchmark::Counter(static_cast<double>(bytes), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SimParallelRing64)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
+BENCHMARK(BM_Ring64Stream)->Unit(benchmark::kMillisecond);
 
 /// Large-N broadcast sweep: one word written per round, then the packet
 /// walks every downstream node of an Arg-node ring on a quiet medium. The
@@ -248,45 +208,6 @@ void BM_RingWalk256(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(packets), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_RingWalk256)->Arg(64)->Arg(256);
-
-/// Deliberately skewed partition: shard 0 carries every node except one
-/// per remaining shard (harness::skewed_partition). Lockstep windows leave
-/// the cold shards idling at each barrier; the claim-mask scheduler lets
-/// whichever thread drains early steal the hot shard's next window. On a
-/// single-core host Arg>1 degrades to inline drains and should track
-/// Arg=1; the speedup target lives on the multicore CI leg.
-void BM_SimParallelSkew(benchmark::State& state) {
-  const u32 sim_jobs = static_cast<u32>(state.range(0));
-  constexpr u32 kNodes = 64;
-  constexpr u32 kWords = 64;
-  u64 bytes = 0;
-  std::vector<u32> block(kWords, 0x5C5C5C5Cu);
-  for (auto _ : state) {
-    sim::Simulation sim(sim::SimConfig{.sim_jobs = sim_jobs});
-    scramnet::RingConfig rc{.nodes = kNodes, .bank_words = 1u << 15};
-    scramnet::Ring ring(sim, rc);
-    if (sim.jobs() > 1) {
-      ring.set_partition(harness::skewed_partition(kNodes, sim.jobs()));
-      sim.set_lookahead(rc.hop_latency);
-    }
-    for (u32 n = 0; n < kNodes; ++n) {
-      sim.spawn_on(ring.shard_of(n), "host", [&, n](sim::Process& p) {
-        scramnet::SimHostPort port(ring, n, p);
-        p.delay(ns(73) * (n + 1));  // tie-free staggered start
-        for (int i = 0; i < 6; ++i) {
-          port.write_block(n * 512, block);
-          p.delay(us(2));
-        }
-      });
-    }
-    sim.run();
-    bytes += u64{kNodes} * 6 * kWords * 4;
-  }
-  state.counters["bytes/s"] =
-      benchmark::Counter(static_cast<double>(bytes), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimParallelSkew)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
 
 /// Host-side cost of replicating a 1 KiB block write around a 4-node ring.
 /// In kFixed4 mode this is the worst case the packet pooling targets: 256

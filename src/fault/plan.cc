@@ -171,13 +171,6 @@ Status FaultPlan::arm_impl(sim::Simulation& sim, scramnet::Ring* ring,
   if (Status st = validate(ring, fabric, nodes, hosts_only); !st.ok()) return st;
 
   dials_.assign(nodes, scramnet::PortDials{});
-  // On a partitioned ring, a node's dial block is read by its ports on the
-  // owning shard every transaction -- the flip event must execute there
-  // too. Ring faults stay wherever they are posted: the ring's fault API
-  // defers them onto the serialization spine itself when partitioned.
-  const auto dial_shard = [&](u32 node) -> u32 {
-    return (ring != nullptr && ring->partitioned()) ? ring->shard_of(node) : 0;
-  };
   for (const FaultEvent& e : events_) {
     switch (e.kind) {
       case FaultKind::kLinkDown:
@@ -199,13 +192,13 @@ Status FaultPlan::arm_impl(sim::Simulation& sim, scramnet::Ring* ring,
         });
         break;
       case FaultKind::kHostIo:
-        sim.post_at_shard(dial_shard(e.node), e.at, [this, e] {
+        sim.post_at(e.at, [this, e] {
           dials_[e.node].io = e.factor;
           fire(FaultKind::kHostIo);
         });
         break;
       case FaultKind::kHostCpu:
-        sim.post_at_shard(dial_shard(e.node), e.at, [this, e] {
+        sim.post_at(e.at, [this, e] {
           dials_[e.node].cpu = e.factor;
           fire(FaultKind::kHostCpu);
         });

@@ -22,10 +22,10 @@
 // timeout Statuses; see docs/faults.md.
 #pragma once
 
-#include <atomic>
 #include <string_view>
 #include <vector>
 
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "common/units.h"
@@ -174,24 +174,6 @@ class FaultPlan final : public netmodels::FaultHook {
   void publish_counters(obs::Counters& c, std::string_view group = "fault") const;
 
  private:
-  /// Injection counter that tolerates concurrent shards: under sim_jobs > 1
-  /// two same-kind events may take effect on different shards in one
-  /// window (e.g. dial turns on two nodes). Relaxed ordering suffices --
-  /// counts are only read after the run. Copyable so FaultPlan stays the
-  /// plain value type sweep jobs copy around.
-  struct RelaxedCounter {
-    std::atomic<u64> v{0};
-    RelaxedCounter() = default;
-    RelaxedCounter(const RelaxedCounter& o)
-        : v(o.v.load(std::memory_order_relaxed)) {}
-    RelaxedCounter& operator=(const RelaxedCounter& o) {
-      v.store(o.v.load(std::memory_order_relaxed), std::memory_order_relaxed);
-      return *this;
-    }
-    void inc() { v.fetch_add(1, std::memory_order_relaxed); }
-    u64 get() const { return v.load(std::memory_order_relaxed); }
-  };
-
   struct PauseWindow {
     u32 node = 0;
     SimTime from = 0, until = 0;
@@ -222,7 +204,7 @@ class FaultPlan final : public netmodels::FaultHook {
   std::vector<LossWindow> loss_;
   std::vector<CongestionWindow> congestion_;
   std::vector<scramnet::PortDials> dials_;  // sized at arm; ports point here
-  RelaxedCounter fired_[static_cast<u32>(FaultKind::kCount)];
+  Counter fired_[static_cast<u32>(FaultKind::kCount)];
   bool armed_ = false;
 };
 

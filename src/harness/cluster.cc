@@ -1,6 +1,5 @@
 #include "harness/cluster.h"
 
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -58,56 +57,23 @@ void publish_run(const sim::Simulation& sim) {
   if (!obs::Counters::enabled()) return;
   sim.sink().counters().add("sim", "events_executed", sim.events_executed());
 }
-
-/// Partition the ring over the simulation's shards when the run asked for
-/// more than one (no-op at jobs=1, keeping the sequential reference path
-/// branch-identical). The ring's per-hop propagation delay is the
-/// conservative lookahead: every cross-shard effect -- a packet hop, a
-/// replayed injection -- is at least one hop in the future.
-void maybe_partition(sim::Simulation& sim, scramnet::Ring& ring,
-                     const ScramnetOptions& opts) {
-  if (sim.jobs() <= 1) return;
-  const char* skew = std::getenv("SCRNET_SIM_SKEW");
-  ring.set_partition(skew && *skew && *skew != '0'
-                         ? skewed_partition(ring.nodes(), sim.jobs())
-                         : block_partition(ring.nodes(), sim.jobs()));
-  sim.set_lookahead(opts.ring.hop_latency);
-}
 }  // namespace
-
-std::vector<u32> block_partition(u32 nodes, u32 shards) {
-  std::vector<u32> map(nodes);
-  for (u32 n = 0; n < nodes; ++n)
-    map[n] = static_cast<u32>((static_cast<u64>(n) * shards) / nodes);
-  return map;
-}
-
-std::vector<u32> skewed_partition(u32 nodes, u32 shards) {
-  std::vector<u32> map(nodes, 0);
-  if (shards <= 1) return map;
-  // Tail shards get one node each; everything else piles onto shard 0.
-  const u32 tail = std::min(shards - 1, nodes - 1);
-  for (u32 i = 0; i < tail; ++i) map[nodes - tail + i] = shards - tail + i;
-  return map;
-}
 
 SimTime run_scramnet_bbp(
     u32 nodes, const std::function<void(sim::Process&, bbp::Endpoint&)>& body,
     ScramnetOptions opts) {
-  sim::Simulation sim(sim::SimConfig{.sim_jobs = opts.sim_jobs});
+  sim::Simulation sim;
   opts.ring.nodes = nodes;
   scramnet::Ring ring(sim, opts.ring);
-  maybe_partition(sim, ring, opts);
   arm_faults(opts.faults, sim, &ring);
   for (u32 r = 0; r < nodes; ++r) {
-    sim.spawn_on(ring.shard_of(r), "bbp-rank" + std::to_string(r),
-                 [&, r](sim::Process& p) {
-                   scramnet::SimHostPort port(ring, r, p, opts.host);
-                   if (opts.faults) port.set_dials(opts.faults->dials(r));
-                   bbp::Endpoint ep(port, nodes, r, opts.bbp);
-                   body(p, ep);
-                   publish_rank(sim, ep);
-                 });
+    sim.spawn("bbp-rank" + std::to_string(r), [&, r](sim::Process& p) {
+      scramnet::SimHostPort port(ring, r, p, opts.host);
+      if (opts.faults) port.set_dials(opts.faults->dials(r));
+      bbp::Endpoint ep(port, nodes, r, opts.bbp);
+      body(p, ep);
+      publish_rank(sim, ep);
+    });
   }
   sim.run();
   publish_run(ring, sim);
@@ -118,23 +84,21 @@ SimTime run_scramnet_bbp(
 SimTime run_scramnet_mpi(
     u32 nodes, const std::function<void(sim::Process&, scrmpi::Mpi&)>& body,
     ScramnetOptions opts) {
-  sim::Simulation sim(sim::SimConfig{.sim_jobs = opts.sim_jobs});
+  sim::Simulation sim;
   opts.ring.nodes = nodes;
   scramnet::Ring ring(sim, opts.ring);
-  maybe_partition(sim, ring, opts);
   arm_faults(opts.faults, sim, &ring);
   for (u32 r = 0; r < nodes; ++r) {
-    sim.spawn_on(ring.shard_of(r), "mpi-rank" + std::to_string(r),
-                 [&, r](sim::Process& p) {
-                   scramnet::SimHostPort port(ring, r, p, opts.host);
-                   if (opts.faults) port.set_dials(opts.faults->dials(r));
-                   bbp::Endpoint ep(port, nodes, r, opts.bbp);
-                   scrmpi::BbpChannel dev(ep);
-                   scrmpi::Mpi mpi(dev, opts.mpi);
-                   body(p, mpi);
-                   publish_rank(sim, ep);
-                   publish_rank(sim, mpi, r);
-                 });
+    sim.spawn("mpi-rank" + std::to_string(r), [&, r](sim::Process& p) {
+      scramnet::SimHostPort port(ring, r, p, opts.host);
+      if (opts.faults) port.set_dials(opts.faults->dials(r));
+      bbp::Endpoint ep(port, nodes, r, opts.bbp);
+      scrmpi::BbpChannel dev(ep);
+      scrmpi::Mpi mpi(dev, opts.mpi);
+      body(p, mpi);
+      publish_rank(sim, ep);
+      publish_rank(sim, mpi, r);
+    });
   }
   sim.run();
   publish_run(ring, sim);

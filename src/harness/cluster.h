@@ -36,27 +36,7 @@ struct ScramnetOptions {
   /// attached to every SimHostPort. Must outlive the run. An invalid plan
   /// (bad node index etc.) throws std::invalid_argument at startup.
   fault::FaultPlan* faults = nullptr;
-  /// Event-execution shards for this run (sim::SimConfig::sim_jobs):
-  /// 0 = SCRNET_SIM_JOBS env (default 1), 1 = the bit-exact sequential
-  /// kernel, > 1 = conservative parallel DES with nodes block-partitioned
-  /// over shards and the ring's hop latency as the lookahead window.
-  /// Applies to the pure-SCRAMNet runs (bbp/mpi); the sock/hybrid paths
-  /// always run sequentially (their TCP fabric is not partitioned).
-  u32 sim_jobs = 0;
 };
-
-/// Contiguous block partition of `nodes` ring nodes over `shards` shards
-/// (node n -> shard n*shards/nodes): neighbors stay together, so only the
-/// block-boundary hops cross shards.
-std::vector<u32> block_partition(u32 nodes, u32 shards);
-
-/// Deliberately unbalanced block partition: shard 0 gets every node except
-/// the last shards-1, which get one node each. One hot shard and a tail of
-/// nearly-idle ones -- the worst case for lockstep windows and the best
-/// case for work stealing. Results must be bit-identical to block_partition
-/// (determinism does not depend on the cut); SCRNET_SIM_SKEW=1 makes the
-/// harness use it so any golden suite can be replayed skewed.
-std::vector<u32> skewed_partition(u32 nodes, u32 shards);
 
 /// Which baseline fabric to put under TCP (Figures 2/3/5/6 comparisons).
 enum class TcpFabricKind { kFastEthernet, kAtm, kMyrinet };

@@ -17,42 +17,17 @@ Ring::Ring(sim::Simulation& sim, RingConfig cfg) : sim_(sim), cfg_(cfg) {
   irq_.resize(cfg_.nodes);
   link_failed_.assign(cfg_.nodes, false);
   speed_factor_.assign(cfg_.nodes, 1.0);
-  irq_fired_.assign(cfg_.nodes, 0);
-}
-
-void Ring::set_partition(std::vector<u32> shard_of_node) {
-  if (shard_of_node.size() != cfg_.nodes)
-    throw std::invalid_argument("ring: partition size != node count");
-  for (u32 s : shard_of_node) {
-    if (s >= sim_.jobs())
-      throw std::invalid_argument("ring: partition names shard " +
-                                  std::to_string(s) + " beyond sim jobs");
-  }
-  const bool first = shard_of_.empty();
-  shard_of_ = std::move(shard_of_node);
-  lanes_ = std::vector<Lane>(sim_.jobs());
-  if (first) sim_.add_barrier_hook([this](SimTime) { on_barrier(); });
-}
-
-void Ring::apply_fail(u32 node, SimTime t) {
-  link_failed_[node] = true;
-  if (cfg_.redundant_ring) {
-    switchovers_.inc();
-    recover_at_ = std::max(recover_at_, t + cfg_.switchover);
-  }
 }
 
 Status Ring::fail_link(u32 node) {
   if (node >= cfg_.nodes)
     return Status::InvalidArg("ring: fail_link on nonexistent link " +
                               std::to_string(node));
-  if (deferred()) [[unlikely]] {
-    lanes_[sim_.current_shard()].ops.push_back(
-        SpineOp{sim_.now(), node, SpineOp::Kind::kLinkDown});
-    sim_.note_horizon(sim_.now());
-    return Status::Ok();
+  link_failed_[node] = true;
+  if (cfg_.redundant_ring) {
+    switchovers_.inc();
+    recover_at_ = std::max(recover_at_, sim_.now() + cfg_.switchover);
   }
-  apply_fail(node, sim_.now());
   return Status::Ok();
 }
 
@@ -60,12 +35,6 @@ Status Ring::heal_link(u32 node) {
   if (node >= cfg_.nodes)
     return Status::InvalidArg("ring: heal_link on nonexistent link " +
                               std::to_string(node));
-  if (deferred()) [[unlikely]] {
-    lanes_[sim_.current_shard()].ops.push_back(
-        SpineOp{sim_.now(), node, SpineOp::Kind::kLinkUp});
-    sim_.note_horizon(sim_.now());
-    return Status::Ok();
-  }
   link_failed_[node] = false;
   return Status::Ok();
 }
@@ -76,19 +45,12 @@ Status Ring::set_node_speed_factor(u32 node, double factor) {
                               std::to_string(node));
   if (!(factor > 0.0))
     return Status::InvalidArg("ring: speed factor must be positive");
-  if (deferred()) [[unlikely]] {
-    SpineOp op{sim_.now(), node, SpineOp::Kind::kSpeed};
-    op.factor = factor;
-    lanes_[sim_.current_shard()].ops.push_back(op);
-    sim_.note_horizon(sim_.now());
-    return Status::Ok();
-  }
   speed_factor_[node] = factor;
   return Status::Ok();
 }
 
 SimTime Ring::inject_packet(u32 src, u32 word_addr, std::span<const u32> words,
-                            SimTime ready_at, SimTime issue_t) {
+                            SimTime ready_at) {
   const u32 payload = static_cast<u32>(words.size()) * 4u;
   // A wrong-speed NIC serializes slower, holding both its insertion engine
   // and the shared medium longer (register insertion: the ring waits on the
@@ -100,10 +62,7 @@ SimTime Ring::inject_packet(u32 src, u32 word_addr, std::span<const u32> words,
   ring_free_ = done;
   packets_.inc();
   words_.inc(words.size());
-  // Explicit timestamp: when this runs at a window barrier the write's own
-  // time is `issue_t`, not the coordinator's clock.
-  if (obs::Tracer::enabled())
-    obs::Tracer::current().instant(obs::Layer::kRing, src, "ring.inject", issue_t);
+  TRACE_INSTANT(obs::Layer::kRing, src, "ring.inject", sim_);
 
   // The packet visits each downstream node after k hop latencies past
   // serialization. Link state is sampled here, at injection, exactly as the
@@ -138,18 +97,8 @@ SimTime Ring::inject_packet(u32 src, u32 word_addr, std::span<const u32> words,
   } else {
     w->big_words.assign(words.begin(), words.end());
   }
-  post_first_hop(w);
+  sim_.post_at(hop_time(*w, 1), [this, w] { walk_hop(w); });
   return done;
-}
-
-void Ring::post_first_hop(Walk* w) {
-  const SimTime t = hop_time(*w, 1);
-  if (partitioned()) [[unlikely]] {
-    sim_.post_at_shard(shard_of_[(w->src + 1) % cfg_.nodes], t,
-                       [this, w] { walk_hop(w); });
-    return;
-  }
-  sim_.post_at(t, [this, w] { walk_hop(w); });
 }
 
 SimTime Ring::hop_time(const Walk& w, u32 k) const {
@@ -166,18 +115,17 @@ void Ring::walk_hop(Walk* w) {
 
 void Ring::walk_advance(Walk* w) {
   // Hop w->k has been delivered. Keep walking *inside this event* for as
-  // long as the next hop is provably unobservable: same shard, no IRQ
-  // watch on the written range at the target (a handler must fire at its
-  // own hop time), and strictly below the kernel's inline-apply bound --
-  // every other observer (queued event, process resume, window barrier,
-  // run_until return) runs at or past that bound, and no event can ever be
-  // created below it, so applying the bank update early is invisible.
-  // Virtual-time results are bit-identical to the per-hop event posting;
-  // only the host event count drops: a quiet-ring broadcast at N=256
-  // coalesces all 255 downstream deliveries into one event (per shard,
-  // when partitioned). The bound is recomputed every hop because the hop
-  // just applied may have tightened it (an IRQ handler on the *current*
-  // hop can post same-window events).
+  // long as the next hop is provably unobservable: no IRQ watch on the
+  // written range at the target (a handler must fire at its own hop time),
+  // and strictly below the kernel's inline-apply bound -- every other
+  // observer (queued event, process resume, run_until return) runs at or
+  // past that bound, and no event can ever be created below it, so
+  // applying the bank update early is invisible. Virtual-time results are
+  // bit-identical to the per-hop event posting; only the host event count
+  // drops: a quiet-ring broadcast at N=256 coalesces all 255 downstream
+  // deliveries into one event. The bound is recomputed every hop because
+  // the hop just applied may have tightened it (an IRQ handler on the
+  // *current* hop can post events).
   //
   // When a hop *does* need a real event, post it from the previous hop's
   // own tick -- the tick the one-event-per-hop reference posted it from --
@@ -189,12 +137,6 @@ void Ring::walk_advance(Walk* w) {
   // collides with nothing.
   for (;;) {
     if (w->k >= w->last_hop) {
-      if (deferred()) [[unlikely]] {
-        // The freelist belongs to the injection spine (coordinator); park
-        // the walk on this shard's lane until the barrier reclaims it.
-        lanes_[sim_.current_shard()].released.push_back(w);
-        return;
-      }
       release_walk(w);
       return;
     }
@@ -202,27 +144,19 @@ void Ring::walk_advance(Walk* w) {
     const u32 next_k = w->k + 1;
     const u32 next = (w->src + next_k) % cfg_.nodes;
     const SimTime t = hop_time(*w, next_k);
-    const bool cross =
-        partitioned() && shard_of_[next] != sim_.current_shard();
     const IrqRange& r = irq_[next];
     const bool irq_hit =
         r.handler && w->word_addr < r.hi && w->word_addr + w->nwords > r.lo;
     const bool observable = t >= sim_.inline_apply_bound();
-    if (cross || irq_hit || observable) [[unlikely]] {
-      if ((cross || observable) && sim_.now() != t_prev) {
+    if (irq_hit || observable) [[unlikely]] {
+      if (observable && sim_.now() != t_prev) {
         // An IRQ-only stop below the bound needs no relay: ticks below the
         // bound stay event-free, so nothing can tie with the hop event.
         sim_.post_at(t_prev, [this, w] { walk_advance(w); });
         return;
       }
       w->k = next_k;
-      if (partitioned()) [[unlikely]] {
-        // A cross-shard hop is a full hop_latency (== the configured
-        // lookahead) in the future, so it always clears the window barrier.
-        sim_.post_at_shard(shard_of_[next], t, [this, w] { walk_hop(w); });
-      } else {
-        sim_.post_at(t, [this, w] { walk_hop(w); });
-      }
+      sim_.post_at(t, [this, w] { walk_hop(w); });
       return;
     }
     // Inline-apply hop next_k at its (future) time t and keep walking.
@@ -256,7 +190,7 @@ void Ring::deliver(u32 dst, u32 word_addr, const u32* words, u32 nwords) {
   if (r.handler) {
     const u32 end = word_addr + nwords;
     if (word_addr < r.hi && end > r.lo) {
-      ++irq_fired_[dst];  // per-node cell: only dst's shard ever delivers here
+      irq_fired_.inc();
       r.handler(word_addr);
     }
   }
@@ -264,18 +198,10 @@ void Ring::deliver(u32 dst, u32 word_addr, const u32* words, u32 nwords) {
 
 void Ring::host_write(u32 node, u32 word_addr, u32 value) {
   assert(node < cfg_.nodes && word_addr < cfg_.bank_words);
-  banks_[node][word_addr] = value;  // local copy is immediate in any mode
-  SpineOp op{sim_.now(), node, SpineOp::Kind::kWrite};
+  banks_[node][word_addr] = value;  // the local copy is immediate
+  WriteOp op{sim_.now(), node};
   op.word_addr = word_addr;
   op.nwords = 1;
-  if (deferred()) [[unlikely]] {
-    Lane& lane = lanes_[sim_.current_shard()];
-    op.payload_off = lane.payload.size();
-    lane.payload.push_back(value);
-    lane.ops.push_back(op);
-    sim_.note_horizon(op.t);
-    return;
-  }
   seq_record(op, std::span<const u32>(&value, 1));
 }
 
@@ -298,25 +224,16 @@ void Ring::host_write_block(u32 node, u32 word_addr, std::span<const u32> words,
   // a chunk vector per packet -- in kFixed4 mode that used to mean one
   // 1-word vector per word written.
   for (usize i = 0; i < words.size(); ++i) bank[word_addr + i] = words[i];
-  // One record for the whole burst; the replay (barrier or sequential
-  // flush) re-runs the chunking loop with ready times anchored at this
-  // op's time.
-  SpineOp op{sim_.now(), node, SpineOp::Kind::kWrite};
+  // One record for the whole burst; the flush re-runs the chunking loop
+  // with ready times anchored at this op's time.
+  WriteOp op{sim_.now(), node};
   op.word_addr = word_addr;
   op.nwords = static_cast<u32>(words.size());
   op.word_period = word_period;
-  if (deferred()) [[unlikely]] {
-    Lane& lane = lanes_[sim_.current_shard()];
-    op.payload_off = lane.payload.size();
-    lane.payload.insert(lane.payload.end(), words.begin(), words.end());
-    lane.ops.push_back(op);
-    sim_.note_horizon(op.t);
-    return;
-  }
   seq_record(op, words);
 }
 
-void Ring::seq_record(const SpineOp& op, std::span<const u32> words) {
+void Ring::seq_record(const WriteOp& op, std::span<const u32> words) {
   seq_ops_.push_back(op);
   seq_ops_.back().payload_off = seq_payload_.size();
   seq_payload_.insert(seq_payload_.end(), words.begin(), words.end());
@@ -331,71 +248,22 @@ void Ring::seq_flush() {
   seq_flush_posted_ = false;
   // Every pending op carries this flush's timestamp: the flush was posted
   // at the first op's time and a later instant starts a new batch. Sorting
-  // by (node, kind) therefore reproduces the sharded spine's (time, node,
-  // kind) barrier merge exactly.
+  // by node therefore hands the medium to same-instant writers in node
+  // order.
   std::stable_sort(seq_ops_.begin(), seq_ops_.end(),
-                   [](const SpineOp& a, const SpineOp& b) {
+                   [](const WriteOp& a, const WriteOp& b) {
                      if (a.t != b.t) return a.t < b.t;
-                     if (a.node != b.node) return a.node < b.node;
-                     return static_cast<u8>(a.kind) < static_cast<u8>(b.kind);
+                     return a.node < b.node;
                    });
-  for (const SpineOp& op : seq_ops_)
+  for (const WriteOp& op : seq_ops_)
     replay_op(op, seq_payload_.data() + op.payload_off);
   seq_ops_.clear();
   seq_payload_.clear();
 }
 
-void Ring::on_barrier() {
-  // Reclaim walks that finished on worker shards during the window (the
-  // freelist is spine state; shards may not touch it mid-window).
-  for (Lane& lane : lanes_) {
-    for (Walk* w : lane.released) release_walk(w);
-    lane.released.clear();
-  }
-  bool any = false;
-  for (const Lane& lane : lanes_)
-    if (!lane.ops.empty()) any = true;
-  if (!any) return;
-  // Merge the per-shard operation streams into one deterministic order.
-  // Each lane is already time-sorted (its shard executed in time order);
-  // the sort key adds (node, kind) so the merged order is independent of
-  // how nodes were partitioned: a node's writes all come from one lane
-  // (stable within it), and fault flips -- recorded wherever the fault
-  // plan's events run -- tie-break against writes by kind alone.
-  spine_merge_.clear();
-  for (const Lane& lane : lanes_)
-    for (const SpineOp& op : lane.ops) spine_merge_.push_back(MergeRef{&op, &lane});
-  std::stable_sort(spine_merge_.begin(), spine_merge_.end(),
-                   [](const MergeRef& a, const MergeRef& b) {
-                     if (a.op->t != b.op->t) return a.op->t < b.op->t;
-                     if (a.op->node != b.op->node) return a.op->node < b.op->node;
-                     return static_cast<u8>(a.op->kind) < static_cast<u8>(b.op->kind);
-                   });
-  for (const MergeRef& m : spine_merge_)
-    replay_op(*m.op, m.lane->payload.data() + m.op->payload_off);
-  spine_merge_.clear();
-  for (Lane& lane : lanes_) {
-    lane.ops.clear();
-    lane.payload.clear();
-  }
-}
-
-void Ring::replay_op(const SpineOp& op, const u32* payload) {
-  switch (op.kind) {
-    case SpineOp::Kind::kLinkDown:
-      apply_fail(op.node, op.t);
-      return;
-    case SpineOp::Kind::kLinkUp:
-      link_failed_[op.node] = false;
-      return;
-    case SpineOp::Kind::kSpeed:
-      speed_factor_[op.node] = op.factor;
-      return;
-    case SpineOp::Kind::kWrite:
-      break;
-  }
-  // The bank was already written on the owning shard; re-run only the
-  // injection side, with the same chunking and pacing as the direct path.
+void Ring::replay_op(const WriteOp& op, const u32* payload) {
+  // The bank was already written by host_write*; run only the injection
+  // side, chunked by the ring mode and paced from the op's own time.
   const u32 chunk_words =
       cfg_.mode == PacketMode::kFixed4 ? 1u : cfg_.max_var_packet_bytes / 4u;
   u32 off = 0;
@@ -403,7 +271,7 @@ void Ring::replay_op(const SpineOp& op, const u32* payload) {
     const u32 n = std::min(chunk_words, op.nwords - off);
     const SimTime ready = op.t + static_cast<SimTime>(off) * op.word_period;
     inject_packet(op.node, op.word_addr + off, std::span<const u32>(payload + off, n),
-                  ready, op.t);
+                  ready);
     off += n;
   }
 }

@@ -12,17 +12,10 @@
 // Bandwidth is modeled at two choke points: a per-node insertion engine
 // and the shared ring medium, both running at the mode's data rate.
 //
-// Parallel execution (sim_jobs > 1): set_partition() assigns each node to
-// a simulation shard. Node-local state (bank, IRQ watch, delivery events)
-// lives with the node's shard; the *serialization spine* -- injection
-// arbitration over tx_free_/ring_free_, link-state sampling, and the
-// global counters -- stays single-threaded by deferral: host writes and
-// fault flips append per-shard operation records during a window, and the
-// window-barrier hook merges them by (time, node, kind) and replays them
-// through the ordinary injection path. Packet walks then hop shard to
-// shard via Simulation::post_at_shard; each hop advances virtual time by
-// exactly hop_latency, the lookahead the harness configures, so every
-// cross-shard delivery lands beyond the window barrier by construction.
+// Injection is batched per virtual instant: host writes are recorded, and
+// one flush event at that instant injects them sorted by node, so nodes
+// that request the shared medium at the same picosecond are served in
+// node order rather than in the order their writes happened to execute.
 #pragma once
 
 #include <deque>
@@ -76,18 +69,6 @@ class Ring {
   /// fully propagated to every other node (useful for tests).
   SimTime full_propagation_bound() const;
 
-  // -- intra-run parallel partitioning --------------------------------------
-
-  /// Assign each node to a simulation shard (map[node] = shard id, one
-  /// entry per node, ids < sim.jobs()). Call once at setup, before run();
-  /// registers the ring's window-barrier hook with the simulation. See the
-  /// header comment for what moves where.
-  void set_partition(std::vector<u32> shard_of_node);
-  bool partitioned() const { return !shard_of_.empty(); }
-  /// Shard owning `node` (0 when unpartitioned) -- the shard its host
-  /// processes must be spawned on (harness::run_scramnet_* does this).
-  u32 shard_of(u32 node) const { return partitioned() ? shard_of_[node] : 0; }
-
   // -- fault injection ------------------------------------------------------
 
   /// Fail the link from `node` to its downstream neighbor, effective now.
@@ -110,11 +91,7 @@ class Ring {
   // -- statistics ----------------------------------------------------------
   u64 packets_sent() const { return packets_.get(); }
   u64 words_replicated() const { return words_.get(); }
-  u64 interrupts_fired() const {
-    u64 n = 0;
-    for (u64 v : irq_fired_) n += v;  // per-node cells: shard-race-free
-    return n;
-  }
+  u64 interrupts_fired() const { return irq_fired_.get(); }
   /// Packet-walk pool high-water mark (== max packets ever in flight);
   /// steady-state traffic reuses these slots without allocating.
   usize walk_pool_size() const { return walk_pool_.size(); }
@@ -152,36 +129,23 @@ class Ring {
     }
   };
 
-  /// One host-side ring operation recorded during a parallel window and
-  /// replayed at the barrier. Writes carry their payload in the recording
-  /// lane's arena (payload_off). `t` is the virtual time the operation
-  /// executed on its shard; replay uses it for arbitration (ready_at),
-  /// switchover deadlines, and trace timestamps.
-  struct SpineOp {
+  /// One host write waiting for its instant's flush. The payload lives in
+  /// seq_payload_ at payload_off; `t` is the virtual time the host issued
+  /// the write, which anchors the injection ready times.
+  struct WriteOp {
     SimTime t;
     u32 node;
-    enum class Kind : u8 { kLinkDown = 0, kLinkUp = 1, kSpeed = 2, kWrite = 3 } kind;
     u32 word_addr = 0;
     u32 nwords = 0;
     usize payload_off = 0;
     SimTime word_period = 0;  // block pacing; 0 for single-word writes
-    double factor = 1.0;      // kSpeed only
-  };
-
-  /// Per-shard recording lane. Cache-line aligned so two shards appending
-  /// concurrently never share a line through the vector headers.
-  struct alignas(64) Lane {
-    std::vector<SpineOp> ops;       // nondecreasing t (shard executes in order)
-    std::vector<u32> payload;       // write payload arena
-    std::vector<Walk*> released;    // walks finished on this shard this window
   };
 
   /// Schedule one packet of `words` (already applied to the sender's bank);
-  /// earliest injection time is `ready_at`; `issue_t` is the host-write
-  /// time (trace timestamp). Returns when the packet finishes serializing
-  /// onto the ring.
+  /// earliest injection time is `ready_at`. Returns when the packet
+  /// finishes serializing onto the ring.
   SimTime inject_packet(u32 src, u32 word_addr, std::span<const u32> words,
-                        SimTime ready_at, SimTime issue_t);
+                        SimTime ready_at);
 
   /// Delivery time of hop `k` for this walk (same formula the per-node
   /// event posting used: done + k*hop, pushed past switchover on the
@@ -189,27 +153,20 @@ class Ring {
   SimTime hop_time(const Walk& w, u32 k) const;
   void walk_hop(Walk* w);
   void walk_advance(Walk* w);
-  void post_first_hop(Walk* w);
 
   Walk* acquire_walk();
   void release_walk(Walk* w);
 
   void deliver(u32 dst, u32 word_addr, const u32* words, u32 nwords);
 
-  /// True while host-side ring operations must be recorded instead of
-  /// applied: a parallel window is executing over a partitioned ring.
-  bool deferred() const { return !shard_of_.empty() && sim_.in_parallel_run(); }
-  void apply_fail(u32 node, SimTime t);
-  void on_barrier();
-  void replay_op(const SpineOp& op, const u32* payload);
-
-  /// Sequential-kernel write batching: record `op` (+ payload words) and
-  /// make sure a flush event at the current timestamp is queued. The flush
-  /// replays every write recorded at that instant sorted by (node, kind) --
-  /// the same order the sharded spine's barrier merge uses -- so
-  /// same-picosecond medium arbitration is node-ordered in every kernel.
-  void seq_record(const SpineOp& op, std::span<const u32> words);
+  /// Record `op` (+ payload words) and make sure a flush event at the
+  /// current timestamp is queued. The flush injects every write recorded
+  /// at that instant sorted by node, so same-picosecond medium arbitration
+  /// is node-ordered.
+  void seq_record(const WriteOp& op, std::span<const u32> words);
   void seq_flush();
+  /// Inject one recorded write, chunked into packets by the ring mode.
+  void replay_op(const WriteOp& op, const u32* payload);
 
   sim::Simulation& sim_;
   RingConfig cfg_;
@@ -222,18 +179,10 @@ class Ring {
   SimTime recover_at_ = 0;                  // redundant switchover deadline
   std::deque<Walk> walk_pool_;              // stable-address packet states
   Walk* walk_free_ = nullptr;
-  std::vector<u32> shard_of_;               // node -> shard (empty: unpartitioned)
-  std::vector<Lane> lanes_;                 // one recording lane per shard
-  struct MergeRef {
-    const SpineOp* op;
-    const Lane* lane;
-  };
-  std::vector<MergeRef> spine_merge_;       // barrier scratch, capacity reused
-  std::vector<SpineOp> seq_ops_;            // same-instant sequential batch
+  std::vector<WriteOp> seq_ops_;            // same-instant write batch
   std::vector<u32> seq_payload_;            // its payload arena
   bool seq_flush_posted_ = false;
-  std::vector<u64> irq_fired_;              // per node (written by its shard)
-  Counter packets_, words_, lost_, switchovers_;
+  Counter packets_, words_, lost_, switchovers_, irq_fired_;
 };
 
 }  // namespace scrnet::scramnet

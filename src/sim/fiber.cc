@@ -13,6 +13,9 @@
 #include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
+#if defined(SCRNET_FIBER_TSAN)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace scrnet::sim::detail {
 
@@ -88,6 +91,12 @@ thread_local FiberContext* g_switch_target = nullptr;
 thread_local FiberContext* g_switch_source = nullptr;
 }  // namespace
 
+FiberContext::~FiberContext() {
+#if defined(SCRNET_FIBER_TSAN)
+  if (tsan_owned_) __tsan_destroy_fiber(tsan_fiber_);
+#endif
+}
+
 #if defined(SCRNET_FIBER_BACKEND_ASM)
 
 // System-V x86-64 cooperative switch: save callee-saved registers plus the
@@ -134,6 +143,11 @@ void FiberContext::prepare(Entry entry, void* arg, const FiberStack& stack) {
   stack_size_ = stack.usable_bytes();
   fake_stack_ = nullptr;
 #endif
+#if defined(SCRNET_FIBER_TSAN)
+  if (tsan_owned_) __tsan_destroy_fiber(tsan_fiber_);
+  tsan_fiber_ = __tsan_create_fiber(0);
+  tsan_owned_ = true;
+#endif
   // Fabricate the frame scrnet_fiber_switch_asm expects to pop. Keep the
   // run_entry slot 16-aligned so that after `ret`, %rsp % 16 == 8 -- the
   // ABI state at any function entry.
@@ -160,6 +174,11 @@ void FiberContext::prepare(Entry entry, void* arg, const FiberStack& stack) {
   stack_bottom_ = stack.limit();
   stack_size_ = stack.usable_bytes();
   fake_stack_ = nullptr;
+#endif
+#if defined(SCRNET_FIBER_TSAN)
+  if (tsan_owned_) __tsan_destroy_fiber(tsan_fiber_);
+  tsan_fiber_ = __tsan_create_fiber(0);
+  tsan_owned_ = true;
 #endif
   if (getcontext(&ctx_) != 0) std::abort();
   ctx_.uc_stack.ss_sp = stack.limit();
@@ -197,6 +216,14 @@ void FiberContext::switch_from(FiberContext& from, bool from_dying) {
                                  stack_bottom_, stack_size_);
 #else
   (void)from_dying;
+#endif
+#if defined(SCRNET_FIBER_TSAN)
+  // A context prepare() did not create is the kernel's: it runs as
+  // whichever thread or fiber called Simulation::run. Re-read it on every
+  // switch, so a simulation torn down on another thread still switches
+  // back to the right one.
+  if (!from.tsan_owned_) from.tsan_fiber_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
 #if defined(SCRNET_FIBER_BACKEND_ASM)
   scrnet_fiber_switch_asm(&from.sp_, sp_);

@@ -19,7 +19,10 @@
 //
 // Both backends carry the __sanitizer_start_switch_fiber /
 // __sanitizer_finish_switch_fiber annotations, so AddressSanitizer tracks
-// the live stack across swaps and fiber builds run clean under ASan.
+// the live stack across swaps and fiber builds run clean under ASan. Under
+// ThreadSanitizer every prepared context is also a TSan fiber, entered with
+// __tsan_switch_to_fiber just before each swap, so TSan keeps one shadow
+// stack per process and reports races with the process bodies' own frames.
 #pragma once
 
 #include <cstddef>
@@ -39,6 +42,14 @@
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
 #define SCRNET_FIBER_ASAN 1
+#endif
+#endif
+
+#if defined(__SANITIZE_THREAD__)
+#define SCRNET_FIBER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SCRNET_FIBER_TSAN 1
 #endif
 #endif
 
@@ -99,6 +110,7 @@ class FiberContext {
   using Entry = void (*)(void* arg);
 
   FiberContext() = default;
+  ~FiberContext();
   FiberContext(const FiberContext&) = delete;
   FiberContext& operator=(const FiberContext&) = delete;
 
@@ -128,6 +140,10 @@ class FiberContext {
   void* fake_stack_ = nullptr;        // ASan fake-stack handle while suspended
   const void* stack_bottom_ = nullptr;  // this context's stack, for ASan
   usize stack_size_ = 0;
+#endif
+#if defined(SCRNET_FIBER_TSAN)
+  void* tsan_fiber_ = nullptr;  // the TSan fiber this context runs as
+  bool tsan_owned_ = false;     // created by prepare(); destroyed with *this
 #endif
 };
 

@@ -9,25 +9,13 @@
 //  * processes -- protocol/application code (BBP endpoints, MPI ranks)
 //    written as ordinary blocking C++ running on a stackful fiber
 //    (sim/fiber.h). Exactly one context (kernel or one process) runs at
-//    any instant *within a shard*; control moves by cooperative context
-//    swap, so a Process::delay() costs nanoseconds, not a condvar round
-//    trip. This lets the *real* protocol code execute unmodified inside
-//    the simulation. Building with -DSCRNET_SIM_THREAD_PROCS=ON restores
-//    the legacy one-std::thread-per-process backend (a sanitizer/
-//    debugger-friendly fallback with identical event ordering).
+//    any instant, on the thread that called run(); control moves by
+//    cooperative context swap, so a Process::delay() costs nanoseconds,
+//    not a condvar round trip. This lets the *real* protocol code execute
+//    unmodified inside the simulation.
 //
-// Parallel execution (SimConfig::sim_jobs / SCRNET_SIM_JOBS): the kernel
-// can split its event population into per-worker *shards*, each with its
-// own calendar queue, clock, fiber scheduler, and stack pool. Execution
-// proceeds in conservative lockstep windows: with L = set_lookahead() (the
-// harness passes the SCRAMNet per-hop propagation delay) and T the global
-// minimum next-event time, every shard may safely drain its queue up to
-// T + L, because any cross-shard effect of an event at t >= T lands at
-// t + L >= T + L. Cross-shard deliveries are buffered in per-shard
-// outboxes and exchanged at the window barrier in a deterministic merge
-// order (timestamp, then source shard, then send order). jobs=1 is the
-// bit-exact reference path: it never takes a branch into any of this
-// machinery beyond one predicted-not-taken bool test per post.
+// A Simulation is single-threaded. Parallelism lives across simulations:
+// sweep::Runner runs independent simulations on worker threads.
 //
 // A process consumes virtual time with Process::delay() and blocks on
 // conditions with sim::Signal. If the event queue drains while processes
@@ -35,17 +23,14 @@
 // process names (a real protocol bug surface, exercised by tests).
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cassert>
-#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -62,10 +47,6 @@ namespace scrnet::sim {
 
 class Simulation;
 class Process;
-
-namespace detail {
-struct Shard;
-}
 
 /// Thrown by Simulation::run() when all events are exhausted but one or more
 /// processes are still parked on a Signal.
@@ -84,15 +65,7 @@ class ProcessError : public std::runtime_error {
 struct SimConfig {
   /// Usable stack bytes for each simulated process fiber, rounded up to
   /// whole pages; a PROT_NONE guard page is mapped below every stack.
-  /// Ignored by the SCRNET_SIM_THREAD_PROCS fallback (OS threads size
-  /// their own stacks).
   usize proc_stack_bytes = 256 * 1024;
-  /// Event-execution shards inside this simulation. 0 = take the value of
-  /// the SCRNET_SIM_JOBS environment variable (default 1). Clamped to
-  /// [1, 64]. Shards only do anything once work is placed on them with
-  /// spawn_on()/post_at_shard(); a simulation whose work all lives on
-  /// shard 0 runs the plain sequential loop even when sim_jobs > 1.
-  u32 sim_jobs = 0;
 };
 
 /// A simulated process. Instances are owned by the Simulation; user code
@@ -110,7 +83,7 @@ class Process {
   /// model "check again immediately but let the world make progress".
   void yield();
 
-  /// Virtual now() shortcut (this process's shard clock).
+  /// Virtual now() shortcut.
   SimTime now() const;
 
   Simulation& simulation() const { return sim_; }
@@ -130,7 +103,7 @@ class Process {
     kFinished,  // body returned or threw
   };
 
-  Process(Simulation& sim, detail::Shard& shard, u32 id, std::string name,
+  Process(Simulation& sim, u32 id, std::string name,
           std::function<void(Process&)> body);
 
   /// Switch control process -> kernel. Called with proc about to block.
@@ -140,29 +113,17 @@ class Process {
   /// Park on a signal: no resume event is scheduled; Signal::notify will.
   void park();
 
-#if defined(SCRNET_SIM_THREAD_PROCS)
-  void thread_main();
-#else
   static void fiber_entry(void* self);
   void fiber_main();
-#endif
 
   Simulation& sim_;
-  detail::Shard* shard_;  // owning shard: queue, clock, scheduler affinity
   u32 id_;
   std::string name_;
   std::function<void(Process&)> body_;
 
-#if defined(SCRNET_SIM_THREAD_PROCS)
-  std::thread thread_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool proc_turn_ = false;    // true: process may run; false: kernel may run
-#else
   detail::FiberContext fiber_;
   detail::FiberStack stack_;
   bool fiber_live_ = false;   // stack acquired + context armed
-#endif
 
   bool cancelled_ = false;    // set during Simulation teardown
   bool wake_was_notify_ = false;  // distinguishes notify vs timeout wakeups
@@ -171,87 +132,8 @@ class Process {
   std::string error_;         // exception text if the body threw
 };
 
-namespace detail {
-
-/// One event-execution shard: its own calendar queue, clock, processes,
-/// fiber kernel context, and stack pool. Shard 0 ("home") is embedded in
-/// the Simulation and is the only shard a sequential run ever touches.
-struct Shard {
-  Shard(u32 id_, usize stack_bytes) : id(id_), stacks(stack_bytes) {}
-
-  const u32 id;
-  SimTime now = 0;
-  EventQueue queue;
-  StackPool stacks;
-#if !defined(SCRNET_SIM_THREAD_PROCS)
-  FiberContext kctx;  // kernel-side context for this shard
-#endif
-  std::vector<std::unique_ptr<Process>> procs;
-
-  /// A cross-shard send buffered during the current window; drained and
-  /// merged by the coordinator at the barrier.
-  struct CrossEvent {
-    SimTime t;
-    Shard* dst;
-    std::function<void()> fn;
-  };
-  std::vector<CrossEvent> outbox;
-
-  /// Earliest time of an operation this shard deferred to a barrier hook
-  /// during the current window (Simulation::note_horizon); max() = none.
-  /// Its cross-shard effects land at >= horizon + lookahead, which bounds
-  /// how far an extended solo window may run.
-  SimTime horizon = std::numeric_limits<SimTime>::max();
-
-  /// Exclusive bound on virtual times this shard may *apply inline* during
-  /// the currently executing event (see Simulation::inline_apply_bound):
-  /// the live drain-window cap during a parallel window, the boundary
-  /// during a sequential run_until, max() otherwise.
-  SimTime inline_cap = std::numeric_limits<SimTime>::max();
-
-  /// Latest virtual time this shard has applied inline (coalesced walk /
-  /// chain deliveries run ahead of the event clock). The run's final clock
-  /// convergence takes the max of this and `now`, so a run whose *tail* is
-  /// coalesced still ends at the last delivery's virtual time exactly like
-  /// the one-event-per-hop reference.
-  SimTime inline_mark = 0;
-
-  // Deferred failure state (rethrown by the coordinator between windows).
-  std::string error;
-  bool proc_error = false;  // error came from a ProcessError
-  bool timed_out = false;   // hit the time-limit safety valve
-};
-
-}  // namespace detail
-
 /// The simulation kernel.
 class Simulation {
- private:
-  using Shard = detail::Shard;
-
-  /// Worker threads find their shard through this thread-local; the token
-  /// ties it to one Simulation instance so a stale entry from a destroyed
-  /// simulation can never alias a live one.
-  struct TlsCtx {
-    u64 token;
-    Shard* shard;
-  };
-  static inline thread_local TlsCtx tls_ctx_{0, nullptr};
-
-  /// RAII: route this thread's posts/now() to `s` for the scope's duration.
-  class ShardScope {
-   public:
-    ShardScope(const Simulation& sim, Shard& s) : prev_(tls_ctx_) {
-      tls_ctx_ = TlsCtx{sim.token_, &s};
-    }
-    ~ShardScope() { tls_ctx_ = prev_; }
-    ShardScope(const ShardScope&) = delete;
-    ShardScope& operator=(const ShardScope&) = delete;
-
-   private:
-    TlsCtx prev_;
-  };
-
  public:
   Simulation() : Simulation(SimConfig{}) {}
   explicit Simulation(const SimConfig& cfg);
@@ -260,66 +142,24 @@ class Simulation {
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  /// Virtual time of the calling context: the executing shard's clock
-  /// during a parallel run, the (single) home clock otherwise.
-  SimTime now() const {
-    if (parallel_run_) [[unlikely]] return ctx_shard().now;
-    return home_.now;
-  }
+  SimTime now() const { return now_; }
 
   /// Post a device callback `delay` after now. Any callable works; one
   /// whose captures fit EventQueue::kInlineBytes is stored allocation-free.
-  /// During a parallel run the event lands on the calling context's shard.
   template <typename F>
   void post(SimTime delay, F&& fn) {
-    if (parallel_run_) [[unlikely]] {
-      Shard& s = ctx_shard();
-      s.queue.push(s.now + delay, std::forward<F>(fn));
-      return;
-    }
-    home_.queue.push(home_.now + delay, std::forward<F>(fn));
+    queue_.push(now_ + delay, std::forward<F>(fn));
   }
   /// Post a device callback at absolute time t (must be >= now).
   template <typename F>
   void post_at(SimTime t, F&& fn) {
-    if (parallel_run_) [[unlikely]] {
-      Shard& s = ctx_shard();
-      assert(t >= s.now && "cannot post into the past");
-      s.queue.push(t, std::forward<F>(fn));
-      return;
-    }
-    assert(t >= home_.now && "cannot post into the past");
-    home_.queue.push(t, std::forward<F>(fn));
-  }
-
-  /// Post a callback onto a specific shard's queue. Outside a parallel run
-  /// (setup, or jobs=1) this is a plain deterministic push. During a
-  /// parallel run, a cross-shard post is buffered in the sender's outbox
-  /// and merged at the window barrier; conservative lookahead guarantees
-  /// t >= the barrier time, which merge_outboxes() asserts.
-  template <typename F>
-  void post_at_shard(u32 shard, SimTime t, F&& fn) {
-    Shard& dst = shard_at(shard);
-    if (!parallel_run_) {
-      dst.queue.push(t, std::forward<F>(fn));
-      return;
-    }
-    Shard& cur = ctx_shard();
-    if (&cur == &dst) {
-      dst.queue.push(t, std::forward<F>(fn));
-      return;
-    }
-    cur.outbox.push_back(
-        Shard::CrossEvent{t, &dst, std::function<void()>(std::forward<F>(fn))});
+    assert(t >= now_ && "cannot post into the past");
+    queue_.push(t, std::forward<F>(fn));
   }
 
   /// Create a process; it starts at the current virtual time (or at start
-  /// of run() if spawned before run()). Lands on the calling context's
-  /// shard (home outside a parallel run).
+  /// of run() if spawned before run()).
   Process& spawn(std::string name, std::function<void(Process&)> body);
-  /// Create a process bound to a specific shard (its fibers, resume events
-  /// and queue all live there). Setup-time only, before run().
-  Process& spawn_on(u32 shard, std::string name, std::function<void(Process&)> body);
 
   /// Run until the event queue is empty and every process has finished.
   /// Throws DeadlockError / ProcessError on failure.
@@ -333,88 +173,48 @@ class Simulation {
   /// (0 = unlimited).
   void set_time_limit(SimTime t) { time_limit_ = t; }
 
-  // -- parallel-execution surface ------------------------------------------
-
-  /// Number of event-execution shards (1 = sequential reference kernel).
-  u32 jobs() const { return jobs_; }
-  /// Conservative lookahead: every cross-shard effect of an event at time t
-  /// must land at >= t + lookahead. The harness passes the ring's per-hop
-  /// propagation delay. 0 (the default) degenerates to 1 ps windows --
-  /// correct but slow, so set it whenever shards are used.
-  void set_lookahead(SimTime l) { lookahead_ = l; }
-  SimTime lookahead() const { return lookahead_; }
-  /// Shard of the calling context (0 outside a parallel run). Device
-  /// models use this to tag per-shard staging buffers.
-  u32 current_shard() const { return parallel_run_ ? ctx_shard().id : 0; }
-  /// True while a parallel (jobs > 1, sharded-work) run is in progress.
-  bool in_parallel_run() const { return parallel_run_; }
-  /// Register a hook the window coordinator calls between windows (after
-  /// all shards quiesced, before the outbox merge) with the window-end
-  /// time. The SCRAMNet ring uses this to replay its serialization spine.
-  /// Hooks run on the coordinating thread, in registration order.
-  void add_barrier_hook(std::function<void(SimTime)> hook) {
-    barrier_hooks_.push_back(std::move(hook));
-  }
-  /// A device model that defers an operation to a barrier hook (instead of
-  /// sending through post_at_shard) must report the operation's timestamp
-  /// here: its cross-shard effects land at >= t + lookahead, which bounds
-  /// how far an extended solo window may keep running (drain_window).
-  /// No-op outside a parallel run.
-  void note_horizon(SimTime t) {
-    if (parallel_run_) [[unlikely]] {
-      Shard& s = ctx_shard();
-      if (t < s.horizon) s.horizon = t;
-    }
-  }
-
   /// Exclusive upper bound on virtual times the currently executing event
   /// may *apply inline* -- mutate state timestamped in the future without
   /// posting an event for it. Sound because every other observer (a queued
-  /// event, a process resume, a run_until return, a parallel-window
-  /// barrier) runs at or after this bound, so a state change timestamped
-  /// strictly below it is applied before anything could have read the old
-  /// value. The ring's coalesced packet walk uses this to deliver a run of
-  /// same-shard hops inside one pooled event. Recomputed after every
-  /// inline application: the applied work may itself have posted events
-  /// (e.g. an IRQ handler's reaction) that tighten the bound.
+  /// event, a process resume, a run_until return) runs at or after this
+  /// bound, so a state change timestamped strictly below it is applied
+  /// before anything could have read the old value. The ring's coalesced
+  /// packet walk uses this to deliver a run of hops inside one pooled
+  /// event. Recomputed after every inline application: the applied work
+  /// may itself have posted events (e.g. an IRQ handler's reaction) that
+  /// tighten the bound.
   SimTime inline_apply_bound() {
-    Shard& s = ctx_shard();
-    SimTime bound = s.inline_cap;
-    if (!s.queue.empty()) bound = std::min(bound, s.queue.next_time());
+    SimTime bound = inline_cap_;
+    if (!queue_.empty()) bound = std::min(bound, queue_.next_time());
     if (time_limit_ > 0) bound = std::min(bound, time_limit_ + 1);
     return bound;
   }
 
-  /// Record that the calling context applied state with virtual time `t`
+  /// Record that the running event applied state with virtual time `t`
   /// inline (t must be below inline_apply_bound()).
   void note_inline_apply(SimTime t) {
-    Shard& s = ctx_shard();
-    if (s.inline_mark < t) s.inline_mark = t;
+    if (inline_mark_ < t) inline_mark_ = t;
   }
 
-  u64 events_executed() const;
+  u64 events_executed() const { return queue_.executed(); }
   usize live_processes() const;
 
-  /// Event-storage counters (pool growth, inline vs heap callables),
-  /// aggregated over shards -- the allocation-free guarantee is asserted
-  /// against these in tests.
-  EventQueue::Stats queue_stats() const;
+  /// Event-storage counters (pool growth, inline vs heap callables) -- the
+  /// allocation-free guarantee is asserted against these in tests.
+  EventQueue::Stats queue_stats() const { return queue_.stats(); }
   /// Events currently queued (device callbacks + process resumes).
-  usize events_pending() const;
+  usize events_pending() const { return queue_.size(); }
 
-  /// Fiber stack-pool counters (mmap'd vs recycled stacks), aggregated
-  /// over shards. All zero on the SCRNET_SIM_THREAD_PROCS fallback, which
-  /// has no fiber stacks.
-  detail::StackPool::Stats stack_stats() const;
+  /// Fiber stack-pool counters (mmap'd vs recycled stacks).
+  detail::StackPool::Stats stack_stats() const { return stacks_.stats(); }
   /// Per-process usable stack bytes after page rounding.
-  usize proc_stack_bytes() const { return home_.stacks.stack_bytes(); }
+  usize proc_stack_bytes() const { return stacks_.stack_bytes(); }
 
   /// The observability sink this simulation records into (TRACE_* hooks,
   /// published counters). Captured from obs::Sink::current() at
   /// construction: the global sink for ordinary single-run programs, the
   /// job's private sink inside a sweep::Runner job. run()/run_until()
-  /// (re)install it as the thread-current sink for their duration (on
-  /// every worker thread too during a parallel run).
+  /// (re)install it as the thread-current sink for their duration.
   obs::Sink& sink() const { return *sink_; }
   void set_sink(obs::Sink& s) { sink_ = &s; }
 
@@ -423,110 +223,51 @@ class Simulation {
   friend class Signal;
 
   static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
-  /// Shard k's process ids start at k * kProcIdStride (shard 0 keeps the
-  /// dense 0..n-1 ids the sequential kernel always had).
-  static constexpr u32 kProcIdStride = 1u << 20;
 
-  Shard& shard_at(u32 i) {
-    assert(i < jobs_);
-    return i == 0 ? home_ : *extra_[i - 1];
-  }
-  /// The shard the calling thread is draining, or home between windows /
-  /// outside runs. The token check rejects entries left by other (possibly
-  /// destroyed) simulations.
-  Shard& ctx_shard() {
-    return tls_ctx_.token == token_ ? *tls_ctx_.shard : home_;
-  }
-  const Shard& ctx_shard() const {
-    return tls_ctx_.token == token_ ? *tls_ctx_.shard : home_;
-  }
-
-  template <typename Fn>
-  void each_shard(Fn&& f) {
-    f(home_);
-    for (auto& s : extra_) f(*s);
-  }
-  template <typename Fn>
-  void each_shard(Fn&& f) const {
-    f(home_);
-    for (const auto& s : extra_) f(*s);
-  }
-
-  Process& spawn_impl(Shard& sh, std::string name, std::function<void(Process&)> body);
-
-  /// Schedule process resume at absolute time t (on the process's shard).
+  /// Schedule process resume at absolute time t.
   void schedule_resume(Process& p, SimTime t);
   /// Give control to process p and wait until it blocks or finishes.
   void dispatch(Process& p);
 
-  /// Execute one event on the home shard; returns false if the queue is
-  /// empty. Inline so the sequential run() loop compiles down to pop /
-  /// advance clock / indirect call.
+  /// Execute one event; returns false if the queue is empty. Inline so the
+  /// run() loop compiles down to pop / advance clock / indirect call.
   bool step() {
     EventQueue::Popped ev;
-    if (!home_.queue.pop(&ev)) return false;
-    assert(ev.t >= home_.now);
-    home_.now = ev.t;
-    home_.queue.run_and_release(ev);
+    if (!queue_.pop(&ev)) return false;
+    assert(ev.t >= now_);
+    now_ = ev.t;
+    queue_.run_and_release(ev);
     return true;
   }
 
-  void check_time_limit();
+  void check_time_limit() const;
   void check_deadlock() const;
 
-  // -- parallel window machinery (see run_parallel in simulation.cc) -------
-  bool parallel_needed() const;
-  void run_parallel(SimTime until);  // until < 0: run to completion
-  void drain_window(Shard& s, SimTime wend);
-  void merge_outboxes(SimTime wend);
-  void throw_shard_failure();
-  void start_workers();
-  void stop_workers();
-  void worker_main(u32 worker_idx);
-  void drain_claimed(u32 start);
-  void unwind_procs(Shard& s);
-
-  const u64 token_;  // unique per Simulation (validates tls_ctx_ entries)
-  const u32 jobs_;
-  SimTime lookahead_ = 0;
-  bool parallel_run_ = false;
   SimTime time_limit_ = 0;
   obs::Sink* sink_;  // never null; set in the constructor
-  Shard home_;
-  std::vector<std::unique_ptr<Shard>> extra_;  // shards 1..jobs-1
-  std::vector<std::function<void(SimTime)>> barrier_hooks_;
-  std::vector<Shard::CrossEvent> merge_buf_;   // scratch, capacity reused
-  bool running_ = false;
+  SimTime now_ = 0;
+  EventQueue queue_;
+  detail::StackPool stacks_;
+  detail::FiberContext kctx_;  // the context that called run()
+  std::vector<std::unique_ptr<Process>> procs_;
 
-  // Worker rendezvous with work stealing: the coordinator stores
-  // window_end_ and pending_, then publishes the window's shard set with a
-  // *release* store to unclaimed_mask_ and bumps epoch_ to wake sleepers.
-  // Every participant (coordinator included) then runs drain_claimed():
-  // claim a shard bit with an acq_rel fetch_and, drain that whole shard's
-  // window, decrement pending_, repeat until the mask is empty -- so a
-  // shard that drains early immediately steals the next unclaimed shard
-  // instead of idling out the window. The claim RMW synchronizes with the
-  // mask's release store directly (not via epoch_), which makes a stale
-  // claimer from the previous window safe: whatever bit its fetch_and
-  // wins belongs to the *current* window, whose window_end_ cannot change
-  // while the coordinator still spins on pending_ != 0.
-  std::vector<std::thread> workers_;
-  std::atomic<u64> epoch_{0};
-  std::atomic<u32> pending_{0};
-  std::atomic<bool> stop_workers_{false};
-  std::atomic<SimTime> window_end_{0};
-  std::atomic<u64> unclaimed_mask_{0};
-  std::mutex gate_mu_;
-  std::condition_variable gate_cv_;
+  /// Exclusive bound on virtual times the running event may apply inline
+  /// (see inline_apply_bound): the boundary during a run_until, max()
+  /// otherwise.
+  SimTime inline_cap_ = kNever;
+
+  /// Latest virtual time applied inline (coalesced walk deliveries run
+  /// ahead of the event clock). run() ends at the max of this and now_, so
+  /// a run whose *tail* is coalesced still ends at the last delivery's
+  /// virtual time exactly like the one-event-per-hop reference.
+  SimTime inline_mark_ = 0;
 };
 
 /// Condition-variable analog for simulated processes.
 ///
 /// wait() parks the calling process until another actor calls notify_all/
 /// notify_one. Wakeups are scheduled as regular events at the notifying
-/// time, preserving determinism. Signals are shard-local: notifier and
-/// waiter must live on the same shard (true for every device signal in the
-/// tree -- ports, endpoints and channels are all node-local).
+/// time, preserving determinism.
 class Signal {
  public:
   explicit Signal(Simulation& sim) : sim_(sim) {}

@@ -15,9 +15,9 @@
 // the CI determinism leg to race Runner orderings without paying for the
 // full sweep.
 //
-// Output is bit-identical at any --jobs and any SCRNET_SIM_JOBS: each
-// grid cell is one self-contained deterministic simulation and results
-// are collected in submission order (docs/sweep.md).
+// Output is bit-identical at any --jobs: each grid cell is one
+// self-contained deterministic simulation and results are collected in
+// submission order (docs/sweep.md).
 #include <cstring>
 #include <fstream>
 #include <iomanip>

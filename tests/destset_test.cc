@@ -93,8 +93,6 @@ TEST(DestSetBbp, HighRankRoundTrip) {
   constexpr u32 kProcs = 72;
   constexpr u32 kFar = 70;   // heap-word rank
   constexpr u32 kMid = 33;   // first rank the u32 mask path dropped
-  harness::ScramnetOptions opts;
-  opts.sim_jobs = 1;
   u32 far_got = 0, mid_got = 0, echo_got = 0;
   harness::run_scramnet_bbp(
       kProcs,
@@ -116,8 +114,7 @@ TEST(DestSetBbp, HighRankRoundTrip) {
           const std::vector<u8> echo{9};
           ASSERT_TRUE(ep.send(0, echo).ok());
         }
-      },
-      opts);
+      });
   EXPECT_EQ(mid_got, 3u);
   EXPECT_EQ(far_got, 4u);
   EXPECT_EQ(echo_got, 9u);

@@ -9,6 +9,7 @@
 #include "bbp/endpoint.h"
 #include "common/bytes.h"
 #include "fault/plan.h"
+#include "harness/cluster.h"
 #include "netmodels/ethernet.h"
 #include "scramnet/hierarchy.h"
 #include "scramnet/ring.h"
@@ -431,6 +432,39 @@ TEST(FaultPlan, HierarchyPortsHonorHostDials) {
   const SimTime degraded = finish_time(true);
   EXPECT_GT(degraded, nominal);
   EXPECT_EQ(finish_time(true), degraded);  // deterministic
+}
+
+TEST(FaultPlan, HostIoDialStretchesDialedRank) {
+  // A host-I/O dial on the last node of an 8-node cluster takes effect once,
+  // mid-run, and stretches that rank's bus transactions from then on: the
+  // dialed sender finishes later than the same run without the plan.
+  constexpr u32 kNodes = 8;
+  auto finish_times = [](fault::FaultPlan* plan) {
+    harness::ScramnetOptions opts;
+    opts.faults = plan;
+    std::vector<SimTime> done(kNodes, 0);
+    harness::run_scramnet_bbp(
+        kNodes,
+        [&](sim::Process& p, bbp::Endpoint& ep) {
+          const u32 me = ep.rank();
+          std::vector<u8> msg(64, 7), buf(64);
+          if (me == kNodes - 1) {
+            for (int i = 0; i < 30; ++i) ASSERT_TRUE(ep.send(0, msg).ok());
+          } else if (me == 0) {
+            for (int i = 0; i < 30; ++i) ASSERT_TRUE(ep.recv(kNodes - 1, buf).ok());
+          }
+          done[me] = p.now();
+        },
+        opts);
+    return done;
+  };
+  const std::vector<SimTime> nominal = finish_times(nullptr);
+  fault::FaultPlan plan;
+  plan.host_congestion(us(30), kNodes - 1, 4.0);
+  const std::vector<SimTime> dialed = finish_times(&plan);
+  EXPECT_EQ(plan.fired(fault::FaultKind::kHostIo), 1u);
+  EXPECT_GT(nominal[kNodes - 1], us(30));  // the flip lands mid-run
+  EXPECT_GT(dialed[kNodes - 1], nominal[kNodes - 1]);
 }
 
 }  // namespace

@@ -51,6 +51,22 @@ TEST(Ring, PropagationTimingMatchesHopLatency) {
   EXPECT_EQ(ring.host_read(3, 7), 42u);
 }
 
+TEST(Ring, SameInstantWritesArbitrateInNodeOrder) {
+  // Two nodes request the shared medium at the same picosecond. The medium
+  // goes to the lower node index, not to whichever write was issued first:
+  // node 3 writes first, but node 1 serializes first, so node 2 (one hop
+  // past node 1, three past node 3) sees node 1's word one occupancy
+  // before node 3's.
+  sim::Simulation sim;
+  const RingConfig cfg = small_ring();
+  Ring ring(sim, cfg);
+  ring.host_write(3, 20, 33);
+  ring.host_write(1, 10, 11);
+  sim.run_until(cfg.packet_occupancy(4) + cfg.hop_latency);
+  EXPECT_EQ(ring.host_read(2, 10), 11u);
+  EXPECT_EQ(ring.host_read(2, 20), 0u);
+}
+
 TEST(Ring, PerSenderFifoOrderPreserved) {
   sim::Simulation sim;
   Ring ring(sim, small_ring());

@@ -1,9 +1,8 @@
-// Tests for the process scheduler (fiber backend by default, hosted-thread
-// backend with SCRNET_SIM_THREAD_PROCS): spawn/teardown at scale, exception
+// Tests for the fiber process scheduler: spawn/teardown at scale, exception
 // and cancellation unwinding, report-text stability, stack-pool recycling,
-// and run-twice determinism. Everything here must pass identically on both
-// backends; stack-pool counter checks are fiber-only and compiled out of
-// the thread fallback.
+// run-twice determinism, and teardown and run_until with several processes
+// live at once. Everything here must pass identically on both fiber switch
+// backends (asm and ucontext).
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -140,7 +139,6 @@ TEST(SimProcess, SpawnFromRunningProcessOrdering) {
   EXPECT_EQ(log, want);
 }
 
-#if !defined(SCRNET_SIM_THREAD_PROCS)
 TEST(SimProcess, StackPoolRecyclesAcrossSequentialLifetimes) {
   // 64 processes whose lifetimes never overlap: one mmap'd stack must
   // serve all of them, every later acquire coming from the free list.
@@ -196,7 +194,6 @@ TEST(SimProcess, StackSizeKnobIsPageRoundedAndUsable) {
   sim.run();
   EXPECT_EQ(sim.live_processes(), 0u);
 }
-#endif  // !SCRNET_SIM_THREAD_PROCS
 
 // Run-twice determinism for the scheduler specifically (mirrors
 // sim_queue_test.cc): a mixed workload of delays, signals, timeouts, and
@@ -245,6 +242,49 @@ TEST(SimProcess, RunTwiceDeterminism) {
   const auto b = scheduler_trace();
   EXPECT_EQ(a, b);
   ASSERT_FALSE(a.empty());
+}
+
+// -- several processes live side by side ------------------------------------
+
+TEST(SimParallel, TeardownUnwindsFibersOnAllShards) {
+  // Destroy the simulation while four processes are still mid-flight; each
+  // fiber must unwind (destructors run) with no leaks or deadlocks.
+  // `unwound` counts destructor executions on process stacks.
+  int unwound = 0;
+  struct OnUnwind {
+    int* n;
+    ~OnUnwind() { ++*n; }
+  };
+  {
+    Simulation sim;
+    for (u32 s = 0; s < 4; ++s) {
+      sim.spawn("sleeper" + std::to_string(s), [&unwound](Process& p) {
+        OnUnwind guard{&unwound};
+        for (;;) p.delay(us(1));  // never finishes on its own
+      });
+    }
+    EXPECT_TRUE(sim.run_until(us(5)));  // all processes mid-flight
+    EXPECT_EQ(sim.now(), us(5));
+  }
+  EXPECT_EQ(unwound, 4);
+}
+
+TEST(SimParallel, RunUntilStopsAtBoundaryOnEveryShard) {
+  // Four independent tickers stop at the same run_until boundary: each has
+  // ticked exactly 100 us / 500 ns times, none more.
+  constexpr u32 kProcs = 4;
+  Simulation sim;
+  std::vector<u64> ticks(kProcs, 0);
+  for (u32 s = 0; s < kProcs; ++s) {
+    sim.spawn("ticker" + std::to_string(s), [&ticks, s](Process& p) {
+      for (int i = 0; i < 1000; ++i) {
+        p.delay(ns(500));
+        ++ticks[s];
+      }
+    });
+  }
+  EXPECT_TRUE(sim.run_until(us(100)));
+  for (u32 s = 0; s < kProcs; ++s) EXPECT_EQ(ticks[s], 200u) << "ticker " << s;
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // sweep::Runner: work-stealing pool correctness and the bit-identical
 // determinism contract. The stress cases deliberately run multi-fiber
 // simulations on many worker threads at once -- the exact configuration
-// the ThreadSanitizer CI job checks (with SCRNET_SIM_THREAD_PROCS=ON,
-// since fibers and TSan do not mix).
+// the ThreadSanitizer CI job checks (the fibers carry TSan annotations, so
+// TSan follows every process body across context switches).
 #include <gtest/gtest.h>
 
 #include <algorithm>
