@@ -56,11 +56,6 @@ inline void print_series(const std::vector<u32>& sizes,
     t.add_row(std::move(row));
   }
   t.print(std::cout);
-  if (std::getenv("SCRNET_CSV")) {
-    std::cout << "--- CSV ---\n";
-    t.print_csv(std::cout);
-    std::cout << "--- end CSV ---\n";
-  }
 
   // Render the figure the way the paper plots it.
   AsciiChart chart(chart_title.empty() ? "one-way latency vs message size"

@@ -116,8 +116,9 @@ struct EndpointStats {
 class Endpoint {
  public:
   /// `port` must outlive the endpoint. `me` is this process's BBP rank in
-  /// [0, procs); typically port.node(), but decoupled so several BBP
-  /// processes can share a node in tests.
+  /// [0, procs), which the port does not know: usually the node the port
+  /// sits on (the global node id on a RingHierarchy, whose ports know only
+  /// their leaf-local index), but several BBP processes may share a node.
   Endpoint(scramnet::MemPort& port, u32 procs, u32 me, Config cfg = {});
 
   u32 rank() const { return me_; }

@@ -1,4 +1,4 @@
-// Plain-text + CSV table writer used by the benchmark harness to print the
+// Plain-text table writer used by the benchmark harness to print the
 // paper's figure series ("rows the paper reports").
 #pragma once
 
@@ -12,7 +12,7 @@
 
 namespace scrnet {
 
-/// Collects rows of string cells and renders an aligned ASCII table and/or CSV.
+/// Collects rows of string cells and renders an aligned ASCII table.
 class Table {
  public:
   explicit Table(std::vector<std::string> header) : header_(std::move(header)) {}
@@ -49,18 +49,6 @@ class Table {
     os << "|";
     for (usize w : widths) os << std::string(w + 2, '-') << "|";
     os << '\n';
-    for (const auto& r : rows_) emit(r);
-  }
-
-  void print_csv(std::ostream& os) const {
-    auto emit = [&](const std::vector<std::string>& row) {
-      for (usize i = 0; i < row.size(); ++i) {
-        if (i) os << ',';
-        os << row[i];
-      }
-      os << '\n';
-    };
-    emit(header_);
     for (const auto& r : rows_) emit(r);
   }
 

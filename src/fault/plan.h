@@ -14,7 +14,7 @@
 // the timed events into the simulation. Ring faults go through
 // scramnet::Ring's fault API; fabric faults install the plan as the
 // netmodels::FaultHook; host faults turn the per-node PortDials that
-// SimHostPort / HierarchyPort consult on every bus transaction.
+// SimHostPort consults on every bus transaction.
 //
 // Layering: this subsystem knows the device models (ring, fabric, ports)
 // but nothing about BBP/scrmpi -- protocols observe faults only through

@@ -1,6 +1,5 @@
 #include "netmodels/atm.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace scrnet::netmodels {
@@ -11,17 +10,11 @@ void AtmFabric::transmit(Frame f) {
   const u32 cells = cells_for(f.payload.size());
   const SimTime wire = wire_time_bits(static_cast<u64>(cells) * 53 * 8, cfg_.mbits_per_s);
 
-  const SimTime tx_start = std::max(sim_.now(), in_busy_[f.src]);
-  in_busy_[f.src] = tx_start + wire;
-
   // Cell cut-through: cells stream through the switch with a fixed pipeline
   // fill; the output port must also be free for the PDU's cell train.
-  const SimTime out_start = std::max(tx_start + cfg_.switch_cell_latency +
-                                         cfg_.propagation,
-                                     out_busy_[f.dst]);
-  const SimTime arrive = out_start + wire + cfg_.propagation;
-  out_busy_[f.dst] = out_start + wire;
-
+  const SimTime arrive =
+      cross_switch(f.src, f.dst, wire, cfg_.switch_cell_latency + cfg_.propagation,
+                   cfg_.propagation);
   deliver_at(arrive, std::move(f));
 }
 

@@ -19,10 +19,7 @@ struct AtmConfig {
 class AtmFabric final : public Fabric {
  public:
   AtmFabric(sim::Simulation& sim, u32 hosts, AtmConfig cfg = {})
-      : Fabric(sim, hosts), cfg_(cfg) {
-    in_busy_.assign(hosts, 0);
-    out_busy_.assign(hosts, 0);
-  }
+      : Fabric(sim, hosts), cfg_(cfg) {}
 
   u32 mtu_payload() const override { return cfg_.mtu; }
   const AtmConfig& config() const { return cfg_; }
@@ -37,8 +34,6 @@ class AtmFabric final : public Fabric {
 
  private:
   AtmConfig cfg_;
-  std::vector<SimTime> in_busy_;
-  std::vector<SimTime> out_busy_;
 };
 
 }  // namespace scrnet::netmodels

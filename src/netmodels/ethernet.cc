@@ -17,22 +17,12 @@ void EthernetFabric::transmit(Frame f) {
   assert(f.src < hosts_ && f.dst < hosts_);
   assert(f.payload.size() <= cfg_.mtu);
   const SimTime wire = frame_wire_time(f.payload.size());
-
-  // Source NIC serializes onto its uplink.
-  const SimTime tx_start = std::max(sim_.now(), in_busy_[f.src]);
-  const SimTime at_switch = tx_start + wire + cfg_.propagation;
-  in_busy_[f.src] = tx_start + wire;
-
   // Cut-through: the switch starts forwarding once the header is in
   // (so the two link serializations overlap); store-and-forward waits for
   // the full frame before contending for the output port.
-  const SimTime switch_ready = cfg_.store_and_forward
-                                   ? at_switch + cfg_.switch_latency
-                                   : tx_start + cfg_.propagation + cfg_.switch_latency;
-  const SimTime out_start = std::max(switch_ready, out_busy_[f.dst]);
-  const SimTime arrive = out_start + wire + cfg_.propagation;
-  out_busy_[f.dst] = out_start + wire;
-
+  const SimTime head = (cfg_.store_and_forward ? wire : 0) + cfg_.propagation +
+                       cfg_.switch_latency;
+  const SimTime arrive = cross_switch(f.src, f.dst, wire, head, cfg_.propagation);
   deliver_at(arrive, std::move(f));
 }
 

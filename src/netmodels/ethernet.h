@@ -22,10 +22,7 @@ struct EthernetConfig {
 class EthernetFabric final : public Fabric {
  public:
   EthernetFabric(sim::Simulation& sim, u32 hosts, EthernetConfig cfg = {})
-      : Fabric(sim, hosts), cfg_(cfg) {
-    in_busy_.assign(hosts, 0);
-    out_busy_.assign(hosts, 0);
-  }
+      : Fabric(sim, hosts), cfg_(cfg) {}
 
   u32 mtu_payload() const override { return cfg_.mtu; }
   const EthernetConfig& config() const { return cfg_; }
@@ -36,8 +33,6 @@ class EthernetFabric final : public Fabric {
   SimTime frame_wire_time(usize payload_bytes) const;
 
   EthernetConfig cfg_;
-  std::vector<SimTime> in_busy_;   // host -> switch link
-  std::vector<SimTime> out_busy_;  // switch -> host link
 };
 
 }  // namespace scrnet::netmodels

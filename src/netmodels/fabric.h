@@ -8,6 +8,7 @@
 // stack, native APIs) live in separate layers on top.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -41,7 +42,8 @@ class FaultHook {
 
 class Fabric {
  public:
-  Fabric(sim::Simulation& sim, u32 hosts) : sim_(sim), hosts_(hosts) {
+  Fabric(sim::Simulation& sim, u32 hosts)
+      : sim_(sim), hosts_(hosts), in_busy_(hosts, 0), out_busy_(hosts, 0) {
     rx_.reserve(hosts);
     for (u32 h = 0; h < hosts; ++h) rx_.push_back(std::make_unique<sim::Mailbox<Frame>>(sim));
   }
@@ -70,6 +72,20 @@ class Fabric {
   void set_fault_hook(FaultHook* h) { fault_ = h; }
 
  protected:
+  /// Schedule one frame of `wire` serialization time through the switch and
+  /// return its arrival time at `dst`. The frame starts onto `src`'s uplink
+  /// once that link is free, and onto `dst`'s output link `head` later (the
+  /// fabric's cut-through or store-and-forward delay) or once that link is
+  /// free, whichever is later; it arrives `wire + propagation` after that.
+  SimTime cross_switch(u32 src, u32 dst, SimTime wire, SimTime head,
+                       SimTime propagation) {
+    const SimTime tx_start = std::max(sim_.now(), in_busy_[src]);
+    in_busy_[src] = tx_start + wire;
+    const SimTime out_start = std::max(tx_start + head, out_busy_[dst]);
+    out_busy_[dst] = out_start + wire;
+    return out_start + wire + propagation;
+  }
+
   void deliver_at(SimTime t, Frame f) {
     if (fault_ != nullptr) {
       const FaultHook::Verdict v = fault_->on_frame(f, t);
@@ -90,6 +106,8 @@ class Fabric {
   sim::Simulation& sim_;
   u32 hosts_;
   std::vector<std::unique_ptr<sim::Mailbox<Frame>>> rx_;
+  std::vector<SimTime> in_busy_;   // host -> switch link
+  std::vector<SimTime> out_busy_;  // switch -> host link
   Counter delivered_, bytes_, dropped_;
   FaultHook* fault_ = nullptr;
 };

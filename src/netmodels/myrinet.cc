@@ -12,17 +12,12 @@ void MyrinetFabric::transmit(Frame f) {
   const SimTime wire = wire_time_bits(
       (static_cast<u64>(f.payload.size()) + cfg_.header_bytes) * 8, cfg_.mbits_per_s);
 
-  const SimTime tx_start = std::max(sim_.now(), in_busy_[f.src]);
-  in_busy_[f.src] = tx_start + wire;
-
   // Wormhole cut-through: the head flit reaches the output port after the
   // routing decision; the tail follows one wire time later. If the output
   // port is busy the worm stalls in place until it frees.
-  const SimTime head_out =
-      std::max(tx_start + cfg_.propagation + cfg_.switch_latency, out_busy_[f.dst]);
-  const SimTime arrive = head_out + wire + cfg_.propagation;
-  out_busy_[f.dst] = head_out + wire;
-
+  const SimTime arrive = cross_switch(f.src, f.dst, wire,
+                                      cfg_.propagation + cfg_.switch_latency,
+                                      cfg_.propagation);
   deliver_at(arrive, std::move(f));
 }
 

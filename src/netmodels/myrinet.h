@@ -20,10 +20,7 @@ struct MyrinetConfig {
 class MyrinetFabric final : public Fabric {
  public:
   MyrinetFabric(sim::Simulation& sim, u32 hosts, MyrinetConfig cfg = {})
-      : Fabric(sim, hosts), cfg_(cfg) {
-    in_busy_.assign(hosts, 0);
-    out_busy_.assign(hosts, 0);
-  }
+      : Fabric(sim, hosts), cfg_(cfg) {}
 
   u32 mtu_payload() const override { return cfg_.mtu; }
   const MyrinetConfig& config() const { return cfg_; }
@@ -32,8 +29,6 @@ class MyrinetFabric final : public Fabric {
 
  private:
   MyrinetConfig cfg_;
-  std::vector<SimTime> in_busy_;
-  std::vector<SimTime> out_busy_;
 };
 
 /// Host-side cost model of the vendor ("MyriAPI"-era) messaging library the

@@ -9,8 +9,6 @@ namespace scrnet::netmodels {
 
 RdmaFabric::RdmaFabric(sim::Simulation& sim, u32 hosts, RdmaConfig cfg)
     : Fabric(sim, hosts), cfg_(cfg) {
-  in_busy_.assign(hosts, 0);
-  out_busy_.assign(hosts, 0);
   cq_.reserve(hosts);
   for (u32 h = 0; h < hosts; ++h)
     cq_.push_back(std::make_unique<sim::Mailbox<CqEvent>>(sim));
@@ -20,15 +18,10 @@ SimTime RdmaFabric::schedule_wire(u32 src, u32 dst, usize payload_bytes) {
   const SimTime wire = wire_time_bits(
       (static_cast<u64>(payload_bytes) + cfg_.header_bytes) * 8,
       cfg_.mbits_per_s);
-  const SimTime tx_start = std::max(sim_.now(), in_busy_[src]);
-  in_busy_[src] = tx_start + wire;
   // Cut-through: head reaches the output port after the routing decision,
   // stalls there if the port is draining an earlier worm.
-  const SimTime head_out =
-      std::max(tx_start + cfg_.propagation + cfg_.switch_latency,
-               out_busy_[dst]);
-  out_busy_[dst] = head_out + wire;
-  return head_out + wire + cfg_.propagation;
+  return cross_switch(src, dst, wire, cfg_.propagation + cfg_.switch_latency,
+                      cfg_.propagation);
 }
 
 void RdmaFabric::transmit(Frame f) {

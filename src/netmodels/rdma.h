@@ -98,8 +98,6 @@ class RdmaFabric final : public Fabric {
   SimTime schedule_wire(u32 src, u32 dst, usize payload_bytes);
 
   RdmaConfig cfg_;
-  std::vector<SimTime> in_busy_;
-  std::vector<SimTime> out_busy_;
   std::vector<std::unique_ptr<sim::Mailbox<CqEvent>>> cq_;
   std::vector<Region> regions_;  // rkey - 1 indexes this table
   Counter puts_, put_bytes_, rkey_miss_, regs_;

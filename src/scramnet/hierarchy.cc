@@ -1,210 +1,39 @@
 #include "scramnet/hierarchy.h"
 
-#include <cassert>
-#include <memory>
 #include <stdexcept>
 
 namespace scrnet::scramnet {
 
+namespace {
+
+RingConfig backbone_config(const HierarchyConfig& cfg) {
+  if (cfg.leaf_rings < 2) throw std::invalid_argument("hierarchy: need >=2 rings");
+  RingConfig bb = cfg.leaf;
+  bb.nodes = cfg.leaf_rings;
+  bb.hop_latency = cfg.backbone_hop;
+  return bb;
+}
+
+}  // namespace
+
 RingHierarchy::RingHierarchy(sim::Simulation& sim, HierarchyConfig cfg)
-    : sim_(sim), cfg_(cfg) {
-  if (cfg_.leaf_rings < 2 || cfg_.nodes_per_ring < 1)
-    throw std::invalid_argument("hierarchy: need >=2 rings");
-  if (cfg_.total_nodes() < 2) throw std::invalid_argument("hierarchy: too small");
-  banks_.assign(cfg_.total_nodes(), std::vector<u32>(cfg_.bank_words, 0u));
-  ring_free_.assign(cfg_.leaf_rings + 1, 0);
-  tx_free_.assign(cfg_.total_nodes(), 0);
-}
-
-SimTime RingHierarchy::serialize(u32 ring, u32 payload_bytes, SimTime ready_at) {
-  SimTime& free = ring_free_[ring];
-  const SimTime start = std::max(ready_at, free);
-  const SimTime done = start + cfg_.packet_occupancy(payload_bytes);
-  free = done;
-  return done;
-}
-
-u32 RingHierarchy::chain_node(const Chain& c, u32 k) const {
-  const u32 m = cfg_.nodes_per_ring;
-  if (c.kind == Chain::Kind::kLeaf) return c.ring * m + (c.start + k) % m;
-  return ((c.start + k) % cfg_.leaf_rings) * m;  // bridge of the k-th ring on
-}                                                // from the source ring
-
-RingHierarchy::Chain* RingHierarchy::acquire_chain() {
-  if (chain_free_ == nullptr) {
-    chain_pool_.emplace_back();
-    return &chain_pool_.back();
+    : cfg_(cfg), backbone_(sim, backbone_config(cfg)) {
+  for (u32 r = 0; r < cfg_.leaf_rings; ++r) leaves_.emplace_back(sim, cfg_.leaf);
+  for (u32 r = 0; r < cfg_.leaf_rings; ++r) {
+    leaves_[r].set_relay(0, [this, r](u32 addr, std::span<const u32> words, SimTime at) {
+      backbone_.relay_write(r, addr, words, at + cfg_.bridge_latency);
+    });
+    backbone_.set_relay(r, [this, r](u32 addr, std::span<const u32> words, SimTime at) {
+      leaves_[r].relay_write(0, addr, words, at + cfg_.bridge_latency);
+    });
   }
-  Chain* c = chain_free_;
-  chain_free_ = c->next_free;
-  return c;
-}
-
-void RingHierarchy::release_chain(Chain* c) {
-  c->words.reset();
-  c->next_free = chain_free_;
-  chain_free_ = c;
-}
-
-// Deliver step k, then as many later steps as the kernel's inline-apply
-// bound allows inside this one host event; when the next step's time
-// becomes observable, fall back to a real event posted from the previous
-// step's own tick (relaying there first if we coalesced past it) so
-// same-picosecond event ordering stays as close to the one-event-per-node
-// scheme as insertion order allows. Delivery times are bit-identical --
-// only the host event count changes.
-void RingHierarchy::chain_step(Chain* c) {
-  for (;;) {
-    const u32 node = chain_node(*c, c->k);
-    auto& bank = banks_[node];
-    assert(c->word_addr + c->words->size() <= bank.size());
-    for (usize i = 0; i < c->words->size(); ++i)
-      bank[c->word_addr + i] = (*c->words)[i];
-    sim_.note_inline_apply(c->t0 + static_cast<SimTime>(c->k - 1) * c->stride);
-    if (c->k >= c->last) break;
-    const SimTime t_prev = c->t0 + static_cast<SimTime>(c->k - 1) * c->stride;
-    ++c->k;
-    const SimTime t = c->t0 + static_cast<SimTime>(c->k - 1) * c->stride;
-    if (t >= sim_.inline_apply_bound()) {
-      if (sim_.now() != t_prev) {
-        Chain* chain = c;
-        --chain->k;  // re-enter at the already-delivered step
-        sim_.post_at(t_prev, [this, chain] { chain_resume(chain); });
-      } else {
-        sim_.post_at(t, [this, c] { chain_step(c); });
-      }
-      return;
-    }
-  }
-  release_chain(c);
-}
-
-// Relay landing: step c->k is already delivered; continue from the check.
-void RingHierarchy::chain_resume(Chain* c) {
-  if (c->k >= c->last) {
-    release_chain(c);
-    return;
-  }
-  ++c->k;
-  const SimTime t = c->t0 + static_cast<SimTime>(c->k - 1) * c->stride;
-  if (t >= sim_.inline_apply_bound()) {
-    sim_.post_at(t, [this, c] { chain_step(c); });
-    return;
-  }
-  chain_step(c);  // bound moved: deliver inline and keep coalescing
-}
-
-void RingHierarchy::start_chain(Chain::Kind kind, u32 ring, u32 start,
-                                SimTime t0, SimTime stride, u32 last,
-                                u32 word_addr,
-                                const std::shared_ptr<std::vector<u32>>& words) {
-  if (last == 0) return;  // single-node ring: nothing downstream
-  Chain* c = acquire_chain();
-  c->t0 = t0;
-  c->stride = stride;
-  c->k = 1;
-  c->last = last;
-  c->ring = ring;
-  c->start = start;
-  c->kind = kind;
-  c->word_addr = word_addr;
-  c->words = words;
-  sim_.post_at(t0, [this, c] { chain_step(c); });
-}
-
-void RingHierarchy::inject(u32 src, u32 word_addr, std::vector<u32> words,
-                           SimTime ready_at) {
-  const u32 payload = static_cast<u32>(words.size()) * 4u;
-  const u32 src_ring = ring_of(src);
-  const u32 m = cfg_.nodes_per_ring;
-  packets_.inc();
-  auto shared = std::make_shared<std::vector<u32>>(std::move(words));
-
-  // 1. Source leaf ring: per-sender serialization, then hop-by-hop. One
-  // chain covers all m-1 downstream nodes.
-  const SimTime leaf_start = std::max(ready_at, tx_free_[src]);
-  const SimTime leaf_done = serialize(src_ring, payload, leaf_start);
-  tx_free_[src] = leaf_done;
-  const u32 src_local = local_of(src);
-  const SimTime at_bridge =   // bridge is m - local hops downstream of src
-      src_local == 0 ? leaf_done
-                     : leaf_done + static_cast<SimTime>(m - src_local) * cfg_.leaf_hop;
-  start_chain(Chain::Kind::kLeaf, src_ring, src_local, leaf_done + cfg_.leaf_hop,
-              cfg_.leaf_hop, m - 1, word_addr, shared);
-  if (cfg_.leaf_rings < 2) return;
-
-  // 2. Bridge forwards onto the backbone (store-and-forward).
-  backbone_packets_.inc();
-  const SimTime bb_ready = at_bridge + cfg_.bridge_latency;
-  const SimTime bb_done = serialize(cfg_.leaf_rings, payload, bb_ready);
-
-  // 3. Backbone visits the other bridges (one chain for all of them); each
-  // forwards into its leaf ring (one chain per ring -- the down-ring start
-  // times come from per-ring serialization, so they share no stride).
-  start_chain(Chain::Kind::kBridges, 0, src_ring, bb_done + cfg_.backbone_hop,
-              cfg_.backbone_hop, cfg_.leaf_rings - 1, word_addr, shared);
-  for (u32 j = 1; j < cfg_.leaf_rings; ++j) {
-    const u32 ring = (src_ring + j) % cfg_.leaf_rings;
-    const SimTime at_other_bridge =
-        bb_done + static_cast<SimTime>(j) * cfg_.backbone_hop;
-
-    // 4. Down into the leaf ring.
-    const SimTime down_ready = at_other_bridge + cfg_.bridge_latency;
-    const SimTime down_done = serialize(ring, payload, down_ready);
-    start_chain(Chain::Kind::kLeaf, ring, 0, down_done + cfg_.leaf_hop,
-                cfg_.leaf_hop, m - 1, word_addr, shared);
-  }
-}
-
-void RingHierarchy::host_write(u32 node, u32 word_addr, u32 value) {
-  assert(node < nodes() && word_addr < cfg_.bank_words);
-  banks_[node][word_addr] = value;
-  inject(node, word_addr, {value}, sim_.now());
-}
-
-void RingHierarchy::host_write_block(u32 node, u32 word_addr,
-                                     std::span<const u32> words,
-                                     SimTime word_period) {
-  assert(node < nodes());
-  assert(word_addr + words.size() <= cfg_.bank_words);
-  if (words.empty()) return;
-  const u32 chunk_words =
-      cfg_.mode == PacketMode::kFixed4 ? 1u : cfg_.max_var_packet_bytes / 4u;
-  auto& bank = banks_[node];
-  usize off = 0;
-  while (off < words.size()) {
-    const usize n = std::min<usize>(chunk_words, words.size() - off);
-    std::vector<u32> chunk(words.begin() + static_cast<std::ptrdiff_t>(off),
-                           words.begin() + static_cast<std::ptrdiff_t>(off + n));
-    for (usize i = 0; i < n; ++i) bank[word_addr + off + i] = chunk[i];
-    inject(node, word_addr + static_cast<u32>(off), std::move(chunk),
-           sim_.now() + static_cast<SimTime>(off) * word_period);
-    off += n;
-  }
-}
-
-u32 RingHierarchy::host_read(u32 node, u32 word_addr) const {
-  assert(node < nodes() && word_addr < cfg_.bank_words);
-  return banks_[node][word_addr];
-}
-
-void RingHierarchy::host_read_block(u32 node, u32 word_addr,
-                                    std::span<u32> out) const {
-  assert(node < nodes());
-  assert(word_addr + out.size() <= cfg_.bank_words);
-  const auto& bank = banks_[node];
-  for (usize i = 0; i < out.size(); ++i) out[i] = bank[word_addr + i];
 }
 
 SimTime RingHierarchy::full_propagation_bound() const {
-  const u32 m = cfg_.nodes_per_ring;
-  const SimTime occ = cfg_.packet_occupancy(
-      cfg_.mode == PacketMode::kFixed4 ? 4u : cfg_.max_var_packet_bytes);
-  // Worst path: full leaf traversal to the bridge, backbone all the way
-  // round, bridge down, full leaf traversal again; three serializations.
-  return 3 * occ + 2 * cfg_.bridge_latency +
-         static_cast<SimTime>(2 * (m - 1)) * cfg_.leaf_hop +
-         static_cast<SimTime>(cfg_.leaf_rings - 1) * cfg_.backbone_hop;
+  // Worst path: round the source leaf to its bridge, round the backbone,
+  // and round another leaf from its bridge -- three serializations.
+  return 2 * leaves_.front().full_propagation_bound() +
+         backbone_.full_propagation_bound() + 2 * cfg_.bridge_latency;
 }
 
 }  // namespace scrnet::scramnet

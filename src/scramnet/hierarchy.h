@@ -1,172 +1,69 @@
 // Two-level SCRAMNet ring hierarchy (Section 2 of the paper: "For systems
 // larger than 256 nodes, a hierarchy of rings can be used").
 //
-// K leaf rings of M nodes each are joined by a backbone ring whose members
-// are the leaf rings' bridge nodes (local node 0 of each leaf). The
-// replicated memory is global: a write anywhere is reflected into every
-// bank in the system. Propagation:
+// K leaf Rings of M nodes each are joined by a backbone Ring of K nodes.
+// Local node 0 of leaf r is bridge r: a two-NIC box with one bank on leaf r
+// and one as backbone node r. Each NIC is a tap that forwards every packet
+// it sees onto the other ring after `bridge_latency`, so a write anywhere is
+// reflected into every bank in the system:
 //
-//   source leaf ring  ->  bridge (store-and-forward)  ->  backbone ring
-//                     ->  other bridges               ->  their leaf rings
+//   source leaf ring  ->  bridge  ->  backbone ring  ->  other bridges
+//                     ->  their leaf rings
 //
-// Each ring arbitrates its own bandwidth; bridges pay a forwarding latency
-// and re-serialize the packet onto the next ring. HierarchyPort exposes
-// the same MemPort interface as a flat ring, so BBP, scrmpi and scrshm run
-// across the hierarchy unchanged.
+// Every ring arbitrates its own medium through Ring's single injection
+// path. Hosts attach with SimHostPort(leaf(ring_of(n)), local_of(n), proc),
+// so BBP, scrmpi and scrshm run across the hierarchy unchanged.
 #pragma once
 
 #include <deque>
-#include <functional>
-#include <memory>
-#include <vector>
 
-#include "common/stats.h"
 #include "scramnet/config.h"
-#include "scramnet/port.h"
+#include "scramnet/ring.h"
 #include "sim/simulation.h"
 
 namespace scrnet::scramnet {
 
 struct HierarchyConfig {
   u32 leaf_rings = 3;
-  u32 nodes_per_ring = 4;   // including the bridge (local node 0)
-  u32 bank_words = 1u << 20;
-  PacketMode mode = PacketMode::kVariable;
-  SimTime leaf_hop = ns(400);
+  RingConfig leaf;                  // one leaf ring; nodes include the bridge
   SimTime backbone_hop = ns(600);   // longer cable runs between cabinets
   SimTime bridge_latency = us(2);   // store-and-forward + re-framing
-  double fixed_mbps = 6.5;
-  double variable_mbps = 16.7;
-  u32 max_var_packet_bytes = 1024;
-  SimTime per_packet_overhead = ns(60);
 
-  u32 total_nodes() const { return leaf_rings * nodes_per_ring; }
-  SimTime packet_occupancy(u32 payload_bytes) const {
-    if (mode == PacketMode::kFixed4) return transfer_time(4, fixed_mbps);
-    return per_packet_overhead + transfer_time(payload_bytes, variable_mbps);
-  }
+  u32 total_nodes() const { return leaf_rings * leaf.nodes; }
 };
 
 class RingHierarchy {
  public:
   RingHierarchy(sim::Simulation& sim, HierarchyConfig cfg);
+  // The bridge taps hold references into this object.
+  RingHierarchy(const RingHierarchy&) = delete;
+  RingHierarchy& operator=(const RingHierarchy&) = delete;
 
   const HierarchyConfig& config() const { return cfg_; }
   u32 nodes() const { return cfg_.total_nodes(); }
-  u32 bank_words() const { return cfg_.bank_words; }
-  sim::Simulation& simulation() { return sim_; }
 
   /// Which leaf ring a global node lives on / its local index there.
-  u32 ring_of(u32 node) const { return node / cfg_.nodes_per_ring; }
-  u32 local_of(u32 node) const { return node % cfg_.nodes_per_ring; }
+  u32 ring_of(u32 node) const { return node / cfg_.leaf.nodes; }
+  u32 local_of(u32 node) const { return node % cfg_.leaf.nodes; }
   bool is_bridge(u32 node) const { return local_of(node) == 0; }
 
-  void host_write(u32 node, u32 word_addr, u32 value);
-  void host_write_block(u32 node, u32 word_addr, std::span<const u32> words,
-                        SimTime word_period);
-  u32 host_read(u32 node, u32 word_addr) const;
-  void host_read_block(u32 node, u32 word_addr, std::span<u32> out) const;
+  Ring& leaf(u32 r) { return leaves_[r]; }
+  Ring& backbone() { return backbone_; }
 
-  u64 packets_sent() const { return packets_.get(); }
-  u64 backbone_packets() const { return backbone_packets_.get(); }
+  void host_write(u32 node, u32 word_addr, u32 value) {
+    leaf(ring_of(node)).host_write(local_of(node), word_addr, value);
+  }
+  u32 host_read(u32 node, u32 word_addr) const {
+    return leaves_[ring_of(node)].host_read(local_of(node), word_addr);
+  }
 
   /// Worst-case write propagation (farthest leaf-to-leaf path).
   SimTime full_propagation_bound() const;
 
  private:
-  /// Serialize one packet onto a ring; returns serialization-done time.
-  /// ring id: 0..K-1 = leaf rings, K = backbone.
-  SimTime serialize(u32 ring, u32 payload_bytes, SimTime ready_at);
-
-  /// One pooled delivery chain: a run of bank updates along one ring with
-  /// a fixed time stride, carried by a single self-advancing event that
-  /// coalesces steps inside the kernel's inline-apply bound -- the same
-  /// trick as Ring's packet walk. One packet used to post one event per
-  /// visited node ((K-1)*M + M-1 of them); it now posts one chain per ring
-  /// plus one for the backbone bridges, O(rings) events.
-  struct Chain {
-    Chain* next_free = nullptr;
-    SimTime t0 = 0;      // delivery time of step 1
-    SimTime stride = 0;
-    u32 k = 1;           // next step to deliver (1-based)
-    u32 last = 0;        // final step
-    u32 ring = 0;        // kLeaf: leaf ring id (kBridges: unused)
-    u32 start = 0;       // kLeaf: source local index; kBridges: source ring
-    enum class Kind : u8 { kLeaf, kBridges } kind = Kind::kLeaf;
-    u32 word_addr = 0;
-    std::shared_ptr<std::vector<u32>> words;
-  };
-
-  u32 chain_node(const Chain& c, u32 k) const;
-  void chain_step(Chain* c);
-  void chain_resume(Chain* c);
-  void start_chain(Chain::Kind kind, u32 ring, u32 start, SimTime t0,
-                   SimTime stride, u32 last, u32 word_addr,
-                   const std::shared_ptr<std::vector<u32>>& words);
-  Chain* acquire_chain();
-  void release_chain(Chain* c);
-
-  /// Propagate a packet from a source node across the whole system.
-  void inject(u32 src, u32 word_addr, std::vector<u32> words, SimTime ready_at);
-
-  sim::Simulation& sim_;
   HierarchyConfig cfg_;
-  std::vector<std::vector<u32>> banks_;       // [global node][word]
-  std::vector<SimTime> ring_free_;            // per leaf ring + backbone at [K]
-  std::vector<SimTime> tx_free_;              // per global node
-  std::deque<Chain> chain_pool_;              // stable-address chain states
-  Chain* chain_free_ = nullptr;
-  Counter packets_, backbone_packets_;
-};
-
-/// MemPort over a RingHierarchy node (same timing model as SimHostPort).
-class HierarchyPort final : public MemPort {
- public:
-  HierarchyPort(RingHierarchy& h, u32 node, sim::Process& proc, HostTimings t = {})
-      : h_(h), node_(node), proc_(proc), t_(t) {}
-
-  u32 node() const override { return node_; }
-  u32 nodes() const override { return h_.nodes(); }
-  u32 bank_words() const override { return h_.bank_words(); }
-
-  /// Attach fault dials (see SimHostPort::set_dials); nullptr = nominal.
-  void set_dials(const PortDials* d) { dials_ = d; }
-
-  void write_u32(u32 word_addr, u32 value) override {
-    proc_.delay(io_t(t_.pio_write));
-    h_.host_write(node_, word_addr, value);
-  }
-  u32 read_u32(u32 word_addr) override {
-    proc_.delay(io_t(t_.pio_read));
-    return h_.host_read(node_, word_addr);
-  }
-  void write_block(u32 word_addr, std::span<const u32> words) override {
-    if (words.empty()) return;
-    h_.host_write_block(node_, word_addr, words, io_t(t_.burst_write_word));
-    proc_.delay(io_t(t_.pio_write +
-                     static_cast<SimTime>(words.size() - 1) * t_.burst_write_word));
-  }
-  void read_block(u32 word_addr, std::span<u32> out) override {
-    if (out.empty()) return;
-    proc_.delay(io_t(t_.pio_read +
-                     static_cast<SimTime>(out.size() - 1) * t_.burst_read_word));
-    h_.host_read_block(node_, word_addr, out);
-  }
-  SimTime now() const override { return proc_.now(); }
-  void poll_pause() override { proc_.delay(cpu_t(t_.poll_gap)); }
-  void cpu_delay(SimTime dt) override { proc_.delay(cpu_t(dt)); }
-
-  u32 peek_u32(u32 word_addr) override { return h_.host_read(node_, word_addr); }
-
- private:
-  SimTime io_t(SimTime t) const { return dials_ ? dial_scale(t, dials_->io) : t; }
-  SimTime cpu_t(SimTime t) const { return dials_ ? dial_scale(t, dials_->cpu) : t; }
-
-  RingHierarchy& h_;
-  u32 node_;
-  sim::Process& proc_;
-  HostTimings t_;
-  const PortDials* dials_ = nullptr;
+  Ring backbone_;
+  std::deque<Ring> leaves_;  // stable addresses for the taps
 };
 
 }  // namespace scrnet::scramnet

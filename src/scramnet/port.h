@@ -18,10 +18,6 @@ class MemPort {
  public:
   virtual ~MemPort() = default;
 
-  /// This endpoint's node id on the ring.
-  virtual u32 node() const = 0;
-  /// Number of nodes sharing the replicated memory.
-  virtual u32 nodes() const = 0;
   /// Size of the replicated bank in 32-bit words.
   virtual u32 bank_words() const = 0;
 
@@ -50,6 +46,12 @@ class MemPort {
   /// perturb simulated timing. Timed ports override this; the default is
   /// only correct where read_u32 is already free.
   virtual u32 peek_u32(u32 word_addr) { return read_u32(word_addr); }
+
+  /// Return once every write this port issued is visible at every node of
+  /// its ring. On a RingHierarchy the port sits on a leaf ring, and the
+  /// fence covers that leaf ring only, not the other rings behind the
+  /// bridges. The default suits backends whose writes are visible at once.
+  virtual void fence() {}
 
   /// Host-side backoff between polls of a flag word.
   virtual void poll_pause() = 0;

@@ -14,7 +14,7 @@ Ring::Ring(sim::Simulation& sim, RingConfig cfg) : sim_(sim), cfg_(cfg) {
   if (!cfg_.valid()) throw std::invalid_argument("invalid RingConfig");
   banks_.assign(cfg_.nodes, std::vector<u32>(cfg_.bank_words, 0u));
   tx_free_.assign(cfg_.nodes, 0);
-  irq_.resize(cfg_.nodes);
+  hooks_.resize(cfg_.nodes);
   link_failed_.assign(cfg_.nodes, false);
   speed_factor_.assign(cfg_.nodes, 1.0);
 }
@@ -109,15 +109,18 @@ SimTime Ring::hop_time(const Walk& w, u32 k) const {
 
 void Ring::walk_hop(Walk* w) {
   // A real hop event, executing at hop w->k's own tick.
-  deliver((w->src + w->k) % cfg_.nodes, w->word_addr, w->data(), w->nwords);
+  const u32 dst = (w->src + w->k) % cfg_.nodes;
+  deliver(dst, w->word_addr, w->data(), w->nwords);
+  if (const Relay& relay = hooks_[dst].relay)
+    relay(w->word_addr, std::span<const u32>(w->data(), w->nwords), sim_.now());
   walk_advance(w);
 }
 
 void Ring::walk_advance(Walk* w) {
   // Hop w->k has been delivered. Keep walking *inside this event* for as
-  // long as the next hop is provably unobservable: no IRQ watch on the
-  // written range at the target (a handler must fire at its own hop time),
-  // and strictly below the kernel's inline-apply bound -- every other
+  // long as the next hop is provably unobservable: no tap and no IRQ watch
+  // on the written range at the target (both must run at their own hop
+  // time), and strictly below the kernel's inline-apply bound -- every other
   // observer (queued event, process resume, run_until return) runs at or
   // past that bound, and no event can ever be created below it, so
   // applying the bank update early is invisible. Virtual-time results are
@@ -144,14 +147,14 @@ void Ring::walk_advance(Walk* w) {
     const u32 next_k = w->k + 1;
     const u32 next = (w->src + next_k) % cfg_.nodes;
     const SimTime t = hop_time(*w, next_k);
-    const IrqRange& r = irq_[next];
-    const bool irq_hit =
-        r.handler && w->word_addr < r.hi && w->word_addr + w->nwords > r.lo;
+    const NodeHooks& h = hooks_[next];
+    const bool stop = h.relay || (h.irq.handler && w->word_addr < h.irq.hi &&
+                                  w->word_addr + w->nwords > h.irq.lo);
     const bool observable = t >= sim_.inline_apply_bound();
-    if (irq_hit || observable) [[unlikely]] {
+    if (stop || observable) [[unlikely]] {
       if (observable && sim_.now() != t_prev) {
-        // An IRQ-only stop below the bound needs no relay: ticks below the
-        // bound stay event-free, so nothing can tie with the hop event.
+        // A tap or IRQ stop below the bound needs no relay event: ticks
+        // below the bound stay event-free, so nothing can tie with the hop.
         sim_.post_at(t_prev, [this, w] { walk_advance(w); });
         return;
       }
@@ -186,7 +189,7 @@ void Ring::deliver(u32 dst, u32 word_addr, const u32* words, u32 nwords) {
   auto& bank = banks_[dst];
   assert(word_addr + nwords <= bank.size());
   for (u32 i = 0; i < nwords; ++i) bank[word_addr + i] = words[i];
-  const IrqRange& r = irq_[dst];
+  const IrqRange& r = hooks_[dst].irq;
   if (r.handler) {
     const u32 end = word_addr + nwords;
     if (word_addr < r.hi && end > r.lo) {
@@ -233,6 +236,13 @@ void Ring::host_write_block(u32 node, u32 word_addr, std::span<const u32> words,
   seq_record(op, words);
 }
 
+void Ring::relay_write(u32 node, u32 word_addr, std::span<const u32> words,
+                       SimTime ready_at) {
+  const u32 n = static_cast<u32>(words.size());
+  deliver(node, word_addr, words.data(), n);
+  seq_record(WriteOp{ready_at, node, word_addr, n, /*relayed=*/true}, words);
+}
+
 void Ring::seq_record(const WriteOp& op, std::span<const u32> words) {
   seq_ops_.push_back(op);
   seq_ops_.back().payload_off = seq_payload_.size();
@@ -246,10 +256,10 @@ void Ring::seq_record(const WriteOp& op, std::span<const u32> words) {
 
 void Ring::seq_flush() {
   seq_flush_posted_ = false;
-  // Every pending op carries this flush's timestamp: the flush was posted
-  // at the first op's time and a later instant starts a new batch. Sorting
-  // by node therefore hands the medium to same-instant writers in node
-  // order.
+  // The batch holds every op recorded at this instant: host writes carry
+  // the flush's own time, forwarded packets (relay_write) their ready time,
+  // which may be later. Sorting by time, then node, hands the medium to
+  // requesters with the same ready time in node order.
   std::stable_sort(seq_ops_.begin(), seq_ops_.end(),
                    [](const WriteOp& a, const WriteOp& b) {
                      if (a.t != b.t) return a.t < b.t;
@@ -266,12 +276,15 @@ void Ring::replay_op(const WriteOp& op, const u32* payload) {
   // side, chunked by the ring mode and paced from the op's own time.
   const u32 chunk_words =
       cfg_.mode == PacketMode::kFixed4 ? 1u : cfg_.max_var_packet_bytes / 4u;
+  const Relay& tap = hooks_[op.node].relay;
+  const bool tapped = !op.relayed && tap;
   u32 off = 0;
   while (off < op.nwords) {
     const u32 n = std::min(chunk_words, op.nwords - off);
     const SimTime ready = op.t + static_cast<SimTime>(off) * op.word_period;
-    inject_packet(op.node, op.word_addr + off, std::span<const u32>(payload + off, n),
-                  ready);
+    const std::span<const u32> packet(payload + off, n);
+    const SimTime done = inject_packet(op.node, op.word_addr + off, packet, ready);
+    if (tapped) tap(op.word_addr + off, packet, done);
     off += n;
   }
 }
@@ -291,10 +304,10 @@ void Ring::host_read_block(u32 node, u32 word_addr, std::span<u32> out) const {
 void Ring::set_interrupt(u32 node, u32 lo_addr, u32 hi_addr,
                          std::function<void(u32)> handler) {
   assert(node < cfg_.nodes && lo_addr <= hi_addr);
-  irq_[node] = IrqRange{lo_addr, hi_addr, std::move(handler)};
+  hooks_[node].irq = IrqRange{lo_addr, hi_addr, std::move(handler)};
 }
 
-void Ring::clear_interrupt(u32 node) { irq_[node] = IrqRange{}; }
+void Ring::clear_interrupt(u32 node) { hooks_[node].irq = IrqRange{}; }
 
 void Ring::publish_counters(obs::Counters& c, std::string_view group) const {
   c.add(group, "packets_sent", packets_sent());
@@ -302,6 +315,11 @@ void Ring::publish_counters(obs::Counters& c, std::string_view group) const {
   c.add(group, "interrupts_fired", interrupts_fired());
   c.add(group, "packets_lost", packets_lost());
   c.add(group, "switchovers", switchovers());
+}
+
+SimTime Ring::settled_at(u32 node) const {
+  return std::max(tx_free_[node], recover_at_) +
+         static_cast<SimTime>(cfg_.nodes - 1) * cfg_.hop_latency;
 }
 
 SimTime Ring::full_propagation_bound() const {

@@ -16,6 +16,10 @@
 // one flush event at that instant injects them sorted by node, so nodes
 // that request the shared medium at the same picosecond are served in
 // node order rather than in the order their writes happened to execute.
+//
+// Rings compose through taps (set_relay): a tapped node hands each packet
+// it sees to a callback that forwards it onto another ring (relay_write),
+// through the same record/flush/inject path as host writes.
 #pragma once
 
 #include <deque>
@@ -65,6 +69,24 @@ class Ring {
                      std::function<void(u32 addr)> handler);
   void clear_interrupt(u32 node);
 
+  /// Tap `node`: `fn(word_addr, words, at)` runs for every packet that
+  /// reaches it -- a network delivery in that hop's own event (`at` = the
+  /// hop time), and a packet `node`'s own host wrote when it is injected
+  /// (`at` = its serialization-done time). Packets that entered through
+  /// relay_write are never tapped. A tapped node stops coalesced walks.
+  using Relay = std::function<void(u32 word_addr, std::span<const u32> words, SimTime at)>;
+  void set_relay(u32 node, Relay fn) { hooks_[node].relay = std::move(fn); }
+
+  /// Forward a packet from another ring in at `node`: the words land in
+  /// `node`'s bank now as a network delivery (firing its IRQ watch), and
+  /// the packet is injected from `node` no earlier than `ready_at`.
+  void relay_write(u32 node, u32 word_addr, std::span<const u32> words,
+                   SimTime ready_at);
+
+  /// Virtual time by which every packet `node` has injected so far has
+  /// reached every node (a write fence waits for it).
+  SimTime settled_at(u32 node) const;
+
   /// Virtual time at which the write issued at `node` right now would have
   /// fully propagated to every other node (useful for tests).
   SimTime full_propagation_bound() const;
@@ -104,6 +126,11 @@ class Ring {
     u32 lo = 0, hi = 0;
     std::function<void(u32)> handler;
   };
+  /// A node's IRQ watch and tap: one record, read once per walk hop.
+  struct NodeHooks {
+    IrqRange irq;
+    Relay relay;
+  };
 
   /// One in-flight packet working its way around the ring. The payload
   /// lives inline for small packets (every kFixed4 packet and every single
@@ -129,14 +156,15 @@ class Ring {
     }
   };
 
-  /// One host write waiting for its instant's flush. The payload lives in
-  /// seq_payload_ at payload_off; `t` is the virtual time the host issued
-  /// the write, which anchors the injection ready times.
+  /// One write waiting for its instant's flush. The payload lives in
+  /// seq_payload_ at payload_off; `t` anchors the injection ready times:
+  /// the time the host issued the write, or a forwarded packet's ready time.
   struct WriteOp {
     SimTime t;
     u32 node;
     u32 word_addr = 0;
     u32 nwords = 0;
+    bool relayed = false;     // entered through relay_write: never tapped
     usize payload_off = 0;
     SimTime word_period = 0;  // block pacing; 0 for single-word writes
   };
@@ -161,11 +189,12 @@ class Ring {
 
   /// Record `op` (+ payload words) and make sure a flush event at the
   /// current timestamp is queued. The flush injects every write recorded
-  /// at that instant sorted by node, so same-picosecond medium arbitration
-  /// is node-ordered.
+  /// at that instant sorted by ready time, then node, so same-picosecond
+  /// medium arbitration is node-ordered.
   void seq_record(const WriteOp& op, std::span<const u32> words);
   void seq_flush();
-  /// Inject one recorded write, chunked into packets by the ring mode.
+  /// Inject one recorded write, chunked into packets by the ring mode,
+  /// and hand each packet of a host write to its node's tap.
   void replay_op(const WriteOp& op, const u32* payload);
 
   sim::Simulation& sim_;
@@ -173,7 +202,7 @@ class Ring {
   std::vector<std::vector<u32>> banks_;     // [node][word]
   std::vector<SimTime> tx_free_;            // per-node insertion engine
   SimTime ring_free_ = 0;                   // shared medium
-  std::vector<IrqRange> irq_;               // per-node interrupt watch
+  std::vector<NodeHooks> hooks_;            // per-node IRQ watch + tap
   std::vector<bool> link_failed_;           // hop node -> node+1 broken
   std::vector<double> speed_factor_;        // per-node TX serialization scale
   SimTime recover_at_ = 0;                  // redundant switchover deadline

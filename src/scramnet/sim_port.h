@@ -17,8 +17,6 @@ class SimHostPort final : public MemPort {
   SimHostPort(Ring& ring, u32 node, sim::Process& proc, HostTimings timings = {})
       : ring_(ring), node_(node), proc_(proc), t_(timings) {}
 
-  u32 node() const override { return node_; }
-  u32 nodes() const override { return ring_.nodes(); }
   u32 bank_words() const override { return ring_.bank_words(); }
 
   /// Attach this port's fault dials (fault::FaultPlan owns them and mutates
@@ -60,6 +58,12 @@ class SimHostPort final : public MemPort {
   void cpu_delay(SimTime dt) override { proc_.delay(cpu_t(dt)); }
 
   u32 peek_u32(u32 word_addr) override { return ring_.host_read(node_, word_addr); }
+
+  void fence() override {
+    proc_.yield();  // let this instant's flush inject the pending writes
+    const SimTime settled = ring_.settled_at(node_);
+    if (settled > proc_.now()) proc_.delay(settled - proc_.now());
+  }
 
   // -- DMA (Section 2: "programmed I/O or DMA") -----------------------------
 

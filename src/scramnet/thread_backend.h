@@ -50,8 +50,6 @@ class ThreadPort final : public MemPort {
  public:
   ThreadPort(ThreadBackend& backend, u32 node) : b_(backend), node_(node) {}
 
-  u32 node() const override { return node_; }
-  u32 nodes() const override { return b_.nodes(); }
   u32 bank_words() const override { return b_.bank_words(); }
 
   void write_u32(u32 word_addr, u32 value) override { b_.write(node_, word_addr, value); }
@@ -121,8 +119,6 @@ class DelayedThreadPort final : public MemPort {
  public:
   DelayedThreadPort(DelayedThreadBackend& backend, u32 node) : b_(backend), node_(node) {}
 
-  u32 node() const override { return node_; }
-  u32 nodes() const override { return b_.nodes(); }
   u32 bank_words() const override { return b_.bank_words(); }
 
   void write_u32(u32 word_addr, u32 value) override { b_.write(node_, word_addr, value); }
@@ -133,6 +129,7 @@ class DelayedThreadPort final : public MemPort {
   void read_block(u32 word_addr, std::span<u32> out) override {
     b_.read_block(node_, word_addr, out);
   }
+  void fence() override { b_.quiesce(); }
   void poll_pause() override { std::this_thread::yield(); }
   void cpu_delay(SimTime) override {}
 

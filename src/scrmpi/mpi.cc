@@ -345,7 +345,7 @@ void Mpi::reduce(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
   const u32 bytes = coll_bytes(count, dt);
 
   std::vector<u8> acc(bytes), tmp(bytes);
-  std::memcpy(acc.data(), sendbuf, bytes);
+  if (bytes) std::memcpy(acc.data(), sendbuf, bytes);
 
   // Binomial combine toward the (virtual) root.
   u32 mask = 1;
@@ -362,7 +362,7 @@ void Mpi::reduce(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
     }
     mask <<= 1;
   }
-  if (me == vroot) std::memcpy(recvbuf, acc.data(), bytes);
+  if (me == vroot && bytes) std::memcpy(recvbuf, acc.data(), bytes);
 }
 
 void Mpi::allreduce(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
@@ -407,7 +407,7 @@ void Mpi::gather(const void* sendbuf, u32 count, Datatype dt, void* recvbuf,
     return;
   }
   u8* out = static_cast<u8*>(recvbuf);
-  std::memcpy(out + static_cast<usize>(me) * bytes, sendbuf, bytes);
+  if (bytes) std::memcpy(out + static_cast<usize>(me) * bytes, sendbuf, bytes);
   for (u32 r = 0; r < comm.size(); ++r) {
     if (r == me) continue;
     coll_p2p_recv(comm.world_of(r), comm.coll_ctx(), kTagGather,
@@ -426,7 +426,7 @@ void Mpi::scatter(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
     const u8* in = static_cast<const u8*>(sendbuf);
     for (u32 r = 0; r < comm.size(); ++r) {
       if (r == me) {
-        std::memcpy(recvbuf, in + static_cast<usize>(r) * bytes, bytes);
+        if (bytes) std::memcpy(recvbuf, in + static_cast<usize>(r) * bytes, bytes);
         continue;
       }
       coll_p2p_send(comm.world_of(r), comm.coll_ctx(), kTagScatter,
@@ -472,8 +472,9 @@ void Mpi::alltoall(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
   const u32 bytes = coll_bytes(count, dt);
   const u8* in = static_cast<const u8*>(sendbuf);
   u8* out = static_cast<u8*>(recvbuf);
-  std::memcpy(out + static_cast<usize>(me) * bytes,
-              in + static_cast<usize>(me) * bytes, bytes);
+  if (bytes)
+    std::memcpy(out + static_cast<usize>(me) * bytes,
+                in + static_cast<usize>(me) * bytes, bytes);
   // Pairwise exchange: step i talks to (me XOR-free ring partners). Using
   // (me + i) / (me - i) keeps every step contention-balanced on the ring.
   for (u32 i = 1; i < np; ++i) {

@@ -4,10 +4,16 @@
 // compare-and-swap (there is none) or multi-writer words (writes race on
 // the ring). The bakery algorithm needs neither: every process writes only
 // its own `choosing` and `number` words, and its correctness is proven for
-// non-atomic (safe/regular) registers -- exactly what a replicated word
-// with bounded propagation and per-sender FIFO provides. This is the class
-// of mechanism the paper's reference [10] (Menke, Moir, Ramamurthy,
-// PODC'97, "Synchronization Mechanisms for SCRAMNet+ Systems") studies.
+// non-atomic (safe/regular) registers. That proof also assumes a write is
+// visible to every reader once the writer moves on, which a replicated
+// word is not: it reaches remote banks only after propagating. Without
+// help, two processes can each read the other's `choosing` and `number`
+// before the other's doorway writes arrive, and both enter. lock()
+// therefore fences (MemPort::fence) after writing `choosing` = 1 and after
+// writing `choosing` = 0; per-sender FIFO makes the second fence cover
+// `number` too. This is the class of mechanism the paper's reference [10]
+// (Menke, Moir, Ramamurthy, PODC'97, "Synchronization Mechanisms for
+// SCRAMNet+ Systems") studies.
 //
 // Layout: 2*N words from an Arena -- choosing[i], number[i], writer = i.
 #pragma once
@@ -29,6 +35,7 @@ class BakeryMutex {
   void lock() {
     // Doorway: pick a ticket one larger than every visible ticket.
     port_.write_u32(choosing_ + me_, 1);
+    port_.fence();
     u32 max = 0;
     for (u32 j = 0; j < procs_; ++j) {
       const u32 n = port_.read_u32(number_ + j);
@@ -37,6 +44,7 @@ class BakeryMutex {
     my_number_ = max + 1;
     port_.write_u32(number_ + me_, my_number_);
     port_.write_u32(choosing_ + me_, 0);
+    port_.fence();
 
     // Wait for every earlier ticket (lexicographic (number, id) order).
     for (u32 j = 0; j < procs_; ++j) {

@@ -211,16 +211,14 @@ TEST(Chart, EmptyAndDegenerateInputsAreSafe) {
   EXPECT_NE(os.str().find('S'), std::string::npos);
 }
 
-TEST(Table, AlignedAndCsvOutput) {
+TEST(Table, AlignedOutput) {
   Table t({"name", "value"});
   t.add_row({"alpha", Table::num(1.5)});
   t.add_row({"b", "22"});
-  std::ostringstream txt, csv;
+  std::ostringstream txt;
   t.print(txt);
-  t.print_csv(csv);
   EXPECT_NE(txt.str().find("alpha"), std::string::npos);
   EXPECT_NE(txt.str().find("|"), std::string::npos);
-  EXPECT_EQ(csv.str(), "name,value\nalpha,1.50\nb,22\n");
 }
 
 }  // namespace

@@ -398,22 +398,22 @@ TEST(FaultPlan, BbpTimesOutInsteadOfHanging) {
   EXPECT_GE(ring.packets_lost(), 1u);
 }
 
-TEST(FaultPlan, HierarchyPortsHonorHostDials) {
+TEST(FaultPlan, HierarchyNodesHonorHostDials) {
   // Host-level faults apply to the two-level ring hierarchy through the
   // same PortDials mechanism as the flat ring (arm_hosts + set_dials).
   auto finish_time = [](bool degraded) {
     sim::Simulation sim;
     HierarchyConfig hc;
     hc.leaf_rings = 2;
-    hc.nodes_per_ring = 2;
-    hc.bank_words = 4096;
+    hc.leaf.nodes = 2;
+    hc.leaf.bank_words = 4096;
     RingHierarchy h(sim, hc);
     fault::FaultPlan p;
     if (degraded) p.host_congestion(0, 1, 4.0).slow_node(0, 1, 4.0);
     EXPECT_TRUE(p.arm_hosts(sim, h.nodes()).ok());
     SimTime done = 0;
     sim.spawn("writer", [&](sim::Process& pr) {
-      HierarchyPort port(h, 1, pr);
+      SimHostPort port(h.leaf(h.ring_of(1)), h.local_of(1), pr);
       port.set_dials(p.dials(1));
       pr.delay(us(1));  // let the dial events at t=0 take effect
       for (u32 i = 0; i < 16; ++i) {
@@ -425,7 +425,7 @@ TEST(FaultPlan, HierarchyPortsHonorHostDials) {
     sim.run();
     // The writes crossed the bridge onto the other leaf ring.
     EXPECT_EQ(h.host_read(3, 100), 1u);
-    EXPECT_GT(h.backbone_packets(), 0u);
+    EXPECT_GT(h.backbone().packets_sent(), 0u);
     return done;
   };
   const SimTime nominal = finish_time(false);

@@ -5,6 +5,7 @@
 #include "bbp/endpoint.h"
 #include "common/bytes.h"
 #include "scramnet/hierarchy.h"
+#include "scramnet/sim_port.h"
 #include "scrshm/barrier.h"
 
 namespace scrnet::scramnet {
@@ -19,9 +20,14 @@ std::vector<u8> make_span_msg() {
 HierarchyConfig small_h() {
   HierarchyConfig cfg;
   cfg.leaf_rings = 3;
-  cfg.nodes_per_ring = 4;
-  cfg.bank_words = 1u << 14;
+  cfg.leaf.nodes = 4;
+  cfg.leaf.bank_words = 1u << 14;
   return cfg;
+}
+
+/// The timed port of global node `n`: a SimHostPort on its leaf ring.
+SimHostPort port_of(RingHierarchy& h, u32 n, sim::Process& p) {
+  return SimHostPort(h.leaf(h.ring_of(n)), h.local_of(n), p);
 }
 
 TEST(Hierarchy, TopologyMath) {
@@ -84,13 +90,81 @@ TEST(Hierarchy, PerSenderOrderHoldsAcrossBridges) {
 }
 
 TEST(Hierarchy, BackbonePacketAccounting) {
+  // Each write is one packet on its source leaf, one on the backbone and
+  // one down each other leaf; every ring counts its own.
   sim::Simulation sim;
   RingHierarchy h(sim, small_h());
   h.host_write(0, 1, 5);
   h.host_write(7, 2, 6);
   sim.run();
-  EXPECT_EQ(h.packets_sent(), 2u);
-  EXPECT_EQ(h.backbone_packets(), 2u);
+  EXPECT_EQ(h.backbone().packets_sent(), 2u);
+  u64 leaf_packets = 0;
+  for (u32 r = 0; r < 3; ++r) leaf_packets += h.leaf(r).packets_sent();
+  EXPECT_EQ(leaf_packets, 6u);
+}
+
+TEST(Hierarchy, BridgeOwnWriteReachesEveryRing) {
+  // A bridge host's own write is forwarded when its leaf injects it.
+  sim::Simulation sim;
+  RingHierarchy h(sim, small_h());
+  h.host_write(4, 30, 0x5151);
+  sim.run();
+  for (u32 n = 0; n < 12; ++n)
+    EXPECT_EQ(h.host_read(n, 30), 0x5151u) << "node " << n;
+}
+
+TEST(Hierarchy, LeafWriteNotHeldByCrossRingPacket) {
+  // A packet from another ring takes a leaf's medium only once it reaches
+  // that leaf's bridge: a 1 KiB packet from ring 0 gets there at ~127 us,
+  // so a one-word write on ring 1 at 10 us goes out at once.
+  sim::Simulation sim;
+  RingHierarchy h(sim, small_h());
+  const std::vector<u32> block(256, 7);
+  h.leaf(0).host_write_block(1, 1000, block, ns(240));
+  SimTime seen_at = 0;
+  sim.spawn("writer", [&](sim::Process& p) {
+    p.delay(us(10));
+    h.host_write(5, 10, 99);
+  });
+  sim.spawn("probe", [&](sim::Process& p) {
+    while (h.host_read(6, 10) != 99) p.delay(ns(10));
+    seen_at = p.now();
+  });
+  sim.run();
+  EXPECT_LT(seen_at, us(12)) << "seen at " << to_us(seen_at) << " us";
+}
+
+TEST(Hierarchy, InterruptReceiveAtBridgeNode) {
+  // A packet forwarded down into a leaf lands at the bridge as a network
+  // delivery, so it raises the bridge host's receive interrupt.
+  sim::Simulation sim;
+  HierarchyConfig cfg = small_h();
+  cfg.leaf_rings = 2;
+  cfg.leaf.nodes = 3;
+  RingHierarchy h(sim, cfg);
+  bbp::Config c;
+  c.recv_mode = bbp::RecvMode::kInterrupt;
+  bool sent = false, received = false;
+  sim.spawn("tx", [&](sim::Process& p) {
+    SimHostPort port = port_of(h, 4, p);
+    bbp::Endpoint ep(port, h.nodes(), 4, c);
+    std::vector<u8> msg(16);
+    fill_pattern(msg, 3);
+    ASSERT_TRUE(ep.send(0, msg).ok());
+    ASSERT_TRUE(ep.drain().ok());
+    sent = true;
+  });
+  sim.spawn("rx", [&](sim::Process& p) {
+    SimHostPort port = port_of(h, 0, p);
+    bbp::Endpoint ep(port, h.nodes(), 0, c);
+    std::vector<u8> buf(16);
+    ASSERT_TRUE(ep.recv(4, buf).ok());
+    EXPECT_TRUE(check_pattern(buf, 3));
+    received = true;
+  });
+  sim.run();
+  EXPECT_TRUE(sent);
+  EXPECT_TRUE(received);
 }
 
 TEST(Hierarchy, BbpRunsAcrossRings) {
@@ -100,7 +174,7 @@ TEST(Hierarchy, BbpRunsAcrossRings) {
   RingHierarchy h(sim, small_h());
   u32 got_mcast = 0;
   sim.spawn("sender", [&](sim::Process& p) {
-    HierarchyPort port(h, 1, p);
+    SimHostPort port = port_of(h, 1, p);
     bbp::Endpoint ep(port, 12, 1);
     ASSERT_TRUE(ep.send(6, make_span_msg()).ok());
     std::vector<u32> dests;
@@ -112,7 +186,7 @@ TEST(Hierarchy, BbpRunsAcrossRings) {
   for (u32 r = 0; r < 12; ++r) {
     if (r == 1) continue;
     sim.spawn("rx" + std::to_string(r), [&, r](sim::Process& p) {
-      HierarchyPort port(h, r, p);
+      SimHostPort port = port_of(h, r, p);
       bbp::Endpoint ep(port, 12, r);
       std::vector<u8> buf(24);
       if (r == 6) {  // gets the p2p message first (in-order from sender 1)
@@ -134,14 +208,14 @@ TEST(Hierarchy, ShmBarrierAcrossRings) {
   sim::Simulation sim;
   HierarchyConfig cfg = small_h();
   cfg.leaf_rings = 2;
-  cfg.nodes_per_ring = 3;
+  cfg.leaf.nodes = 3;
   RingHierarchy h(sim, cfg);
   constexpr u32 kN = 6, kPhases = 5;
   std::vector<u32> arrived(kPhases, 0);
   bool ok = true;
   for (u32 id = 0; id < kN; ++id) {
     sim.spawn("p" + std::to_string(id), [&, id](sim::Process& p) {
-      HierarchyPort port(h, id, p);
+      SimHostPort port = port_of(h, id, p);
       scrshm::Arena arena(0, 1024);
       scrshm::DisseminationBarrier bar(port, arena, kN, id);
       for (u32 phase = 0; phase < kPhases; ++phase) {
