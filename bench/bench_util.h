@@ -4,8 +4,6 @@
 #pragma once
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -16,20 +14,6 @@
 #include "common/types.h"
 
 namespace scrnet::bench {
-
-/// Parse `--jobs N` / `--jobs=N` from a bench main's argv. Returns 0 when
-/// absent, which sweep::Runner resolves to SCRNET_JOBS or
-/// hardware_concurrency. The job count never changes a figure's output
-/// (results are collected in submission order), only its wall clock.
-inline u32 parse_jobs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-      return static_cast<u32>(std::atol(argv[i + 1]));
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0)
-      return static_cast<u32>(std::atol(argv[i] + 7));
-  }
-  return 0;
-}
 
 inline void header(const std::string& title, const std::string& paper_ref) {
   std::cout << "\n==========================================================\n"

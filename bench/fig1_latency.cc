@@ -21,8 +21,11 @@ struct Panel {
 };
 
 Panel measure(const std::vector<u32>& sizes, sweep::Runner& runner) {
-  Panel pn{{"SCRAMNet API", bbp_oneway_us_sweep(sizes, runner)},
-           {"MPI", mpi_scramnet_oneway_us_sweep(sizes, runner)},
+  Panel pn{{"SCRAMNet API", runner.map("bbp_oneway", sizes,
+                                       [](u32 b) { return bbp_oneway_us(b); })},
+           {"MPI", runner.map("mpi_scr_oneway", sizes, [](u32 b) {
+              return mpi_scramnet_oneway_us(b);
+            })},
            {"MPI - API", {}}};
   for (usize i = 0; i < sizes.size(); ++i)
     pn.delta.us.push_back(pn.mpi.us[i] - pn.api.us[i]);
@@ -38,7 +41,7 @@ void print_panel(const std::vector<u32>& sizes, const Panel& pn,
 }  // namespace
 
 int main(int argc, char** argv) {
-  sweep::Runner runner(parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_jobs(argc, argv));
 
   header("Figure 1: SCRAMNet one-way latency, BillBoard API vs MPI",
          "Moorthy et al., IPPS 1999, Figure 1 + Section 5 headline numbers");

@@ -19,20 +19,26 @@ using namespace scrnet::bench;
 using namespace scrnet::harness;
 
 int main(int argc, char** argv) {
-  sweep::Runner runner(parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_jobs(argc, argv));
 
   header("Figure 2: API-layer one-way latency across networks",
          "Moorthy et al., IPPS 1999, Figure 2");
 
   const std::vector<u32> sizes{0,    4,    64,   128,  256,  512, 750,
                                1000, 1500, 2000, 3000, 4000, 5000};
-  Series scr{"SCRAMNet API", bbp_oneway_us_sweep(sizes, runner)},
-      fe{"FastEth TCP",
-         tcp_api_oneway_us_sweep(TcpFabricKind::kFastEthernet, sizes, runner)},
-      atm{"ATM TCP", tcp_api_oneway_us_sweep(TcpFabricKind::kAtm, sizes, runner)},
-      myr_api{"Myrinet API", myrinet_api_oneway_us_sweep(sizes, runner)},
-      myr_tcp{"Myrinet TCP",
-              tcp_api_oneway_us_sweep(TcpFabricKind::kMyrinet, sizes, runner)};
+  const auto tcp = [&](TcpFabricKind kind) {
+    return runner.map("tcp_api_oneway." + to_string(kind), sizes,
+                      [kind](u32 b) { return tcp_api_oneway_us(kind, b); });
+  };
+  Series scr{"SCRAMNet API", runner.map("bbp_oneway", sizes, [](u32 b) {
+               return bbp_oneway_us(b);
+             })},
+      fe{"FastEth TCP", tcp(TcpFabricKind::kFastEthernet)},
+      atm{"ATM TCP", tcp(TcpFabricKind::kAtm)},
+      myr_api{"Myrinet API", runner.map("myr_api_oneway", sizes, [](u32 b) {
+                return myrinet_api_oneway_us(b);
+              })},
+      myr_tcp{"Myrinet TCP", tcp(TcpFabricKind::kMyrinet)};
   print_series(sizes, {scr, fe, atm, myr_api, myr_tcp});
 
   std::cout << "\nShape checks (paper Section 5):\n";

@@ -14,16 +14,21 @@ using namespace scrnet::bench;
 using namespace scrnet::harness;
 
 int main(int argc, char** argv) {
-  sweep::Runner runner(parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_jobs(argc, argv));
 
   header("Figure 3: MPI point-to-point latency across networks",
          "Moorthy et al., IPPS 1999, Figure 3");
 
   const std::vector<u32> sizes{0, 4, 64, 128, 256, 384, 512, 640, 768, 896, 1000};
-  Series scr{"SCRAMNet MPI", mpi_scramnet_oneway_us_sweep(sizes, runner)},
-      fe{"FastEth MPI",
-         mpi_tcp_oneway_us_sweep(TcpFabricKind::kFastEthernet, sizes, runner)},
-      atm{"ATM MPI", mpi_tcp_oneway_us_sweep(TcpFabricKind::kAtm, sizes, runner)};
+  const auto tcp = [&](TcpFabricKind kind) {
+    return runner.map("mpi_tcp_oneway." + to_string(kind), sizes,
+                      [kind](u32 b) { return mpi_tcp_oneway_us(kind, b); });
+  };
+  Series scr{"SCRAMNet MPI", runner.map("mpi_scr_oneway", sizes, [](u32 b) {
+               return mpi_scramnet_oneway_us(b);
+             })},
+      fe{"FastEth MPI", tcp(TcpFabricKind::kFastEthernet)},
+      atm{"ATM MPI", tcp(TcpFabricKind::kAtm)};
   print_series(sizes, {scr, fe, atm});
 
   std::cout << "\nShape checks (paper Section 5):\n";

@@ -15,14 +15,18 @@ using namespace scrnet::bench;
 using namespace scrnet::harness;
 
 int main(int argc, char** argv) {
-  sweep::Runner runner(parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_jobs(argc, argv));
 
   header("Figure 4: SCRAMNet point-to-point vs 4-node broadcast (API level)",
          "Moorthy et al., IPPS 1999, Figure 4 + abstract");
 
   const std::vector<u32> sizes{0, 4, 16, 64, 128, 256, 512, 750, 1000};
-  Series p2p{"Point-to-Point", bbp_oneway_us_sweep(sizes, runner)},
-      bc{"4-node Broadcast", bbp_bcast_us_sweep(sizes, runner)}, d{"Delta", {}};
+  Series p2p{"Point-to-Point", runner.map("bbp_oneway", sizes, [](u32 b) {
+               return bbp_oneway_us(b);
+             })},
+      bc{"4-node Broadcast",
+         runner.map("bbp_bcast", sizes, [](u32 b) { return bbp_bcast_us(b); })},
+      d{"Delta", {}};
   for (usize i = 0; i < sizes.size(); ++i)
     d.us.push_back(bc.us[i] - p2p.us[i]);
   print_series(sizes, {p2p, bc, d});

@@ -16,20 +16,24 @@ using namespace scrnet::bench;
 using namespace scrnet::harness;
 
 int main(int argc, char** argv) {
-  sweep::Runner runner(parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_jobs(argc, argv));
 
   header("Figure 5: 4-node MPI_Bcast on SCRAMNet and Fast Ethernet",
          "Moorthy et al., IPPS 1999, Figure 5");
 
   const std::vector<u32> sizes{0, 4, 64, 128, 256, 384, 512, 640, 768, 896, 1000};
+  const auto scr = [&](scrmpi::CollAlgo algo) {
+    return runner.map("mpi_scr_bcast", sizes, [algo](u32 b) {
+      return mpi_scramnet_bcast_us(b, algo);
+    });
+  };
   Series fe{"FastEth p2p-tree",
-            mpi_tcp_bcast_us_sweep(TcpFabricKind::kFastEthernet, sizes, runner)},
-      scr_p2p{"SCRAMNet p2p-tree",
-              mpi_scramnet_bcast_us_sweep(sizes, scrmpi::CollAlgo::kPointToPoint,
-                                          runner)},
-      scr_mc{"SCRAMNet API-mcast",
-             mpi_scramnet_bcast_us_sweep(sizes, scrmpi::CollAlgo::kNativeMcast,
-                                         runner)};
+            runner.map("mpi_tcp_bcast." + to_string(TcpFabricKind::kFastEthernet),
+                       sizes, [](u32 b) {
+                         return mpi_tcp_bcast_us(TcpFabricKind::kFastEthernet, b);
+                       })},
+      scr_p2p{"SCRAMNet p2p-tree", scr(scrmpi::CollAlgo::kPointToPoint)},
+      scr_mc{"SCRAMNet API-mcast", scr(scrmpi::CollAlgo::kNativeMcast)};
   print_series(sizes, {fe, scr_p2p, scr_mc});
 
   std::cout << "\nShape checks (paper Section 5):\n";

@@ -17,20 +17,25 @@ using namespace scrnet::bench;
 using namespace scrnet::harness;
 
 int main(int argc, char** argv) {
-  sweep::Runner runner(parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_jobs(argc, argv));
 
   header("Figure 6: MPI_Barrier on SCRAMNet, Fast Ethernet and ATM",
          "Moorthy et al., IPPS 1999, Figure 6");
 
   const std::vector<u32> nodes{2, 3, 4};
-  const std::vector<double> scr_api = mpi_scramnet_barrier_us_sweep(
-      nodes, scrmpi::CollAlgo::kNativeMcast, runner);
-  const std::vector<double> scr_p2p = mpi_scramnet_barrier_us_sweep(
-      nodes, scrmpi::CollAlgo::kPointToPoint, runner);
-  const std::vector<double> fe =
-      mpi_tcp_barrier_us_sweep(TcpFabricKind::kFastEthernet, nodes, runner);
-  const std::vector<double> atm =
-      mpi_tcp_barrier_us_sweep(TcpFabricKind::kAtm, nodes, runner);
+  const auto scr = [&](scrmpi::CollAlgo algo) {
+    return runner.map("mpi_scr_barrier", nodes, [algo](u32 n) {
+      return mpi_scramnet_barrier_us(algo, n);
+    });
+  };
+  const auto tcp = [&](TcpFabricKind kind) {
+    return runner.map("mpi_tcp_barrier." + to_string(kind), nodes,
+                      [kind](u32 n) { return mpi_tcp_barrier_us(kind, n); });
+  };
+  const std::vector<double> scr_api = scr(scrmpi::CollAlgo::kNativeMcast);
+  const std::vector<double> scr_p2p = scr(scrmpi::CollAlgo::kPointToPoint);
+  const std::vector<double> fe = tcp(TcpFabricKind::kFastEthernet);
+  const std::vector<double> atm = tcp(TcpFabricKind::kAtm);
 
   Table t({"nodes", "SCRAMNet w/API (us)", "SCRAMNet w/p2p (us)",
            "FastEth p2p (us)", "ATM p2p (us)"});

@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
                 "bounded-wait timeouts instead of hangs)");
 
   const std::vector<Spec> specs = catalog();
-  sweep::Runner runner(bench::parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_jobs(argc, argv));
   const std::vector<workload::Report> reports = runner.map(
       "flt", specs, [](const Spec& s) { return workload::run(s); });
 

@@ -371,16 +371,18 @@ void BM_RdmaPut(benchmark::State& state) {
 }
 BENCHMARK(BM_RdmaPut)->Arg(4096)->Arg(65536);
 
-/// Figure-style latency sweep through sweep::Runner at 1..N workers: the
-/// wall-clock win the parallel sweep engine buys on this machine. Arg is
-/// the worker count; compare jobs=1 (inline sequential) against the rest.
+/// Figure-style latency sweep through sweep::Runner::map at 1..N threads:
+/// the wall-clock win the parallel sweep engine buys on this machine. Arg
+/// is the job count; compare jobs=1 (the caller alone) against the rest.
 void BM_SweepFigures(benchmark::State& state) {
   const u32 jobs = static_cast<u32>(state.range(0));
   const std::vector<u32> sizes{0, 4, 16, 64, 256, 512, 750, 1000};
   u64 sims = 0;
   for (auto _ : state) {
     sweep::Runner runner(jobs);
-    const auto us = harness::bbp_oneway_us_sweep(sizes, runner, 4, 8, 2);
+    const auto us = runner.map("bbp_oneway", sizes, [](u32 b) {
+      return harness::bbp_oneway_us(b, 4, 8, 2);
+    });
     benchmark::DoNotOptimize(us.data());
     sims += sizes.size();
   }
@@ -390,31 +392,30 @@ void BM_SweepFigures(benchmark::State& state) {
 BENCHMARK(BM_SweepFigures)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
 
-/// Pool overhead floor: tiny jobs (one near-empty simulation each), so the
-/// submit/steal/future machinery dominates instead of the simulations.
+/// Sweep overhead floor: tiny elements (one near-empty simulation each), so
+/// thread start, index claiming and per-element sinks dominate instead of
+/// the simulations.
 void BM_SweepThroughput(benchmark::State& state) {
   const u32 jobs = static_cast<u32>(state.range(0));
   u64 done = 0;
   for (auto _ : state) {
     sweep::Runner runner(jobs);
-    std::vector<sweep::Future<u64>> futs;
-    futs.reserve(256);
-    for (int i = 0; i < 256; ++i)
-      futs.push_back(runner.submit([] {
-        sim::Simulation sim;
-        int remaining = 16;
-        struct Tick {
-          sim::Simulation* sim;
-          int* remaining;
-          void operator()() const {
-            if (--*remaining > 0) sim->post(ns(10), *this);
-          }
-        };
-        sim.post(ns(10), Tick{&sim, &remaining});
-        sim.run();
-        return sim.events_executed();
-      }));
-    for (auto& f : futs) done += f.get() ? 1 : 0;
+    const std::vector<int> elements(256);
+    const std::vector<u64> events = runner.map("job", elements, [](int) {
+      sim::Simulation sim;
+      int remaining = 16;
+      struct Tick {
+        sim::Simulation* sim;
+        int* remaining;
+        void operator()() const {
+          if (--*remaining > 0) sim->post(ns(10), *this);
+        }
+      };
+      sim.post(ns(10), Tick{&sim, &remaining});
+      sim.run();
+      return sim.events_executed();
+    });
+    for (u64 e : events) done += e ? 1 : 0;
   }
   state.counters["jobs/s"] =
       benchmark::Counter(static_cast<double>(done), benchmark::Counter::kIsRate);

@@ -2,11 +2,10 @@
 // output against the committed golden files in bench/golden/.
 //
 // Each bench binary is launched as a subprocess (stdout+stderr captured)
-// with SCRNET_JOBS=1 forced in its environment: parallelism lives at the
-// process level here, so the children must not each spin up their own
-// worker pools on top. The subprocess launches themselves are fanned out
-// over a sweep::Runner -- a worker thread blocks in popen() per child --
-// which makes the whole 16-binary suite take roughly
+// with --jobs 1: parallelism lives at the process level here, so the
+// children must not each start their own sweep threads on top. The
+// subprocess launches themselves are one sweep::Runner::map -- a thread
+// blocks in popen() per child -- which makes the whole suite take roughly
 // slowest-binary-wall-clock on an idle multicore box.
 //
 //   repro_all [--jobs N] [--update-golden] [--no-compare]
@@ -30,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/types.h"
 #include "sweep/runner.h"
 
@@ -50,7 +48,7 @@ namespace {
 /// alone would add ~13 s there and trip it.
 constexpr double kReferenceWallS = 15.4;
 
-constexpr const char* kSuite[] = {
+const std::vector<std::string> kSuite{
     "fig1_latency",      "fig2_api_networks",     "fig3_mpi_networks",
     "fig4_bcast_vs_p2p", "fig5_mpi_bcast",        "fig6_barrier",
     "tbl_ring_throughput", "abl_packet_mode",     "abl_ring_scaling",
@@ -74,10 +72,9 @@ std::string self_dir(const char* argv0) {
 
 RunResult run_one(const std::string& bindir, const std::string& name) {
   RunResult r;
-  // Force the child sequential; quoting is safe because bindir comes from
+  // Run the child sequential; quoting is safe because bindir comes from
   // argv[0]/--bindir, not from untrusted input.
-  const std::string cmd =
-      "env SCRNET_JOBS=1 '" + bindir + "/" + name + "' 2>&1";
+  const std::string cmd = "'" + bindir + "/" + name + "' --jobs 1 2>&1";
   const auto t0 = std::chrono::steady_clock::now();
   FILE* p = popen(cmd.c_str(), "r");
   if (!p) return r;
@@ -142,23 +139,22 @@ int main(int argc, char** argv) {
       golden_dir = argv[++i];
   }
 
-  sweep::Runner runner(bench::parse_jobs(argc, argv));
-  std::cout << "repro_all: " << (sizeof kSuite / sizeof kSuite[0])
+  sweep::Runner runner(sweep::parse_jobs(argc, argv));
+  std::cout << "repro_all: " << kSuite.size()
             << " binaries, jobs=" << runner.jobs() << ", golden=" << golden_dir
             << (update ? " (UPDATING)" : compare ? "" : " (NO COMPARE)")
             << "\n";
 
   const auto suite_t0 = std::chrono::steady_clock::now();
-  std::vector<sweep::Future<RunResult>> futs;
-  for (const char* name : kSuite)
-    futs.push_back(runner.submit(name, [bindir, name] {
-      return run_one(bindir, name);
-    }));
+  const std::vector<RunResult> results =
+      runner.map("repro", kSuite, [&bindir](const std::string& name) {
+        return run_one(bindir, name);
+      });
 
   int bad = 0;
-  for (usize i = 0; i < futs.size(); ++i) {
-    const std::string name = kSuite[i];
-    const RunResult r = futs[i].get();
+  for (usize i = 0; i < kSuite.size(); ++i) {
+    const std::string& name = kSuite[i];
+    const RunResult& r = results[i];
     char wall[32];
     std::snprintf(wall, sizeof wall, "%6.2fs", r.wall_s);
     if (r.exit_code != 0) {
@@ -204,7 +200,7 @@ int main(int argc, char** argv) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.2fs", total_s);
   std::cout << "repro_all: " << (bad == 0 ? "PASS" : "FAIL") << " ("
-            << futs.size() - static_cast<usize>(bad) << "/" << futs.size()
+            << kSuite.size() - static_cast<usize>(bad) << "/" << kSuite.size()
             << (compare ? " identical" : " completed") << "), suite wall-clock "
             << buf << "\n";
   if (total_s > 1.5 * kReferenceWallS) {

@@ -31,24 +31,23 @@ double raw_ring_mbps(scramnet::PacketMode mode, u32 bytes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  sweep::Runner runner(parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_jobs(argc, argv));
 
   header("Table: SCRAMNet ring throughput (Section 2 specifications)",
          "Moorthy et al., IPPS 1999, Section 2");
 
-  // The two raw-ring measurements are independent simulations too: submit
-  // them alongside the BBP sweep so everything overlaps.
-  auto f_fixed = runner.submit("raw_ring.fixed4", [] {
-    return raw_ring_mbps(scramnet::PacketMode::kFixed4, 1u << 20);
-  });
-  auto f_variable = runner.submit("raw_ring.variable", [] {
-    return raw_ring_mbps(scramnet::PacketMode::kVariable, 1u << 20);
-  });
+  const std::vector<scramnet::PacketMode> modes{
+      scramnet::PacketMode::kFixed4, scramnet::PacketMode::kVariable};
+  const std::vector<double> raw =
+      runner.map("raw_ring", modes, [](scramnet::PacketMode m) {
+        return raw_ring_mbps(m, 1u << 20);
+      });
+  const double fixed = raw[0];
+  const double variable = raw[1];
   const std::vector<u32> sizes{64, 256, 1024, 4096, 16384, 65536};
-  const std::vector<double> bbp =
-      bbp_throughput_mbps_sweep(sizes, 1u << 20, runner);
-  const double fixed = f_fixed.get();
-  const double variable = f_variable.get();
+  const std::vector<double> bbp = runner.map("bbp_throughput", sizes, [](u32 b) {
+    return bbp_throughput_mbps(b, 1u << 20);
+  });
 
   Table t({"mode", "paper max (MB/s)", "measured (MB/s)"});
   t.add_row({"fixed 4-byte packets", "6.5", Table::num(fixed)});

@@ -321,113 +321,4 @@ double bbp_throughput_mbps(u32 bytes, u32 total_bytes, u32 nodes,
   return static_cast<double>(msgs) * bytes / 1e6 / secs;
 }
 
-// ---------------------------------------------------------------------------
-// Sweep-native forms
-// ---------------------------------------------------------------------------
-//
-// Each sweep is runner.map over the x-axis: one job per point, each job
-// one full self-contained simulation via the scalar form above. Options
-// structs are captured by value so a job owns every byte it reads.
-
-std::vector<double> bbp_oneway_us_sweep(const std::vector<u32>& sizes,
-                                        sweep::Runner& runner, u32 nodes,
-                                        u32 iters, u32 warmup,
-                                        ScramnetOptions opts) {
-  return runner.map("bbp_oneway", sizes, [=](u32 bytes) {
-    return bbp_oneway_us(bytes, nodes, iters, warmup, opts);
-  });
-}
-
-std::vector<double> mpi_scramnet_oneway_us_sweep(const std::vector<u32>& sizes,
-                                                 sweep::Runner& runner,
-                                                 u32 nodes, u32 iters,
-                                                 u32 warmup,
-                                                 ScramnetOptions opts) {
-  return runner.map("mpi_scr_oneway", sizes, [=](u32 bytes) {
-    return mpi_scramnet_oneway_us(bytes, nodes, iters, warmup, opts);
-  });
-}
-
-std::vector<double> tcp_api_oneway_us_sweep(TcpFabricKind kind,
-                                            const std::vector<u32>& sizes,
-                                            sweep::Runner& runner, u32 iters,
-                                            u32 warmup, TcpOptions opts) {
-  return runner.map("tcp_api_oneway." + to_string(kind), sizes, [=](u32 bytes) {
-    return tcp_api_oneway_us(kind, bytes, iters, warmup, opts);
-  });
-}
-
-std::vector<double> myrinet_api_oneway_us_sweep(const std::vector<u32>& sizes,
-                                                sweep::Runner& runner,
-                                                u32 iters, u32 warmup) {
-  return runner.map("myr_api_oneway", sizes, [=](u32 bytes) {
-    return myrinet_api_oneway_us(bytes, iters, warmup);
-  });
-}
-
-std::vector<double> mpi_tcp_oneway_us_sweep(TcpFabricKind kind,
-                                            const std::vector<u32>& sizes,
-                                            sweep::Runner& runner, u32 iters,
-                                            u32 warmup, TcpOptions opts) {
-  return runner.map("mpi_tcp_oneway." + to_string(kind), sizes, [=](u32 bytes) {
-    return mpi_tcp_oneway_us(kind, bytes, iters, warmup, opts);
-  });
-}
-
-std::vector<double> bbp_bcast_us_sweep(const std::vector<u32>& sizes,
-                                       sweep::Runner& runner, u32 nodes,
-                                       u32 iters, u32 warmup,
-                                       ScramnetOptions opts) {
-  return runner.map("bbp_bcast", sizes, [=](u32 bytes) {
-    return bbp_bcast_us(bytes, nodes, iters, warmup, opts);
-  });
-}
-
-std::vector<double> mpi_scramnet_bcast_us_sweep(const std::vector<u32>& sizes,
-                                                scrmpi::CollAlgo algo,
-                                                sweep::Runner& runner,
-                                                u32 nodes, u32 iters,
-                                                u32 warmup,
-                                                ScramnetOptions opts) {
-  return runner.map("mpi_scr_bcast", sizes, [=](u32 bytes) {
-    return mpi_scramnet_bcast_us(bytes, algo, nodes, iters, warmup, opts);
-  });
-}
-
-std::vector<double> mpi_tcp_bcast_us_sweep(TcpFabricKind kind,
-                                           const std::vector<u32>& sizes,
-                                           sweep::Runner& runner, u32 iters,
-                                           u32 warmup, TcpOptions opts) {
-  return runner.map("mpi_tcp_bcast." + to_string(kind), sizes, [=](u32 bytes) {
-    return mpi_tcp_bcast_us(kind, bytes, iters, warmup, opts);
-  });
-}
-
-std::vector<double> mpi_scramnet_barrier_us_sweep(
-    const std::vector<u32>& node_counts, scrmpi::CollAlgo algo,
-    sweep::Runner& runner, u32 iters, u32 warmup, ScramnetOptions opts) {
-  return runner.map("mpi_scr_barrier", node_counts, [=](u32 nodes) {
-    return mpi_scramnet_barrier_us(algo, nodes, iters, warmup, opts);
-  });
-}
-
-std::vector<double> mpi_tcp_barrier_us_sweep(TcpFabricKind kind,
-                                             const std::vector<u32>& node_counts,
-                                             sweep::Runner& runner, u32 iters,
-                                             u32 warmup, TcpOptions opts) {
-  return runner.map("mpi_tcp_barrier." + to_string(kind), node_counts,
-                    [=](u32 nodes) {
-                      return mpi_tcp_barrier_us(kind, nodes, iters, warmup, opts);
-                    });
-}
-
-std::vector<double> bbp_throughput_mbps_sweep(const std::vector<u32>& sizes,
-                                              u32 total_bytes,
-                                              sweep::Runner& runner, u32 nodes,
-                                              ScramnetOptions opts) {
-  return runner.map("bbp_throughput", sizes, [=](u32 bytes) {
-    return bbp_throughput_mbps(bytes, total_bytes, nodes, opts);
-  });
-}
-
 }  // namespace scrnet::harness

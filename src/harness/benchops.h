@@ -1,20 +1,14 @@
 // Benchmark operations: the paper's microbenchmarks (one-way latency via
-// ping-pong, broadcast latency, barrier latency) measured in virtual time,
-// producing the series each figure plots.
+// ping-pong, broadcast latency, barrier latency) measured in virtual time.
 //
-// Every operation comes in two forms: the scalar form (one measurement,
-// one simulation, runs on the calling thread) and a *_sweep form taking a
-// sweep::Runner, which fans the per-size (or per-node-count) simulations
-// out across the runner's workers and returns the series in element
-// order. Each point is an independent deterministic simulation, so the
-// sweep result is bit-identical to calling the scalar form in a loop --
-// at any --jobs value.
+// Each call is one measurement in one self-contained simulation on the
+// calling thread. A figure's series is a sweep::Runner::map over its x-axis
+// with one of these per element (docs/sweep.md); each point is an
+// independent deterministic simulation, so the series is bit-identical at
+// any --jobs value.
 #pragma once
 
-#include <vector>
-
 #include "harness/cluster.h"
-#include "sweep/runner.h"
 
 namespace scrnet::harness {
 
@@ -66,73 +60,5 @@ double mpi_tcp_barrier_us(TcpFabricKind kind, u32 nodes = 4, u32 iters = 20,
 /// Sustained one-way throughput (MB/s) at the BBP level for a message size.
 double bbp_throughput_mbps(u32 bytes, u32 total_bytes, u32 nodes = 4,
                            ScramnetOptions opts = {});
-
-// ---------------------------------------------------------------------------
-// Sweep-native forms: one runner job per element, results in element
-// order. These are what the bench/fig* and bench/tbl_* mains call.
-// ---------------------------------------------------------------------------
-
-std::vector<double> bbp_oneway_us_sweep(const std::vector<u32>& sizes,
-                                        sweep::Runner& runner, u32 nodes = 4,
-                                        u32 iters = 20, u32 warmup = 4,
-                                        ScramnetOptions opts = {});
-
-std::vector<double> mpi_scramnet_oneway_us_sweep(const std::vector<u32>& sizes,
-                                                 sweep::Runner& runner,
-                                                 u32 nodes = 4, u32 iters = 20,
-                                                 u32 warmup = 4,
-                                                 ScramnetOptions opts = {});
-
-std::vector<double> tcp_api_oneway_us_sweep(TcpFabricKind kind,
-                                            const std::vector<u32>& sizes,
-                                            sweep::Runner& runner,
-                                            u32 iters = 20, u32 warmup = 4,
-                                            TcpOptions opts = {});
-
-std::vector<double> myrinet_api_oneway_us_sweep(const std::vector<u32>& sizes,
-                                                sweep::Runner& runner,
-                                                u32 iters = 20, u32 warmup = 4);
-
-std::vector<double> mpi_tcp_oneway_us_sweep(TcpFabricKind kind,
-                                            const std::vector<u32>& sizes,
-                                            sweep::Runner& runner,
-                                            u32 iters = 20, u32 warmup = 4,
-                                            TcpOptions opts = {});
-
-std::vector<double> bbp_bcast_us_sweep(const std::vector<u32>& sizes,
-                                       sweep::Runner& runner, u32 nodes = 4,
-                                       u32 iters = 20, u32 warmup = 4,
-                                       ScramnetOptions opts = {});
-
-std::vector<double> mpi_scramnet_bcast_us_sweep(const std::vector<u32>& sizes,
-                                                scrmpi::CollAlgo algo,
-                                                sweep::Runner& runner,
-                                                u32 nodes = 4, u32 iters = 20,
-                                                u32 warmup = 4,
-                                                ScramnetOptions opts = {});
-
-std::vector<double> mpi_tcp_bcast_us_sweep(TcpFabricKind kind,
-                                           const std::vector<u32>& sizes,
-                                           sweep::Runner& runner,
-                                           u32 iters = 20, u32 warmup = 4,
-                                           TcpOptions opts = {});
-
-/// Barrier sweeps run over *node counts* (Figure 6's x-axis), not sizes.
-std::vector<double> mpi_scramnet_barrier_us_sweep(
-    const std::vector<u32>& node_counts, scrmpi::CollAlgo algo,
-    sweep::Runner& runner, u32 iters = 20, u32 warmup = 4,
-    ScramnetOptions opts = {});
-
-std::vector<double> mpi_tcp_barrier_us_sweep(TcpFabricKind kind,
-                                             const std::vector<u32>& node_counts,
-                                             sweep::Runner& runner,
-                                             u32 iters = 20, u32 warmup = 4,
-                                             TcpOptions opts = {});
-
-std::vector<double> bbp_throughput_mbps_sweep(const std::vector<u32>& sizes,
-                                              u32 total_bytes,
-                                              sweep::Runner& runner,
-                                              u32 nodes = 4,
-                                              ScramnetOptions opts = {});
 
 }  // namespace scrnet::harness

@@ -73,11 +73,11 @@ Request Engine::isend(u32 dst, u16 ctx, i32 tag, std::span<const u8> data) {
   h.len = static_cast<u32>(data.size());
 
   if (data.size() <= effective_eager_limit()) {
-    // Short/eager: envelope + payload leave in one packet; the request is
+    // Eager: envelope + payload leave in one packet; the request is
     // complete as soon as the channel accepts it. A failed transmit (the
     // device waited out its bounded wait) completes the request with the
     // propagated error instead of hanging the caller.
-    h.kind = data.size() <= dev_.short_limit() ? PktKind::kShort : PktKind::kEager;
+    h.kind = PktKind::kShort;
     dev_.cpu(costs_.channel_pack +
              scaled(dev_.pack_cost(static_cast<u32>(data.size()))));
     const Status st = dev_.send_packet(dst, h, data);
@@ -213,8 +213,7 @@ void Engine::handle(Packet pkt) {
   ++packets_handled_;
   const PktHeader& h = pkt.hdr;
   switch (h.kind) {
-    case PktKind::kShort:
-    case PktKind::kEager: {
+    case PktKind::kShort: {
       dev_.cpu(costs_.match);
       for (auto it = posted_.begin(); it != posted_.end(); ++it) {
         if (!match(reqs_[*it], h)) continue;
@@ -375,20 +374,30 @@ void Engine::handle(Packet pkt) {
 // Completion
 // ---------------------------------------------------------------------------
 
-bool Engine::spin_until_done(u32 idx) {
+template <typename Ready>
+bool Engine::block_until(Ready ready) {
   const SimTime deadline =
       costs_.op_timeout > 0 ? dev_.now() + costs_.op_timeout : 0;
-  while (reqs_[idx].state != Req::State::kDone) {
-    if (!progress()) {
-      if (deadline != 0 && dev_.now() >= deadline) return false;
-      dev_.idle_pause();
+  while (!ready()) {
+    if (deadline != 0 && dev_.now() >= deadline) {
+      ++timeouts_;
+      return false;
     }
+    dev_.idle_pause();
   }
   return true;
 }
 
+template <typename Done>
+bool Engine::progress_until(Done done) {
+  return block_until([&] {
+    while (!done())
+      if (!progress()) return false;
+    return true;
+  });
+}
+
 MpiStatus Engine::timeout_request(u32 idx) {
-  ++timeouts_;
   Req& r = reqs_[idx];
   MpiStatus st = r.status;
   st.err = StatusCode::kTimedOut;
@@ -430,7 +439,8 @@ MpiStatus Engine::wait(Request req) {
   TRACE_SPAN(obs::Layer::kMpi, rank(), "adi.wait", dev_);
   assert(req.valid() && req.idx < reqs_.size());
   assert(reqs_[req.idx].state != Req::State::kFree && "wait on freed request");
-  if (!spin_until_done(req.idx)) return timeout_request(req.idx);
+  if (!progress_until([&] { return reqs_[req.idx].state == Req::State::kDone; }))
+    return timeout_request(req.idx);
   const MpiStatus st = reqs_[req.idx].status;
   free_req(req.idx);
   return st;
@@ -445,21 +455,35 @@ std::optional<MpiStatus> Engine::test(Request req) {
   return st;
 }
 
-MpiStatus Engine::probe(i32 src, u16 ctx, i32 tag) {
-  const SimTime deadline =
-      costs_.op_timeout > 0 ? dev_.now() + costs_.op_timeout : 0;
-  for (;;) {
-    if (auto st = iprobe(src, ctx, tag)) return *st;
-    if (!progress()) {
-      if (deadline != 0 && dev_.now() >= deadline) {
-        ++timeouts_;
-        MpiStatus st;
-        st.err = StatusCode::kTimedOut;
-        return st;
+std::pair<usize, MpiStatus> Engine::waitany(std::span<Request> rs) {
+  assert(!rs.empty());
+  std::pair<usize, MpiStatus> out{rs.size(), MpiStatus{}};
+  const bool done = block_until([&] {
+    bool any_valid = false;
+    for (usize i = 0; i < rs.size(); ++i) {
+      if (!rs[i].valid()) continue;
+      any_valid = true;
+      if (auto st = test(rs[i])) {
+        rs[i] = Request{};  // invalidated, like MPI_Waitany
+        out = {i, *st};
+        return true;
       }
-      dev_.idle_pause();
     }
-  }
+    assert(any_valid && "waitany with no valid requests");
+    (void)any_valid;
+    return false;
+  });
+  if (!done) out.second.err = StatusCode::kTimedOut;
+  return out;
+}
+
+MpiStatus Engine::probe(i32 src, u16 ctx, i32 tag) {
+  std::optional<MpiStatus> found;
+  if (progress_until([&] { return (found = iprobe(src, ctx, tag)).has_value(); }))
+    return *found;
+  MpiStatus st;
+  st.err = StatusCode::kTimedOut;
+  return st;
 }
 
 std::optional<MpiStatus> Engine::iprobe(i32 src, u16 ctx, i32 tag) {
@@ -504,29 +528,24 @@ void Engine::coll_send(u32 dst, u16 ctx, PktKind kind, u32 aux,
   (void)dev_.send_packet(dst, h, data);
 }
 
-std::vector<u8> Engine::coll_wait_data(u16 ctx, u32 root) {
+std::optional<std::vector<u8>> Engine::coll_wait_data(u16 ctx, u32 root) {
   auto& q = collq_[{ctx, root}];
-  while (q.empty()) {
-    if (!progress()) dev_.idle_pause();
-  }
+  if (!progress_until([&] { return !q.empty(); })) return std::nullopt;
   std::vector<u8> data = std::move(q.front());
   q.pop_front();
   dev_.cpu(costs_.coll_fast + scaled(dev_.unpack_cost(static_cast<u32>(data.size()))));
   return data;
 }
 
-void Engine::coll_wait_arrivals(u16 ctx, u32 epoch, u32 n) {
+bool Engine::coll_wait_arrivals(u16 ctx, u32 epoch, u32 n) {
   const auto key = std::make_pair(ctx, epoch);
-  while (barrier_count_[key] < n) {
-    if (!progress()) dev_.idle_pause();
-  }
+  const bool done = progress_until([&] { return barrier_count_[key] >= n; });
   barrier_count_.erase(key);
+  return done;
 }
 
-void Engine::coll_wait_release(u16 ctx, u32 epoch) {
-  while (release_epoch_[ctx] < epoch) {
-    if (!progress()) dev_.idle_pause();
-  }
+bool Engine::coll_wait_release(u16 ctx, u32 epoch) {
+  return progress_until([&] { return release_epoch_[ctx] >= epoch; });
 }
 
 }  // namespace scrnet::scrmpi

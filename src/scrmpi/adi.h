@@ -1,5 +1,5 @@
 // The Abstract Device Interface layer: request objects, matching queues
-// (posted + unexpected), the short/eager/rendezvous protocols, and the
+// (posted + unexpected), the eager/rendezvous protocols, and the
 // progress engine that drains the channel device.
 //
 // This mirrors MPICH's ADI-over-channel-interface structure the paper
@@ -13,6 +13,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "scrmpi/channel.h"
@@ -37,12 +38,13 @@ struct LayerCosts {
   SimTime probe = us(2);
   SimTime coll_fast = us(1);      // native-multicast collective bookkeeping
                                   // (thin wrapper straight onto bbp_Mcast)
-  // Bounded wait for wait()/probe(): once a blocking completion has made
-  // no progress for this much virtual time the call returns with
-  // MpiStatus::err = kTimedOut instead of spinning forever. A timed-out
-  // rendezvous request is parked as a zombie (its id is never recycled)
-  // so a late CTS/Data is dropped, not mis-matched. 0 = wait forever
-  // (the default -- the paper's blocking semantics).
+  // Bounded wait for every blocking call (wait, waitany, probe and the
+  // native-multicast collective waits): once one has waited this much
+  // virtual time it gives up -- counted in op_timeouts() -- instead of
+  // spinning forever. A timed-out rendezvous request is parked as a
+  // zombie (its id is never recycled) so a late CTS/Data is dropped, not
+  // mis-matched. 0 = wait forever (the default -- the paper's blocking
+  // semantics).
   SimTime op_timeout = 0;
   // Cap on the eager/rendezvous switch point: payloads above
   // min(device eager_limit, eager_cap) go rendezvous. 0 (the default)
@@ -67,6 +69,11 @@ class Engine {
   Request irecv(i32 src, u16 ctx, i32 tag, std::span<u8> buf);
   MpiStatus wait(Request r);
   std::optional<MpiStatus> test(Request r);
+  /// Wait until any valid request in rs completes; returns its index and
+  /// status and invalidates it (like MPI_Waitany). When op_timeout expires
+  /// first, returns index rs.size() with err = kTimedOut and leaves every
+  /// request valid.
+  std::pair<usize, MpiStatus> waitany(std::span<Request> rs);
   MpiStatus probe(i32 src, u16 ctx, i32 tag);
   std::optional<MpiStatus> iprobe(i32 src, u16 ctx, i32 tag);
 
@@ -84,17 +91,20 @@ class Engine {
                  std::span<const u8> data);
   /// Block until the next kCollData packet from `root` on `ctx`; returns
   /// its payload. Multiple broadcasts match in arrival (FIFO) order.
-  std::vector<u8> coll_wait_data(u16 ctx, u32 root);
-  /// Block until `n` kCollBarrier packets with `epoch` arrived on `ctx`.
-  void coll_wait_arrivals(u16 ctx, u32 epoch, u32 n);
-  /// Block until a kCollRelease with >= `epoch` was seen on `ctx`.
-  void coll_wait_release(u16 ctx, u32 epoch);
+  /// nullopt when op_timeout expired first.
+  std::optional<std::vector<u8>> coll_wait_data(u16 ctx, u32 root);
+  /// Block until `n` kCollBarrier packets with `epoch` arrived on `ctx`;
+  /// false when op_timeout expired first.
+  bool coll_wait_arrivals(u16 ctx, u32 epoch, u32 n);
+  /// Block until a kCollRelease with >= `epoch` was seen on `ctx`; false
+  /// when op_timeout expired first.
+  bool coll_wait_release(u16 ctx, u32 epoch);
 
   // -- statistics ----------------------------------------------------------
   u64 packets_handled() const { return packets_handled_; }
   usize unexpected_depth() const { return unexpected_.size(); }
   usize posted_depth() const { return posted_.size(); }
-  /// Blocking completions that returned kTimedOut.
+  /// Blocking waits that gave up at op_timeout.
   u64 op_timeouts() const { return timeouts_; }
   /// Packets referencing a dead (timed-out) or mismatched request, dropped.
   u64 stale_packets() const { return stale_packets_; }
@@ -140,7 +150,7 @@ class Engine {
   };
 
   struct Unexpected {
-    PktHeader hdr;            // kShort/kEager: payload present; kRndvRts: not
+    PktHeader hdr;            // kShort: payload present; kRndvRts: not
     std::vector<u8> payload;
   };
 
@@ -169,9 +179,16 @@ class Engine {
   /// placement as payload on success, empty for the copy path.
   void grant_rendezvous(u32 idx, const PktHeader& rts,
                         std::span<const u8> rts_payload);
-  /// Run the progress loop until req is done; false when costs_.op_timeout
-  /// is set and expired first.
-  bool spin_until_done(u32 idx);
+  /// The one blocking loop behind every wait: call ready() until it
+  /// reports the awaited event, idling one device poll period after each
+  /// false. Returns false, counting one op_timeouts(), once
+  /// costs_.op_timeout of virtual time passed first.
+  template <typename Ready>
+  bool block_until(Ready ready);
+  /// block_until with the usual poll: drain the device until done(),
+  /// idling only when a drain finds no packet.
+  template <typename Done>
+  bool progress_until(Done done);
   /// Tear down a request whose wait timed out (unlink or zombie it) and
   /// build the kTimedOut status to hand the caller.
   MpiStatus timeout_request(u32 idx);

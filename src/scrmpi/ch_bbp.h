@@ -53,10 +53,6 @@ class BbpChannel final : public ChannelDevice {
     return ep_.layout().max_message_bytes() / 4;
   }
 
-  /// Every packet is exactly one BBP message, so anything eager is also
-  /// "short": a single network unit with the envelope inline.
-  u32 short_limit() const override { return eager_limit(); }
-
   // Zero-copy rendezvous: any node can write any SCRAMNet address, so a
   // receiver-granted window extent (Layout::rndv_base) is a put target.
   // The ring's per-sender write ordering makes the FIN (a regular BBP

@@ -71,12 +71,6 @@ class HybridChannel final : public ChannelDevice {
     return std::max(threshold_, high_.eager_limit() - kPreambleBytes);
   }
 
-  /// Only payloads routed to the low-latency device can leave in a single
-  /// network unit; anything above threshold_ streams on the bulk network.
-  u32 short_limit() const override {
-    return std::min(threshold_, low_.short_limit());
-  }
-
   u32 threshold() const { return threshold_; }
   u64 low_packets() const { return low_pkts_; }
   u64 high_packets() const { return high_pkts_; }

@@ -47,7 +47,6 @@ class RdmaChannel final : public ChannelDevice {
   u32 eager_limit() const override {
     return fabric_.mtu_payload() - kHeaderBytes;
   }
-  u32 short_limit() const override { return eager_limit(); }
 
   // Zero-copy rendezvous: registration-based placement, NIC-executed put,
   // FIN sent only after the sender's CQE (data provably delivered).

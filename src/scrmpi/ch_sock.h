@@ -45,13 +45,6 @@ class SockChannel final : public ChannelDevice {
   /// exercised and huge sends don't monopolize socket buffers.
   u32 eager_limit() const override { return 64 * 1024; }
 
-  /// A packet fits one network unit when envelope + payload fit one TCP
-  /// segment; larger eager packets are streamed across segments.
-  u32 short_limit() const override {
-    const u32 mss = stack_.mss();
-    return mss > kHeaderBytes ? mss - kHeaderBytes : 0;
-  }
-
  private:
   netmodels::TcpStack& stack_;
   sim::Process& proc_;

@@ -25,8 +25,7 @@ namespace scrnet::scrmpi {
 
 /// Packet kinds used by the ADI protocols and collectives.
 enum class PktKind : u8 {
-  kShort = 1,     // envelope + payload inline (eager, small)
-  kEager = 2,     // envelope + payload (eager, larger; device may stream)
+  kShort = 1,     // eager: envelope + payload inline (device may stream)
   kRndvRts = 3,   // rendezvous request-to-send (aux = sender request id)
   kRndvCts = 4,   // rendezvous clear-to-send   (aux = sender request id)
   kRndvData = 5,  // rendezvous payload          (aux = receiver request id)
@@ -178,12 +177,6 @@ class ChannelDevice {
   /// Largest payload the device prefers to carry eagerly; above this the
   /// ADI switches to rendezvous.
   virtual u32 eager_limit() const = 0;
-
-  /// Largest payload the device can carry in a single network unit
-  /// (envelope + payload inline); eager packets up to eager_limit() may
-  /// need device-side streaming. The ADI marks packets at or below this
-  /// kShort and larger eager packets kEager.
-  virtual u32 short_limit() const = 0;
 
   // -------------------------------------------------------------------------
   // Optional zero-copy put capability (MPICH2/InfiniBand-style RDMA channel

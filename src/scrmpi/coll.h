@@ -51,7 +51,8 @@ inline constexpr u32 kChainSegmentBytes = 4096;
 
 /// Execution context handed to every algorithm: this rank's engine and its
 /// position in the communicator. send/recv go through the binding-cost
-/// path (one binding charge per operation, like Mpi::coll_p2p_*).
+/// path, one binding charge per operation, like MPICH collectives calling
+/// MPI_Send / MPI_Recv internally (this is where their cost comes from).
 struct Ctx {
   Engine& eng;
   const Comm& comm;

@@ -109,21 +109,9 @@ void Mpi::waitall(std::span<Request> rs, const Comm& comm) {
 }
 
 std::pair<usize, MpiStatus> Mpi::waitany(std::span<Request> rs, const Comm& comm) {
-  assert(!rs.empty());
-  for (;;) {
-    bool any_valid = false;
-    for (usize i = 0; i < rs.size(); ++i) {
-      if (!rs[i].valid()) continue;
-      any_valid = true;
-      if (auto st = test(rs[i], comm)) {
-        rs[i] = Request{};  // invalidated, like MPI_Waitany
-        return {i, *st};
-      }
-    }
-    assert(any_valid && "waitany with no valid requests");
-    (void)any_valid;
-    engine_.device().idle_pause();
-  }
+  auto [i, st] = engine_.waitany(rs);
+  if (st.source != kAnySource) st.source = comm.rank_of_world(static_cast<u32>(st.source));
+  return {i, st};
 }
 
 MpiStatus Mpi::probe(i32 src, i32 tag, const Comm& comm) {
@@ -153,22 +141,6 @@ MpiStatus Mpi::sendrecv(const void* sbuf, u32 scount, Datatype sdt, i32 dest,
   return st;
 }
 
-// ---------------------------------------------------------------------------
-// Collectives: MPICH point-to-point tree algorithms
-// ---------------------------------------------------------------------------
-
-
-void Mpi::coll_p2p_send(u32 world_dst, u16 ctx, i32 tag,
-                        std::span<const u8> data) {
-  engine_.device().cpu(engine_.costs().binding);
-  engine_.wait(engine_.isend(world_dst, ctx, tag, data));
-}
-
-void Mpi::coll_p2p_recv(u32 world_src, u16 ctx, i32 tag, std::span<u8> buf) {
-  engine_.device().cpu(engine_.costs().binding);
-  engine_.wait(engine_.irecv(static_cast<i32>(world_src), ctx, tag, buf));
-}
-
 // The point-to-point tree/ring/chain algorithm bodies live in coll.cc (the
 // zoo); dispatch below resolves a selector and hands a coll::Ctx over.
 
@@ -187,7 +159,9 @@ void Mpi::bcast_native(void* buf, u32 bytes, i32 root, const Comm& comm) {
   // transport being fire-and-forget, silently dropped with every receiver
   // blocked in coll_wait_data. Chunks from one root are matched in order
   // (the paper's non-synchronizing semantics), so receivers just
-  // accumulate until the announced byte count is complete.
+  // accumulate until the announced byte count is complete. A receiver
+  // whose wait times out (op_timeout) returns with the bytes it has, as
+  // a timed-out receive in the tree algorithms does.
   const u32 me = static_cast<u32>(rank(comm));
   const u32 cap = std::max<u32>(4, engine_.device().mcast_cap());
   if (me == static_cast<u32>(root)) {
@@ -205,8 +179,10 @@ void Mpi::bcast_native(void* buf, u32 bytes, i32 root, const Comm& comm) {
   const u32 root_world = comm.world_of(static_cast<u32>(root));
   u32 off = 0;
   do {
-    const std::vector<u8> data =
+    const std::optional<std::vector<u8>> chunk =
         engine_.coll_wait_data(comm.coll_ctx(), root_world);
+    if (!chunk) return;
+    const std::vector<u8>& data = *chunk;
     if (data.size() > bytes - off || (data.empty() && bytes != off))
       throw std::runtime_error("scrmpi: bcast size mismatch across ranks");
     if (!data.empty()) std::memcpy(static_cast<u8*>(buf) + off, data.data(), data.size());
@@ -216,7 +192,9 @@ void Mpi::bcast_native(void* buf, u32 bytes, i32 root, const Comm& comm) {
 
 void Mpi::barrier_native(const Comm& comm) {
   // Paper Section 4: rank 0 coordinates -- it collects a null message from
-  // every member, then multicasts a null release to all of them.
+  // every member, then multicasts a null release to all of them. Like the
+  // tree barriers, a wait that times out (op_timeout) does not stop the
+  // algorithm: the coordinator releases whoever it can reach.
   const u32 size = comm.size();
   if (size == 1) return;
   const u32 me = static_cast<u32>(rank(comm));
@@ -224,11 +202,11 @@ void Mpi::barrier_native(const Comm& comm) {
   const u32 epoch = ++barrier_epoch_[ctx];
 
   if (me == 0) {
-    engine_.coll_wait_arrivals(ctx, epoch, size - 1);
+    (void)engine_.coll_wait_arrivals(ctx, epoch, size - 1);
     engine_.coll_mcast(others(comm), ctx, PktKind::kCollRelease, epoch, {});
   } else {
     engine_.coll_send(comm.world_of(0), ctx, PktKind::kCollBarrier, epoch, {});
-    engine_.coll_wait_release(ctx, epoch);
+    (void)engine_.coll_wait_release(ctx, epoch);
   }
 }
 
@@ -348,16 +326,15 @@ void Mpi::reduce(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
   if (bytes) std::memcpy(acc.data(), sendbuf, bytes);
 
   // Binomial combine toward the (virtual) root.
+  coll::Ctx cx(engine_, comm);
   u32 mask = 1;
   while (mask < size) {
     if (rel & mask) {
-      const u32 parent = (rel - mask + vroot) % size;
-      coll_p2p_send(comm.world_of(parent), comm.coll_ctx(), kTagReduce, acc);
+      cx.send((rel - mask + vroot) % size, kTagReduce, acc);
       break;
     }
     if (rel + mask < size) {
-      const u32 child = (rel + mask + vroot) % size;
-      coll_p2p_recv(comm.world_of(child), comm.coll_ctx(), kTagReduce, tmp);
+      cx.recv((rel + mask + vroot) % size, kTagReduce, tmp);
       apply_reduce(dt, op, acc.data(), tmp.data(), count);
     }
     mask <<= 1;
@@ -401,17 +378,16 @@ void Mpi::gather(const void* sendbuf, u32 count, Datatype dt, void* recvbuf,
   engine_.device().cpu(engine_.costs().binding);
   const u32 me = static_cast<u32>(rank(comm));
   const u32 bytes = coll_bytes(count, dt);
+  coll::Ctx cx(engine_, comm);
   if (me != static_cast<u32>(root)) {
-    coll_p2p_send(comm.world_of(static_cast<u32>(root)), comm.coll_ctx(), kTagGather,
-                  as_bytes(sendbuf, count, dt));
+    cx.send(static_cast<u32>(root), kTagGather, as_bytes(sendbuf, count, dt));
     return;
   }
   u8* out = static_cast<u8*>(recvbuf);
   if (bytes) std::memcpy(out + static_cast<usize>(me) * bytes, sendbuf, bytes);
   for (u32 r = 0; r < comm.size(); ++r) {
     if (r == me) continue;
-    coll_p2p_recv(comm.world_of(r), comm.coll_ctx(), kTagGather,
-                  {out + static_cast<usize>(r) * bytes, bytes});
+    cx.recv(r, kTagGather, {out + static_cast<usize>(r) * bytes, bytes});
   }
 }
 
@@ -422,6 +398,7 @@ void Mpi::scatter(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
   engine_.device().cpu(engine_.costs().binding);
   const u32 me = static_cast<u32>(rank(comm));
   const u32 bytes = coll_bytes(count, dt);
+  coll::Ctx cx(engine_, comm);
   if (me == static_cast<u32>(root)) {
     const u8* in = static_cast<const u8*>(sendbuf);
     for (u32 r = 0; r < comm.size(); ++r) {
@@ -429,13 +406,11 @@ void Mpi::scatter(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
         if (bytes) std::memcpy(recvbuf, in + static_cast<usize>(r) * bytes, bytes);
         continue;
       }
-      coll_p2p_send(comm.world_of(r), comm.coll_ctx(), kTagScatter,
-                    {in + static_cast<usize>(r) * bytes, bytes});
+      cx.send(r, kTagScatter, {in + static_cast<usize>(r) * bytes, bytes});
     }
     return;
   }
-  coll_p2p_recv(comm.world_of(static_cast<u32>(root)), comm.coll_ctx(), kTagScatter,
-                as_bytes(recvbuf, count, dt));
+  cx.recv(static_cast<u32>(root), kTagScatter, as_bytes(recvbuf, count, dt));
 }
 
 void Mpi::allgather(const void* sendbuf, u32 count, Datatype dt, void* recvbuf,

@@ -113,7 +113,9 @@ class Mpi {
   std::optional<MpiStatus> test(Request r, const Comm& comm);
   void waitall(std::span<Request> rs, const Comm& comm);
   /// Waits for any request to complete; returns its index in `rs` and its
-  /// status. Completed entries are invalidated (like MPI_Waitany).
+  /// status. Completed entries are invalidated (like MPI_Waitany). When
+  /// op_timeout expires first: index rs.size(), err = kTimedOut, and every
+  /// request stays valid.
   std::pair<usize, MpiStatus> waitany(std::span<Request> rs, const Comm& comm);
   MpiStatus probe(i32 src, i32 tag, const Comm& comm);
   std::optional<MpiStatus> iprobe(i32 src, i32 tag, const Comm& comm);
@@ -154,12 +156,6 @@ class Mpi {
   Comm split(const Comm& comm, i32 color, i32 key);
 
  private:
-  /// Blocking send/recv as the p2p collective algorithms use them: through
-  /// the full MPI binding layer, exactly like MPICH collectives calling
-  /// MPI_Send / MPI_Recv internally (this is where their cost comes from).
-  void coll_p2p_send(u32 world_dst, u16 ctx, i32 tag, std::span<const u8> data);
-  void coll_p2p_recv(u32 world_src, u16 ctx, i32 tag, std::span<u8> buf);
-
   /// The paper's BBP-multicast implementations (engine collective
   /// transport, not point-to-point; the p2p zoo lives in coll.cc).
   void bcast_native(void* buf, u32 bytes, i32 root, const Comm& comm);

@@ -1,110 +1,58 @@
 #include "sweep/runner.h"
 
-#include <atomic>
+#include <cstdlib>
+#include <cstring>
+#include <string>
+
+#include "obs/sink.h"
 
 namespace scrnet::sweep {
 
 namespace {
-/// Process-wide job sequence for sink labels. Assigned at submit() time on
-/// the submitting thread, so the label of the Nth submitted job -- and
-/// with it the name of any per-run trace/counters file -- is identical at
-/// any --jobs value.
-std::atomic<u64> g_job_seq{0};
+/// Process-wide element sequence for sink labels. map() reserves one block
+/// per call on the calling thread and numbers its elements in element
+/// order, so the label of every run -- and with it the name of any per-run
+/// trace/counters file -- is identical at any --jobs value.
+std::atomic<u64> g_seq{0};
 }  // namespace
 
-std::string Runner::next_label(std::string_view base) {
-  const u64 seq = g_job_seq.fetch_add(1, std::memory_order_relaxed);
+u32 parse_jobs(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
+      return static_cast<u32>(std::atol(argv[i + 1]));
+    if (std::strncmp(argv[i], "--jobs=", 7) == 0)
+      return static_cast<u32>(std::atol(argv[i] + 7));
+  }
+  return 0;
+}
+
+Runner::Runner(u32 jobs) : jobs_(jobs) {
+  if (jobs_ == 0) jobs_ = std::max(1u, std::thread::hardware_concurrency());
+}
+
+u64 Runner::reserve_seq(usize n) {
+  return g_seq.fetch_add(n, std::memory_order_relaxed);
+}
+
+void Runner::run_element(std::string_view base, u64 seq, void* ctx,
+                         void (*body)(void*)) {
   std::string n = std::to_string(seq);
   if (n.size() < 4) n.insert(0, 4 - n.size(), '0');
-  return std::string(base) + "-" + n;
-}
-
-Runner::Runner(u32 jobs) : jobs_(jobs == 0 ? default_jobs() : jobs) {
-  if (jobs_ == 1) return;  // inline mode: no shards, no threads
-  shards_.reserve(jobs_);
-  for (u32 i = 0; i < jobs_; ++i) shards_.push_back(std::make_unique<Shard>());
-  threads_.reserve(jobs_);
-  for (u32 i = 0; i < jobs_; ++i) threads_.emplace_back([this, i] { worker(i); });
-}
-
-Runner::~Runner() {
-  if (jobs_ == 1) return;
+  // One private sink per run: simulations constructed inside the body
+  // capture it, TRACE_* hooks on this thread record into it, and armed
+  // SCRNET_TRACE / SCRNET_COUNTERS output lands in "<path>.<label>".
+  obs::Sink sink(std::string(base) + "-" + n);
+  std::exception_ptr error;
   {
-    std::unique_lock<std::mutex> lk(pool_mu_);
-    drain_cv_.wait(lk, [&] { return queued_ == 0 && active_ == 0; });
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-void Runner::enqueue(std::unique_ptr<detail::TaskBase> task) {
-  // Round-robin the submission stream across shards: with W workers and a
-  // batch of N jobs, worker i starts on job i without contending for a
-  // single shared queue; stealing rebalances from there.
-  u64 target;
-  {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    target = next_shard_++;
-    ++queued_;
-  }
-  Shard& s = *shards_[target % shards_.size()];
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    s.dq.push_back(std::move(task));
-  }
-  work_cv_.notify_one();
-}
-
-std::unique_ptr<detail::TaskBase> Runner::take(u32 me) {
-  // Own queue first, oldest first (the front is this worker's share of
-  // the submission order).
-  {
-    Shard& s = *shards_[me];
-    std::lock_guard<std::mutex> lk(s.mu);
-    if (!s.dq.empty()) {
-      auto t = std::move(s.dq.front());
-      s.dq.pop_front();
-      return t;
+    obs::Sink::Scope scope(sink);
+    try {
+      body(ctx);
+    } catch (...) {
+      error = std::current_exception();
     }
   }
-  // Steal from a sibling's back: the youngest job, the one its owner
-  // would reach last.
-  for (u32 k = 1; k < jobs_; ++k) {
-    Shard& s = *shards_[(me + k) % jobs_];
-    std::lock_guard<std::mutex> lk(s.mu);
-    if (!s.dq.empty()) {
-      auto t = std::move(s.dq.back());
-      s.dq.pop_back();
-      return t;
-    }
-  }
-  return nullptr;
-}
-
-void Runner::worker(u32 me) {
-  for (;;) {
-    std::unique_ptr<detail::TaskBase> task;
-    {
-      std::unique_lock<std::mutex> lk(pool_mu_);
-      work_cv_.wait(lk, [&] { return stop_ || queued_ > 0; });
-      if (stop_) return;
-      // queued_ > 0 does not guarantee *this* worker finds the task (a
-      // sibling may grab it between unlock and take); loop if raced.
-      lk.unlock();
-      task = take(me);
-      if (!task) continue;
-      lk.lock();
-      --queued_;
-      ++active_;
-    }
-    task->run();
-    {
-      std::lock_guard<std::mutex> lk(pool_mu_);
-      --active_;
-      if (queued_ == 0 && active_ == 0) drain_cv_.notify_all();
-    }
-  }
+  sink.flush_env();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace scrnet::sweep

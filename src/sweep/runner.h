@@ -4,43 +4,33 @@
 // A DES parameter sweep (message sizes x fabrics x node counts -- the
 // paper's own methodology, and the shape of every bench/fig* main) is
 // embarrassingly parallel: each point is one self-contained
-// sim::Simulation that shares no mutable state with its siblings. The
-// Runner exploits that:
+// sim::Simulation that shares no mutable state with its siblings.
+// Runner::map exploits that, and is the only parallel primitive:
 //
-//  * submit(fn) hands one simulation-returning-a-value job to a
-//    work-stealing thread pool and returns a Future<T>;
-//  * results are collected through the futures in *submission order*, so
-//    a sweep's output is byte-identical to running the same jobs
-//    sequentially -- at any --jobs value, in any completion order;
-//  * each job runs under its own obs::Sink (see obs/sink.h), so tracing
-//    or counters armed during a sweep write one well-formed
+//  * min(jobs, n) threads, the caller among them, claim element indices
+//    from one shared counter and store each result at its index, so a
+//    sweep's output is byte-identical to running the elements one by one
+//    -- at any --jobs value, in any completion order;
+//  * each element runs under its own obs::Sink (see obs/sink.h), so
+//    tracing or counters armed during a sweep write one well-formed
 //    "<path>.<label>" file per run instead of interleaving runs into one
 //    document.
 //
 // Determinism contract (docs/sweep.md):
-//  1. a job must not touch mutable state outside its own closure -- a
-//     sim::Simulation plus everything built on it qualifies by
-//     construction (the PR de-globalized the one exception, obs);
-//  2. each worker thread runs one simulation at a time to completion;
-//     fiber switch state (sim/fiber.cc) is thread_local, so sims on
-//     sibling workers cannot observe each other's switches;
-//  3. the value a job returns must depend only on its inputs -- virtual
-//     time, never wall clock.
-//
-// jobs == 1 degenerates to inline execution on the submitting thread (no
-// pool, no threads): the literal sequential baseline the parallel results
-// are compared against.
+//  1. an element must not touch mutable state outside its own closure --
+//     a sim::Simulation plus everything built on it qualifies by
+//     construction;
+//  2. each thread runs one simulation at a time to completion; fiber
+//     switch state (sim/fiber.cc) is thread_local, so sims on sibling
+//     threads cannot observe each other's switches;
+//  3. the value an element returns must depend only on its inputs --
+//     virtual time, never wall clock.
 #pragma once
 
-#include <condition_variable>
-#include <cstdlib>
-#include <deque>
+#include <algorithm>
+#include <atomic>
 #include <exception>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <string>
 #include <string_view>
 #include <thread>
 #include <type_traits>
@@ -48,185 +38,87 @@
 #include <vector>
 
 #include "common/types.h"
-#include "obs/sink.h"
 
 namespace scrnet::sweep {
 
-namespace detail {
-
-/// Type-erased unit of work: runs the user job under its sink and
-/// fulfills its future. noexcept -- job exceptions are captured into the
-/// future and rethrown at get().
-struct TaskBase {
-  virtual ~TaskBase() = default;
-  virtual void run() noexcept = 0;
-};
-
-template <typename T>
-struct FutureState {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  std::exception_ptr error;
-  std::optional<T> value;
-
-  void fulfill(std::optional<T>&& v, std::exception_ptr e) {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      value = std::move(v);
-      error = e;
-      done = true;
-    }
-    cv.notify_all();
-  }
-};
-
-template <typename T, typename F>
-struct Task final : TaskBase {
-  F fn;
-  std::string label;
-  std::shared_ptr<FutureState<T>> state;
-
-  Task(F&& f, std::string lbl, std::shared_ptr<FutureState<T>> st)
-      : fn(std::move(f)), label(std::move(lbl)), state(std::move(st)) {}
-
-  void run() noexcept override {
-    // One private sink per run: simulations constructed inside fn capture
-    // it, TRACE_* hooks on this thread record into it, and armed
-    // SCRNET_TRACE / SCRNET_COUNTERS output lands in "<path>.<label>".
-    obs::Sink sink(label);
-    std::optional<T> value;
-    std::exception_ptr error;
-    {
-      obs::Sink::Scope scope(sink);
-      try {
-        value.emplace(fn());
-      } catch (...) {
-        error = std::current_exception();
-      }
-    }
-    sink.flush_env();
-    state->fulfill(std::move(value), error);
-  }
-};
-
-}  // namespace detail
-
-/// Handle to one submitted job's result. get() blocks until the job
-/// finishes and rethrows any exception the job threw.
-template <typename T>
-class Future {
- public:
-  Future() = default;
-
-  bool valid() const { return st_ != nullptr; }
-
-  bool ready() const {
-    std::lock_guard<std::mutex> lk(st_->mu);
-    return st_->done;
-  }
-
-  T get() {
-    std::unique_lock<std::mutex> lk(st_->mu);
-    st_->cv.wait(lk, [&] { return st_->done; });
-    if (st_->error) std::rethrow_exception(st_->error);
-    return std::move(*st_->value);
-  }
-
- private:
-  friend class Runner;
-  explicit Future(std::shared_ptr<detail::FutureState<T>> st) : st_(std::move(st)) {}
-  std::shared_ptr<detail::FutureState<T>> st_;
-};
+/// Parse `--jobs N` / `--jobs=N` from a main's argv. Returns 0 when
+/// absent, which Runner resolves to hardware_concurrency(). The job count
+/// never changes a sweep's output, only its wall clock.
+u32 parse_jobs(int argc, char** argv);
 
 class Runner {
  public:
-  /// jobs == 0 resolves default_jobs(). jobs == 1 runs every submit
-  /// inline on the calling thread; jobs > 1 starts that many workers.
+  /// jobs == 0 resolves to std::thread::hardware_concurrency().
   explicit Runner(u32 jobs = 0);
-  /// Drains outstanding work, then stops and joins the workers.
-  ~Runner();
-
-  Runner(const Runner&) = delete;
-  Runner& operator=(const Runner&) = delete;
 
   u32 jobs() const { return jobs_; }
 
-  /// SCRNET_JOBS if set (>0), else std::thread::hardware_concurrency().
-  static u32 default_jobs() {
-    if (const char* env = std::getenv("SCRNET_JOBS")) {
-      const long v = std::atol(env);
-      if (v > 0) return static_cast<u32>(v);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
-  }
-
-  /// Submit one job; fn is invoked exactly once, on a worker thread (or
-  /// inline when jobs()==1). `label` names the job's obs::Sink output
-  /// ("<label>-<seq>" with a process-wide sequence number, so per-run
-  /// trace/counter files are unique and stable across --jobs values).
-  template <typename F, typename T = std::invoke_result_t<std::decay_t<F>&>>
-  Future<T> submit(std::string_view label, F&& fn) {
-    static_assert(!std::is_void_v<T>, "sweep jobs must return a value");
-    auto st = std::make_shared<detail::FutureState<T>>();
-    auto task = std::make_unique<detail::Task<T, std::decay_t<F>>>(
-        std::decay_t<F>(std::forward<F>(fn)), next_label(label), st);
-    if (jobs_ == 1) {
-      task->run();  // sequential baseline: run now, in submission order
-    } else {
-      enqueue(std::move(task));
-    }
-    return Future<T>(std::move(st));
-  }
-
-  template <typename F, typename T = std::invoke_result_t<std::decay_t<F>&>>
-  Future<T> submit(F&& fn) {
-    return submit("job", std::forward<F>(fn));
-  }
-
-  /// Run fn over every element, returning results in element order --
-  /// the sweep primitive the figure benches are built on.
+  /// Run fn over every element of xs and return the results in element
+  /// order. fn is called exactly once per element, possibly on several
+  /// threads at once. Element i runs under an obs::Sink labeled
+  /// "<label>-<seq>", where seq is a process-wide sequence number given
+  /// out in element order, so per-run trace/counter file names are the
+  /// same at any jobs(). If elements throw, every element still runs, and
+  /// after the join the exception of the lowest-index one is rethrown.
+  ///
+  /// Indices are claimed last element first. The figure sweeps and the
+  /// tuner grid ascend their size or node axis, and repro_all lists
+  /// abl_bcast (10.1 of the suite's 18.1 s at --jobs 1) second to last,
+  /// so the longest elements sit at the end: starting there keeps one
+  /// long element from running alone after the rest are done. The
+  /// work-stealing pool this replaced got the same effect by stealing
+  /// from the back. On a 4-core Xeon @ 2.1 GHz, claiming first element
+  /// first instead made `tuner --quick --jobs 4` 18% slower (0.70 vs
+  /// 0.60 s median, slower in 16 of 16 alternating pairs).
   template <typename In, typename F,
-            typename T = std::invoke_result_t<std::decay_t<F>&, const In&>>
-  std::vector<T> map(std::string_view label, const std::vector<In>& xs, F fn) {
-    std::vector<Future<T>> futs;
-    futs.reserve(xs.size());
-    for (const In& x : xs)
-      futs.push_back(submit(label, [fn, x]() { return fn(x); }));
-    std::vector<T> out;
-    out.reserve(futs.size());
-    for (auto& f : futs) out.push_back(f.get());
-    return out;
+            typename T = std::invoke_result_t<const F&, const In&>>
+  std::vector<T> map(std::string_view label, const std::vector<In>& xs,
+                     const F& fn) {
+    static_assert(!std::is_void_v<T>, "sweep elements must return a value");
+    const usize n = xs.size();
+    const u64 seq0 = reserve_seq(n);
+    std::vector<std::optional<T>> out(n);
+    std::vector<std::exception_ptr> errors(n);
+    std::atomic<usize> claimed{0};
+    const auto work = [&] {
+      for (usize k; (k = claimed.fetch_add(1, std::memory_order_relaxed)) < n;) {
+        const usize i = n - 1 - k;
+        auto body = [&] { out[i].emplace(fn(xs[i])); };
+        try {
+          run_element(label, seq0 + i, &body, [](void* b) {
+            (*static_cast<decltype(body)*>(b))();
+          });
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      }
+    };
+    {
+      std::vector<std::jthread> helpers;  // joined when this scope ends
+      for (usize t = 1; t < std::min<usize>(jobs_, n); ++t)
+        helpers.emplace_back(work);
+      work();
+    }
+    for (const std::exception_ptr& e : errors)
+      if (e) std::rethrow_exception(e);
+    std::vector<T> results;
+    results.reserve(n);
+    for (std::optional<T>& r : out) results.push_back(std::move(*r));
+    return results;
   }
 
  private:
-  /// Per-worker locked deque. The owner takes from the front (submission
-  /// order); an idle worker steals from another's back.
-  struct Shard {
-    std::mutex mu;
-    std::deque<std::unique_ptr<detail::TaskBase>> dq;
-  };
-
-  std::string next_label(std::string_view base);
-  void enqueue(std::unique_ptr<detail::TaskBase> task);
-  std::unique_ptr<detail::TaskBase> take(u32 me);
-  void worker(u32 me);
+  /// Take n consecutive numbers from the process-wide label sequence.
+  static u64 reserve_seq(usize n);
+  /// Run body(ctx) under its own obs::Sink labeled "<base>-<seq>" (seq
+  /// zero-padded to four digits), flush the sink, then rethrow whatever
+  /// the body threw. A plain function pointer, not std::function, which
+  /// allocates per element: that made BM_SweepThroughput/1 9% slower
+  /// (2.03 vs 1.86 ms median over 12 pairs, 4-core Xeon @ 2.1 GHz).
+  static void run_element(std::string_view base, u64 seq, void* ctx,
+                          void (*body)(void*));
 
   u32 jobs_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::thread> threads_;
-
-  // Pool state: queued counts tasks sitting in shards, active counts
-  // tasks currently executing. The destructor drains (queued+active == 0)
-  // before stopping, so futures never dangle unfulfilled.
-  std::mutex pool_mu_;
-  std::condition_variable work_cv_;   // workers: work available / stopping
-  std::condition_variable drain_cv_;  // destructor: pool went idle
-  usize queued_ = 0;
-  usize active_ = 0;
-  u64 next_shard_ = 0;
-  bool stop_ = false;
 };
 
 }  // namespace scrnet::sweep

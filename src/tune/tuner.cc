@@ -16,8 +16,8 @@
 // full sweep.
 //
 // Output is bit-identical at any --jobs: each grid cell is one
-// self-contained deterministic simulation and results are collected in
-// submission order (docs/sweep.md).
+// self-contained deterministic simulation and results are stored by
+// element index (docs/sweep.md).
 #include <cstring>
 #include <fstream>
 #include <iomanip>
@@ -35,16 +35,6 @@ using namespace scrnet;
 using namespace scrnet::tune;
 
 namespace {
-
-u32 parse_jobs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-      return static_cast<u32>(std::atol(argv[i + 1]));
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0)
-      return static_cast<u32>(std::atol(argv[i] + 7));
-  }
-  return 0;
-}
 
 const char* parse_opt(int argc, char** argv, const char* flag) {
   for (int i = 1; i + 1 < argc; ++i)
@@ -72,7 +62,7 @@ bool has_flag(int argc, char** argv, const char* flag) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  sweep::Runner runner(parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_jobs(argc, argv));
   const bool quick = has_flag(argc, argv, "--quick");
   const std::vector<u32> size_grid =
       quick ? std::vector<u32>{8, 4096} : kSweepSizes;

@@ -55,11 +55,9 @@ class MockDevice final : public ChannelDevice {
   void cpu(SimTime) override {}
   void idle_pause() override { ++stalls_; ASSERT_LT(stalls_, 1000) << "livelock"; }
   u32 eager_limit() const override { return 4096; }
-  u32 short_limit() const override { return short_limit_; }
 
   u64 sent_ = 0;
   int stalls_ = 0;
-  u32 short_limit_ = 1024;
 
  private:
   MockFabric& fab_;
@@ -118,7 +116,6 @@ class PutMockDevice final : public ChannelDevice {
   void cpu(SimTime) override {}
   void idle_pause() override { now_ += us(1); }
   u32 eager_limit() const override { return 4096; }
-  u32 short_limit() const override { return 1024; }
 
   bool supports_put() const override { return true; }
 
@@ -204,25 +201,6 @@ TEST(Engine, ShortMessageMatchesPostedRecv) {
   EXPECT_EQ(st.count_bytes, 4u);
   EXPECT_EQ(st.tag, 5);
   EXPECT_EQ(buf[2], 3);
-}
-
-TEST(Engine, ShortEagerSplitFollowsDeviceShortLimit) {
-  Pair p;
-  p.d0.short_limit_ = 16;  // device with a tiny single-unit payload size
-  std::vector<u8> small(8, 1), large(100, 2);
-  Request s1 = p.e0.isend(1, 1, 0, small);
-  Request s2 = p.e0.isend(1, 1, 1, large);
-  ASSERT_EQ(p.fab.queues_[1].size(), 2u);
-  EXPECT_EQ(p.fab.queues_[1][0].hdr.kind, PktKind::kShort);
-  EXPECT_EQ(p.fab.queues_[1][1].hdr.kind, PktKind::kEager);  // > short_limit
-  p.e0.wait(s1);
-  p.e0.wait(s2);
-  std::vector<u8> b1(8), b2(100);
-  Request r1 = p.e1.irecv(0, 1, 0, b1);
-  Request r2 = p.e1.irecv(0, 1, 1, b2);
-  EXPECT_EQ(p.e1.wait(r1).count_bytes, 8u);
-  EXPECT_EQ(p.e1.wait(r2).count_bytes, 100u);
-  EXPECT_EQ(b2[50], 2);
 }
 
 TEST(Engine, UnexpectedMessageConsumedByLaterRecv) {
@@ -354,19 +332,15 @@ TEST(Engine, CollectiveTransportCountsAndReleases) {
 }
 
 TEST(Engine, ProtocolBoundariesAreExact) {
-  // The protocol switch points are inclusive: exactly short_limit() is
-  // still a kShort, exactly eager_limit() is still a kEager; one byte more
-  // tips each over.
+  // The eager/rendezvous switch point is inclusive: exactly
+  // eager_limit() still leaves in one eager packet; one byte more goes
+  // rendezvous.
   Pair p;
-  const u32 sl = p.d0.short_limit_;  // 1024
   const u32 el = p.d0.eager_limit();  // 4096
   const struct {
     u32 bytes;
     PktKind kind;
-  } cases[] = {{sl, PktKind::kShort},
-               {sl + 1, PktKind::kEager},
-               {el, PktKind::kEager},
-               {el + 1, PktKind::kRndvRts}};
+  } cases[] = {{el, PktKind::kShort}, {el + 1, PktKind::kRndvRts}};
   i32 tag = 0;
   for (const auto& c : cases) {
     std::vector<u8> msg(c.bytes);
@@ -543,8 +517,8 @@ TEST(Engine, CollDataMatchedInFifoOrderPerRoot) {
   std::vector<u8> m1{1}, m2{2};
   p.e0.coll_mcast(dst, 4, PktKind::kCollData, 0, m1);
   p.e0.coll_mcast(dst, 4, PktKind::kCollData, 0, m2);
-  EXPECT_EQ(p.e1.coll_wait_data(4, 0)[0], 1);
-  EXPECT_EQ(p.e1.coll_wait_data(4, 0)[0], 2);
+  EXPECT_EQ(p.e1.coll_wait_data(4, 0)->at(0), 1);
+  EXPECT_EQ(p.e1.coll_wait_data(4, 0)->at(0), 2);
 }
 
 }  // namespace

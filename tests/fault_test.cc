@@ -1,10 +1,14 @@
 // Failure-injection tests: link failures on the ring, with and without
 // the redundant-cabling option, their effect on the BillBoard Protocol,
 // and the deterministic FaultPlan layer (validation, flapping links,
-// wrong-speed NICs, seeded frame loss, hierarchy host dials).
+// wrong-speed NICs, seeded frame loss, hierarchy host dials), plus the
+// bounded MPI waits that must end in a timeout when a packet is lost.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "bbp/endpoint.h"
 #include "common/bytes.h"
@@ -14,6 +18,7 @@
 #include "scramnet/hierarchy.h"
 #include "scramnet/ring.h"
 #include "scramnet/sim_port.h"
+#include "scrmpi/mpi.h"
 
 namespace scrnet::scramnet {
 namespace {
@@ -465,6 +470,75 @@ TEST(FaultPlan, HostIoDialStretchesDialedRank) {
   EXPECT_EQ(plan.fired(fault::FaultKind::kHostIo), 1u);
   EXPECT_GT(nominal[kNodes - 1], us(30));  // the flip lands mid-run
   EXPECT_GT(dialed[kNodes - 1], nominal[kNodes - 1]);
+}
+
+/// Run `body` on every rank of a 4-node MPI cluster whose link 0 (node 0 ->
+/// node 1) is down from t = 0, with op_timeout and the BBP poll_timeout
+/// both 1 ms, and return each rank's op_timeouts(). Nothing node 0 writes
+/// reaches anyone, and node 1 hears nobody.
+std::vector<u64> op_timeouts_with_link0_down(
+    const std::function<void(scrmpi::Mpi&)>& body) {
+  fault::FaultPlan plan;
+  plan.link_down(0, 0);
+  harness::ScramnetOptions opts;
+  opts.faults = &plan;
+  opts.mpi.op_timeout = ms(1);
+  opts.bbp.poll_timeout = ms(1);
+  std::vector<u64> timeouts(4, 0);
+  harness::run_scramnet_mpi(
+      4,
+      [&](sim::Process&, scrmpi::Mpi& mpi) {
+        body(mpi);
+        timeouts[static_cast<usize>(mpi.rank(mpi.world()))] =
+            mpi.engine().op_timeouts();
+      },
+      opts);
+  return timeouts;
+}
+
+TEST(FaultPlan, NativeMcastBcastTimesOutWhenRootIsCutOff) {
+  // The root's multicast never arrives: every receiver gives up at
+  // op_timeout and returns, instead of waiting for data forever.
+  const std::vector<u64> t = op_timeouts_with_link0_down([](scrmpi::Mpi& mpi) {
+    mpi.set_bcast_algo(scrmpi::CollAlgo::kNativeMcast);
+    std::vector<u8> buf(64, 1);
+    mpi.bcast(buf.data(), 64, scrmpi::Datatype::kByte, 0, mpi.world());
+  });
+  for (u32 r = 1; r < 4; ++r) EXPECT_GE(t[r], 1u) << "rank " << r;
+}
+
+TEST(FaultPlan, NativeMcastBarrierTimesOutWhenReleaseIsLost) {
+  // Rank 0 collects every arrival, but its release multicast is lost: the
+  // three waiting ranks give up at op_timeout.
+  const std::vector<u64> t = op_timeouts_with_link0_down([](scrmpi::Mpi& mpi) {
+    mpi.set_barrier_algo(scrmpi::CollAlgo::kNativeMcast);
+    mpi.barrier(mpi.world());
+  });
+  for (u32 r = 1; r < 4; ++r) EXPECT_GE(t[r], 1u) << "rank " << r;
+}
+
+TEST(FaultPlan, WaitanyTimesOutWhenMessageIsLost) {
+  // Rank 1 waits on a receive whose message rank 0 sent into the broken
+  // link: waitany returns no index and kTimedOut, the request still valid.
+  scrmpi::MpiStatus st;
+  usize idx = 0;
+  bool still_valid = false;
+  const std::vector<u64> t = op_timeouts_with_link0_down([&](scrmpi::Mpi& mpi) {
+    const scrmpi::Comm& w = mpi.world();
+    std::vector<u8> msg(16, 7), buf(16);
+    if (mpi.rank(w) == 0) {
+      mpi.send(msg.data(), 16, scrmpi::Datatype::kByte, 1, 0, w);
+    } else if (mpi.rank(w) == 1) {
+      scrmpi::Request rs[1] = {
+          mpi.irecv(buf.data(), 16, scrmpi::Datatype::kByte, 0, 0, w)};
+      std::tie(idx, st) = mpi.waitany(rs, w);
+      still_valid = rs[0].valid();
+    }
+  });
+  EXPECT_EQ(idx, 1u);
+  EXPECT_EQ(st.err, StatusCode::kTimedOut);
+  EXPECT_TRUE(still_valid);
+  EXPECT_GE(t[1], 1u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Rendezvous-protocol regression tests at the harness level (docs/adi.md):
-//   * exact protocol boundaries (short/eager/rendezvous switch points) on
-//     the real channel devices -- ch_bbp, ch_sock, ch_hybrid;
+//   * the exact eager/rendezvous switch point on the real channel devices
+//     -- ch_bbp, ch_sock, ch_hybrid;
 //   * the zero-copy billboard window end to end (reserve -> put -> FIN ->
 //     release/reuse) under a forced-low eager cap;
 //   * fault-path teardown: a ring link severed mid-rendezvous leaves both
@@ -24,9 +24,9 @@ using harness::ScramnetOptions;
 using harness::TcpFabricKind;
 using harness::TcpOptions;
 
-/// Ping rank0 -> rank1 at short_limit(), short_limit()+1, eager_limit()
-/// and eager_limit()+1 (queried from the live device, so the sweep tracks
-/// each device's real switch points). Rank 0 records the per-send
+/// Ping rank0 -> rank1 at 1 byte, eager_limit() - 1, eager_limit() and
+/// eager_limit() + 1 (queried from the live device, so the sweep tracks
+/// each device's real switch point). Rank 0 records the per-send
 /// rndv_rts() delta -- 1 iff the rendezvous path was chosen -- and rank 1
 /// verifies count and payload at every size.
 struct BoundarySweep {
@@ -39,9 +39,8 @@ struct BoundarySweep {
     return [this](sim::Process&, Mpi& mpi) {
       Engine& eng = mpi.engine();
       const Comm& w = mpi.world();
-      const u32 sl = eng.device().short_limit();
       const u32 el = eng.effective_eager_limit();
-      const u32 szs[] = {sl, sl + 1, el, el + 1};
+      const u32 szs[] = {1, el - 1, el, el + 1};
       if (mpi.rank(w) == 0) {
         eager_limit = el;
         u64 last = 0;
