@@ -20,7 +20,7 @@ double oneway_us(u32 from, u32 to, u32 bytes, HierarchyConfig cfg) {
   RingHierarchy h(sim, cfg);
   SimTime t0 = 0, t1 = 0;
   sim.spawn("tx", [&](sim::Process& p) {
-    SimHostPort port(h.leaf(h.ring_of(from)), h.local_of(from), p);
+    SimHostPort port(h, from, p);
     bbp::Endpoint ep(port, h.nodes(), from);
     std::vector<u8> msg(bytes);
     t0 = p.now();
@@ -28,7 +28,7 @@ double oneway_us(u32 from, u32 to, u32 bytes, HierarchyConfig cfg) {
     ep.drain();
   });
   sim.spawn("rx", [&](sim::Process& p) {
-    SimHostPort port(h.leaf(h.ring_of(to)), h.local_of(to), p);
+    SimHostPort port(h, to, p);
     bbp::Endpoint ep(port, h.nodes(), to);
     std::vector<u8> buf(std::max<u32>(bytes, 4));
     (void)ep.recv(from, buf);
@@ -44,7 +44,7 @@ double bcast_all_us(u32 bytes, HierarchyConfig cfg) {
   const u32 n = h.nodes();
   SimTime t0 = 0, last = 0;
   sim.spawn("root", [&](sim::Process& p) {
-    SimHostPort port(h.leaf(0), 0, p);
+    SimHostPort port(h, 0, p);
     bbp::Endpoint ep(port, n, 0);
     std::vector<u32> dests;
     for (u32 r = 1; r < n; ++r) dests.push_back(r);
@@ -55,7 +55,7 @@ double bcast_all_us(u32 bytes, HierarchyConfig cfg) {
   });
   for (u32 r = 1; r < n; ++r) {
     sim.spawn("rx" + std::to_string(r), [&, r](sim::Process& p) {
-      SimHostPort port(h.leaf(h.ring_of(r)), h.local_of(r), p);
+      SimHostPort port(h, r, p);
       bbp::Endpoint ep(port, n, r);
       std::vector<u8> buf(std::max<u32>(bytes, 4));
       (void)ep.recv(0, buf);

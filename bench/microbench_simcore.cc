@@ -9,7 +9,6 @@
 #include "netmodels/rdma.h"
 #include "scramnet/ring.h"
 #include "scramnet/sim_port.h"
-#include "scramnet/thread_backend.h"
 #include "sim/simulation.h"
 #include "sweep/runner.h"
 
@@ -270,41 +269,6 @@ void BM_BbpPingPongSim(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(msgs), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BbpPingPongSim)->Arg(4)->Arg(1024);
-
-/// BBP over the real-threads backend: actual protocol throughput.
-void BM_BbpPingPongThreads(benchmark::State& state) {
-  const u32 bytes = static_cast<u32>(state.range(0));
-  u64 msgs = 0;
-  for (auto _ : state) {
-    scramnet::ThreadBackend backend(2, 1u << 15);
-    constexpr int kIters = 200;
-    std::thread t1([&] {
-      scramnet::ThreadPort port(backend, 1);
-      bbp::Endpoint ep(port, 2, 1);
-      std::vector<u8> msg(bytes), buf(std::max<u32>(bytes, 4));
-      for (int i = 0; i < kIters; ++i) {
-        (void)ep.recv(0, buf);
-        (void)ep.send(0, msg);
-      }
-      ep.drain();
-    });
-    {
-      scramnet::ThreadPort port(backend, 0);
-      bbp::Endpoint ep(port, 2, 0);
-      std::vector<u8> msg(bytes), buf(std::max<u32>(bytes, 4));
-      for (int i = 0; i < kIters; ++i) {
-        (void)ep.send(1, msg);
-        (void)ep.recv(1, buf);
-      }
-      ep.drain();
-    }
-    t1.join();
-    msgs += 2 * 200;
-  }
-  state.counters["msgs/s"] =
-      benchmark::Counter(static_cast<double>(msgs), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_BbpPingPongThreads)->Arg(4)->Arg(1024);
 
 /// Full MPI stack over the simulated ring with the zero-copy rendezvous
 /// path forced on (billboard window + low eager cap): the wall-clock cost

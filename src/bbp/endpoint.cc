@@ -40,8 +40,7 @@ Endpoint::Endpoint(scramnet::MemPort& port, u32 procs, u32 me, Config cfg)
   inq_.resize(procs);
   last_deliv_seq_.assign(procs, 0);
   head_ = tail_ = layout_.data_base(me_);
-  if (cfg_.recv_mode == RecvMode::kInterrupt && port_.supports_wait_write()) {
-    mode_ = RecvMode::kInterrupt;
+  if (cfg_.recv_mode == RecvMode::kInterrupt) {
     // Any network write into my control partition (MESSAGE flags, ACK
     // flags) must wake me; descriptors of *other* processes live in their
     // regions and never interrupt here.
@@ -53,7 +52,7 @@ Endpoint::Endpoint(scramnet::MemPort& port, u32 procs, u32 me, Config cfg)
 void Endpoint::blocked_wait() {
   // A configured timeout needs time to advance even when the awaited write
   // never arrives; an interrupt sleep would park forever, so poll instead.
-  if (mode_ == RecvMode::kInterrupt && cfg_.poll_timeout == 0) {
+  if (cfg_.recv_mode == RecvMode::kInterrupt && cfg_.poll_timeout == 0) {
     port_.wait_write();
   } else {
     port_.poll_pause();
@@ -204,7 +203,7 @@ Status Endpoint::post(const DestSet& dests, std::span<const u8> payload,
   // 1. payload into the billboard (zero-copy from the user buffer);
   if (len_bytes > 0) {
     const std::vector<u32> words = pack_words(payload);
-    if (len_bytes >= cfg_.dma_threshold_bytes && port_.has_dma()) {
+    if (len_bytes >= cfg_.dma_threshold_bytes) {
       port_.dma_write(s.offset_words, words);
       ++stats_.dma_sends;
     } else {
@@ -459,7 +458,7 @@ Status Endpoint::rndv_put(u32 addr_words, std::span<const u8> payload) {
   // only the send setup (address arithmetic) remains.
   port_.cpu_delay(cfg_.cpu.send_setup);
   const std::vector<u32> words = pack_words(payload);
-  if (payload.size() >= cfg_.dma_threshold_bytes && port_.has_dma()) {
+  if (payload.size() >= cfg_.dma_threshold_bytes) {
     port_.dma_write(addr_words, words);
     ++stats_.dma_sends;
   } else {

@@ -42,9 +42,9 @@ class Counters;
 
 namespace scrnet::bbp {
 
-/// Protocol software-overhead model. On the simulated port these charge
-/// virtual CPU time (calibrated so a 4-byte one-way send measures 7.8 us as
-/// in the paper); on the real-threads port they are no-ops.
+/// Protocol software-overhead model: virtual CPU time charged through the
+/// port (calibrated so a 4-byte one-way send measures 7.8 us as in the
+/// paper).
 struct CpuCosts {
   SimTime send_setup = ns(600);    // alloc + slot bookkeeping
   SimTime send_per_dest = ns(60);  // destination-mask bookkeeping
@@ -58,8 +58,7 @@ struct CpuCosts {
 enum class RecvMode {
   kPolling,    // spin on PIO reads across the I/O bus (the paper's BBP)
   kInterrupt,  // sleep until the NIC interrupts on a control-partition
-               // write (the paper's Section 7 future-work direction;
-               // falls back to polling if the port cannot interrupt)
+               // write (the paper's Section 7 future-work direction)
 };
 
 struct Config {
@@ -184,8 +183,8 @@ class Endpoint {
   /// Total bytes currently reserved (0 when all rendezvous completed).
   u32 rndv_reserved_bytes() const;
 
-  /// Active receive mode (kInterrupt only if the port supports it).
-  RecvMode recv_mode() const { return mode_; }
+  /// Configured receive mode.
+  RecvMode recv_mode() const { return cfg_.recv_mode; }
 
   /// Publish stats_ into the counter registry under `group` (e.g.
   /// "bbp.rank0"); the harness calls this when counters are enabled.
@@ -236,8 +235,8 @@ class Endpoint {
 
   u32 data_end() const { return layout_.data_base(me_) + layout_.data_words; }
 
-  /// Back off while blocked: poll_pause or interrupt sleep per mode_
-  /// (always poll_pause when a poll_timeout is configured).
+  /// Back off while blocked: poll_pause or interrupt sleep per
+  /// cfg_.recv_mode (always poll_pause when a poll_timeout is configured).
   void blocked_wait();
   /// Deadline for the blocking call starting now; 0 = none.
   SimTime wait_deadline() const {
@@ -251,7 +250,6 @@ class Endpoint {
   Layout layout_;
   Config cfg_;
   u32 me_;
-  RecvMode mode_ = RecvMode::kPolling;
 
   // Sender state.
   u32 seq_next_ = 1;

@@ -11,8 +11,10 @@
 //                     ->  their leaf rings
 //
 // Every ring arbitrates its own medium through Ring's single injection
-// path. Hosts attach with SimHostPort(leaf(ring_of(n)), local_of(n), proc),
-// so BBP, scrmpi and scrshm run across the hierarchy unchanged.
+// path. Hosts attach with SimHostPort(hierarchy, n, proc), which sits on
+// leaf(ring_of(n)) and whose fence() waits until a write has crossed the
+// bridges and settled in every ring, so BBP, scrmpi and scrshm (the bakery
+// lock fences its doorway) run across the hierarchy unchanged.
 #pragma once
 
 #include <deque>

@@ -2,10 +2,12 @@
 // node of the discrete-event Ring, with PCI-era PIO timing.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 
 #include "scramnet/config.h"
+#include "scramnet/hierarchy.h"
 #include "scramnet/port.h"
 #include "scramnet/ring.h"
 #include "sim/simulation.h"
@@ -16,6 +18,14 @@ class SimHostPort final : public MemPort {
  public:
   SimHostPort(Ring& ring, u32 node, sim::Process& proc, HostTimings timings = {})
       : ring_(ring), node_(node), proc_(proc), t_(timings) {}
+
+  /// Global node `node` of a ring hierarchy: the port sits on its leaf
+  /// ring, and fence() also waits for the bridges' copies of its writes.
+  SimHostPort(RingHierarchy& h, u32 node, sim::Process& proc, HostTimings timings = {})
+      : SimHostPort(h.leaf(h.ring_of(node)), h.local_of(node), proc, timings) {
+    hier_ = &h;
+    leaf_ = h.ring_of(node);
+  }
 
   u32 bank_words() const override { return ring_.bank_words(); }
 
@@ -60,14 +70,26 @@ class SimHostPort final : public MemPort {
   u32 peek_u32(u32 word_addr) override { return ring_.host_read(node_, word_addr); }
 
   void fence() override {
-    proc_.yield();  // let this instant's flush inject the pending writes
-    const SimTime settled = ring_.settled_at(node_);
-    if (settled > proc_.now()) proc_.delay(settled - proc_.now());
+    wait_settled([&] { return ring_.settled_at(node_); });
+    if (!hier_) return;
+    // Every write has now reached this leaf's bridge, which forwards it
+    // round the backbone to the other bridges, and each of those round
+    // its own leaf ring. A bridge forwards from the event that delivered
+    // the packet to it, possibly at this very instant, and the forwarded
+    // packet injects in a flush queued behind that event: the extra yield
+    // lets both run before the next ring is read.
+    proc_.yield();
+    wait_settled([&] { return hier_->backbone().settled_at(leaf_); });
+    proc_.yield();
+    wait_settled([&] {
+      SimTime last = 0;
+      for (u32 r = 0; r < hier_->config().leaf_rings; ++r)
+        last = std::max(last, hier_->leaf(r).settled_at(0));
+      return last;
+    });
   }
 
   // -- DMA (Section 2: "programmed I/O or DMA") -----------------------------
-
-  bool has_dma() const override { return true; }
 
   void dma_write(u32 word_addr, std::span<const u32> words) override {
     if (words.empty()) return;
@@ -80,8 +102,6 @@ class SimHostPort final : public MemPort {
   }
 
   // -- interrupt-driven receive (paper Section 7 future work) --------------
-
-  bool supports_wait_write() const override { return true; }
 
   void watch_range(u32 lo, u32 hi) override {
     if (!irq_) irq_ = std::make_unique<sim::Signal>(proc_.simulation());
@@ -102,6 +122,15 @@ class SimHostPort final : public MemPort {
   sim::Process& process() { return proc_; }
 
  private:
+  /// Yield first, so the writes and bridge relays recorded at this
+  /// instant have injected, then wait until `settled()` has passed.
+  template <typename F>
+  void wait_settled(F settled) {
+    proc_.yield();
+    const SimTime t = settled();
+    if (t > proc_.now()) proc_.delay(t - proc_.now());
+  }
+
   SimTime io_t(SimTime t) const { return dials_ ? dial_scale(t, dials_->io) : t; }
   SimTime cpu_t(SimTime t) const { return dials_ ? dial_scale(t, dials_->cpu) : t; }
 
@@ -109,6 +138,8 @@ class SimHostPort final : public MemPort {
   u32 node_;
   sim::Process& proc_;
   HostTimings t_;
+  RingHierarchy* hier_ = nullptr;  // set when attached to a hierarchy
+  u32 leaf_ = 0;                   // ... then: the index of ring_ in it
   const PortDials* dials_ = nullptr;
   std::unique_ptr<sim::Signal> irq_;
   u64 pending_irqs_ = 0;

@@ -167,8 +167,8 @@ class ChannelDevice {
   /// Account CPU time spent in the MPI software layers above the device.
   virtual void cpu(SimTime dt) = 0;
 
-  /// Current virtual time (0 when the device has no clock, e.g. mocks or
-  /// real-thread backends); used only for statistics.
+  /// Current virtual time (0 when the device has no clock, e.g. test
+  /// mocks); used for statistics and bounded waits.
   virtual SimTime now() const { return 0; }
 
   /// Back off when a blocking wait makes no progress.

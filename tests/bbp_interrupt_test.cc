@@ -6,7 +6,6 @@
 #include "common/bytes.h"
 #include "scramnet/ring.h"
 #include "scramnet/sim_port.h"
-#include "scramnet/thread_backend.h"
 
 namespace scrnet::bbp {
 namespace {
@@ -36,13 +35,6 @@ TEST(BbpInterrupt, ModeActiveOnSimPort) {
     EXPECT_EQ(ep.recv_mode(), RecvMode::kInterrupt);
   });
   sim.run();
-}
-
-TEST(BbpInterrupt, FallsBackToPollingWithoutSupport) {
-  scramnet::ThreadBackend backend(2, 4096);
-  scramnet::ThreadPort port(backend, 0);
-  Endpoint ep(port, 2, 0, irq_cfg());
-  EXPECT_EQ(ep.recv_mode(), RecvMode::kPolling);
 }
 
 TEST(BbpInterrupt, DeliversAcrossLongIdleGaps) {

@@ -5,7 +5,6 @@
 #include "common/bytes.h"
 #include "scramnet/ring.h"
 #include "scramnet/sim_port.h"
-#include "scramnet/thread_backend.h"
 
 namespace scrnet::scramnet {
 namespace {
@@ -49,16 +48,6 @@ TEST(Dma, LaterPioWriteStaysOrderedBehindDma) {
   });
   sim.run();
   EXPECT_TRUE(checked);
-}
-
-TEST(Dma, ThreadPortFallsBackToPio) {
-  ThreadBackend backend(2, 4096);
-  ThreadPort port(backend, 0);
-  EXPECT_FALSE(port.has_dma());
-  const u32 w[2] = {5, 6};
-  port.dma_write(10, w);  // PIO fallback still delivers
-  EXPECT_EQ(backend.read(1, 10), 5u);
-  EXPECT_EQ(backend.read(1, 11), 6u);
 }
 
 TEST(Dma, BbpUsesDmaAboveThreshold) {

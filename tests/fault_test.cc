@@ -418,7 +418,7 @@ TEST(FaultPlan, HierarchyNodesHonorHostDials) {
     EXPECT_TRUE(p.arm_hosts(sim, h.nodes()).ok());
     SimTime done = 0;
     sim.spawn("writer", [&](sim::Process& pr) {
-      SimHostPort port(h.leaf(h.ring_of(1)), h.local_of(1), pr);
+      SimHostPort port(h, 1, pr);
       port.set_dials(p.dials(1));
       pr.delay(us(1));  // let the dial events at t=0 take effect
       for (u32 i = 0; i < 16; ++i) {

@@ -7,6 +7,8 @@
 #include "scramnet/hierarchy.h"
 #include "scramnet/sim_port.h"
 #include "scrshm/barrier.h"
+#include "scrshm/mutex.h"
+#include "seeded_timing.h"
 
 namespace scrnet::scramnet {
 namespace {
@@ -23,11 +25,6 @@ HierarchyConfig small_h() {
   cfg.leaf.nodes = 4;
   cfg.leaf.bank_words = 1u << 14;
   return cfg;
-}
-
-/// The timed port of global node `n`: a SimHostPort on its leaf ring.
-SimHostPort port_of(RingHierarchy& h, u32 n, sim::Process& p) {
-  return SimHostPort(h.leaf(h.ring_of(n)), h.local_of(n), p);
 }
 
 TEST(Hierarchy, TopologyMath) {
@@ -146,7 +143,7 @@ TEST(Hierarchy, InterruptReceiveAtBridgeNode) {
   c.recv_mode = bbp::RecvMode::kInterrupt;
   bool sent = false, received = false;
   sim.spawn("tx", [&](sim::Process& p) {
-    SimHostPort port = port_of(h, 4, p);
+    SimHostPort port(h, 4, p);
     bbp::Endpoint ep(port, h.nodes(), 4, c);
     std::vector<u8> msg(16);
     fill_pattern(msg, 3);
@@ -155,7 +152,7 @@ TEST(Hierarchy, InterruptReceiveAtBridgeNode) {
     sent = true;
   });
   sim.spawn("rx", [&](sim::Process& p) {
-    SimHostPort port = port_of(h, 0, p);
+    SimHostPort port(h, 0, p);
     bbp::Endpoint ep(port, h.nodes(), 0, c);
     std::vector<u8> buf(16);
     ASSERT_TRUE(ep.recv(4, buf).ok());
@@ -174,7 +171,7 @@ TEST(Hierarchy, BbpRunsAcrossRings) {
   RingHierarchy h(sim, small_h());
   u32 got_mcast = 0;
   sim.spawn("sender", [&](sim::Process& p) {
-    SimHostPort port = port_of(h, 1, p);
+    SimHostPort port(h, 1, p);
     bbp::Endpoint ep(port, 12, 1);
     ASSERT_TRUE(ep.send(6, make_span_msg()).ok());
     std::vector<u32> dests;
@@ -186,7 +183,7 @@ TEST(Hierarchy, BbpRunsAcrossRings) {
   for (u32 r = 0; r < 12; ++r) {
     if (r == 1) continue;
     sim.spawn("rx" + std::to_string(r), [&, r](sim::Process& p) {
-      SimHostPort port = port_of(h, r, p);
+      SimHostPort port(h, r, p);
       bbp::Endpoint ep(port, 12, r);
       std::vector<u8> buf(24);
       if (r == 6) {  // gets the p2p message first (in-order from sender 1)
@@ -215,7 +212,7 @@ TEST(Hierarchy, ShmBarrierAcrossRings) {
   bool ok = true;
   for (u32 id = 0; id < kN; ++id) {
     sim.spawn("p" + std::to_string(id), [&, id](sim::Process& p) {
-      SimHostPort port = port_of(h, id, p);
+      SimHostPort port(h, id, p);
       scrshm::Arena arena(0, 1024);
       scrshm::DisseminationBarrier bar(port, arena, kN, id);
       for (u32 phase = 0; phase < kPhases; ++phase) {
@@ -228,6 +225,68 @@ TEST(Hierarchy, ShmBarrierAcrossRings) {
   }
   sim.run();
   EXPECT_TRUE(ok);
+}
+
+TEST(Hierarchy, FenceWaitsForEveryRing) {
+  // A fence returns only once the write is in every bank of the system,
+  // from every kind of node: a bridge, and a leaf node whose packets reach
+  // their bridge on the last hop or on the first.
+  for (u32 writer : {0u, 1u, 2u, 4u}) {
+    sim::Simulation sim;
+    HierarchyConfig cfg = small_h();
+    cfg.leaf_rings = 2;
+    cfg.leaf.nodes = 3;
+    RingHierarchy h(sim, cfg);
+    u32 missing = 0;
+    sim.spawn("writer", [&](sim::Process& p) {
+      SimHostPort port(h, writer, p);
+      port.write_u32(200, 7);
+      port.fence();
+      p.yield();  // past deliveries landing at the fence's own instant
+      for (u32 n = 0; n < h.nodes(); ++n) missing += h.host_read(n, 200) != 7u;
+    });
+    sim.run();
+    EXPECT_EQ(missing, 0u) << "writer " << writer;
+  }
+}
+
+TEST(Hierarchy, BakeryExcludesAcrossRings) {
+  // The bakery lock fences its doorway; across bridges that fence must
+  // wait for the other rings too, or two processes enter together. Slow
+  // bridges stretch cross-ring propagation the way the seeded hop band
+  // stretches a ring's, so a fence covering only the leaf ring fails on
+  // many more seeds than with the nominal 2 us bridges.
+  constexpr u32 kN = 6;
+  constexpr int kRounds = 6;
+  const auto run = [](u64 seed) {
+    seeded::Timing t(seed, kN, RingConfig{.nodes = 3, .bank_words = 4096});
+    sim::Simulation sim;
+    HierarchyConfig cfg;
+    cfg.leaf_rings = 2;
+    cfg.leaf = t.ring;
+    cfg.bridge_latency = us(20);
+    RingHierarchy h(sim, cfg);
+    int in_cs = 0, max_in_cs = 0;
+    for (u32 id = 0; id < kN; ++id) {
+      sim.spawn(std::string("p") + std::to_string(id), [&, id](sim::Process& p) {
+        SimHostPort port(h, id, p);
+        scrshm::Arena arena(0, 256);
+        scrshm::BakeryMutex mu(port, arena, kN, id);
+        t.enter(p, id);
+        for (int i = 0; i < kRounds; ++i) {
+          mu.lock();
+          max_in_cs = std::max(max_in_cs, ++in_cs);
+          p.delay(ns(500) + static_cast<SimTime>(t.rng[id].below(us(5))));
+          --in_cs;
+          mu.unlock();
+          p.delay(static_cast<SimTime>(t.rng[id].below(us(5))));
+        }
+      });
+    }
+    sim.run();
+    return max_in_cs == 1;
+  };
+  EXPECT_EQ(seeded::first_failing_seed(256, run), std::nullopt);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "common/bytes.h"
 #include "harness/cluster.h"
+#include "seeded_timing.h"
 
 namespace scrnet::scrmpi {
 namespace {
@@ -434,6 +435,102 @@ TEST(MpiNative, MixedAlgosAgree) {
       mpi.barrier(w);
     }
   });
+}
+
+// ---------------------------------------------------------------------------
+// Seeded adversarial timing (seeded_timing.h): the whole MPI stack over
+// ch_bbp must hold under every propagation timing.
+// ---------------------------------------------------------------------------
+
+/// The first of 256 seeds on which `body(p, mpi, rng)`, run on every rank
+/// of an `n`-node ch_bbp cluster, fails. 4 Ki-word banks: zero-filling the
+/// default 4 MiB ones would cost more than the runs.
+std::optional<u64> first_failing_seed(
+    u32 n, const std::function<void(sim::Process&, Mpi&, Rng&)>& body) {
+  return seeded::first_failing_seed(256, [&](u64 seed) {
+    seeded::Timing t(seed, n, scramnet::RingConfig{.bank_words = 4096});
+    harness::ScramnetOptions opts;
+    opts.ring = t.ring;
+    run_scramnet_mpi(
+        n,
+        [&](sim::Process& p, Mpi& mpi) {
+          const u32 r = static_cast<u32>(mpi.rank(mpi.world()));
+          t.enter(p, r);
+          body(p, mpi, t.rng[r]);
+        },
+        opts);
+    return true;
+  });
+}
+
+TEST(MpiSeeded, PingPong) {
+  const auto body = [](sim::Process& p, Mpi& mpi, Rng& rng) {
+    const Comm& w = mpi.world();
+    std::vector<u8> buf(256), msg(256);
+    for (int i = 0; i < 10; ++i) {
+      if (mpi.rank(w) == 0) {
+        fill_pattern(msg, static_cast<u32>(i));
+        mpi.send(msg.data(), 256, Datatype::kByte, 1, i, w);
+        MpiStatus st = mpi.recv(buf.data(), 256, Datatype::kByte, 1, i, w);
+        EXPECT_EQ(st.tag, i);
+        EXPECT_TRUE(check_pattern(buf, static_cast<u32>(i) ^ 0x55u));
+      } else {
+        mpi.recv(buf.data(), 256, Datatype::kByte, 0, i, w);
+        EXPECT_TRUE(check_pattern(buf, static_cast<u32>(i)));
+        fill_pattern(msg, static_cast<u32>(i) ^ 0x55u);
+        mpi.send(msg.data(), 256, Datatype::kByte, 0, i, w);
+      }
+      p.delay(static_cast<SimTime>(rng.below(us(3))));
+    }
+  };
+  EXPECT_EQ(first_failing_seed(2, body), std::nullopt);
+}
+
+TEST(MpiSeeded, NativeMcastCollectives) {
+  const auto body = [](sim::Process& p, Mpi& mpi, Rng& rng) {
+    const Comm& w = mpi.world();
+    mpi.set_bcast_algo(CollAlgo::kNativeMcast);
+    mpi.set_barrier_algo(CollAlgo::kNativeMcast);
+    for (u32 round = 0; round < 5; ++round) {
+      u32 v = (mpi.rank(w) == 0) ? round * 7 + 1 : 0u;
+      mpi.bcast(&v, 1, Datatype::kUint32, 0, w);
+      EXPECT_EQ(v, round * 7 + 1);
+      i32 sum = 0;
+      const i32 mine = mpi.rank(w) + 1;
+      mpi.allreduce(&mine, &sum, 1, Datatype::kInt32, ReduceOp::kSum, w);
+      EXPECT_EQ(sum, 10);
+      mpi.barrier(w);
+      p.delay(static_cast<SimTime>(rng.below(us(3))));
+    }
+  };
+  EXPECT_EQ(first_failing_seed(4, body), std::nullopt);
+}
+
+TEST(MpiSeeded, ManyToOneWildcards) {
+  constexpr int kPer = 20;
+  const auto body = [](sim::Process& p, Mpi& mpi, Rng& rng) {
+    const Comm& w = mpi.world();
+    const i32 r = mpi.rank(w);
+    if (r == 0) {
+      // From each sender s in {1,2,3}: s*1000 + i, in order, i < kPer.
+      std::vector<i64> next(4, 0);
+      for (int i = 0; i < 3 * kPer; ++i) {
+        i64 v = 0;
+        MpiStatus st = mpi.recv(&v, 1, Datatype::kInt64, kAnySource, kAnyTag, w);
+        ASSERT_TRUE(st.source >= 1 && st.source <= 3);
+        EXPECT_EQ(st.tag, st.source);
+        EXPECT_EQ(v, st.source * 1000 + next[static_cast<usize>(st.source)]++);
+      }
+      EXPECT_EQ(next, (std::vector<i64>{0, kPer, kPer, kPer}));
+    } else {
+      for (int i = 0; i < kPer; ++i) {
+        const i64 v = static_cast<i64>(r) * 1000 + i;
+        mpi.send(&v, 1, Datatype::kInt64, 0, r, w);
+        p.delay(static_cast<SimTime>(rng.below(us(2))));
+      }
+    }
+  };
+  EXPECT_EQ(first_failing_seed(4, body), std::nullopt);
 }
 
 // ---------------------------------------------------------------------------
