@@ -5,7 +5,8 @@
 // `abl_ring_scaling --large` extends the sweep with N=64 and N=256 rows
 // (the DestSet-era world sizes; 256 is the flat ring's architectural max).
 // The large rows are opt-in so the default output stays byte-identical to
-// the committed golden; the CI build-test job runs them as a smoke point.
+// the committed golden; CI diffs the --large output against its own golden,
+// bench/golden/abl_ring_scaling_large.txt, which repro_all does not rewrite.
 #include <cstring>
 #include <iostream>
 

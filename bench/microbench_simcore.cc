@@ -180,12 +180,10 @@ void BM_Ring64Stream(benchmark::State& state) {
 BENCHMARK(BM_Ring64Stream)->Unit(benchmark::kMillisecond);
 
 /// Large-N broadcast sweep: one word written per round, then the packet
-/// walks every downstream node of an Arg-node ring on a quiet medium. The
-/// coalesced walk applies the whole tail inside one host event (strictly
-/// below the inline-apply bound), so host events per broadcast packet stay
-/// O(1) instead of O(N) -- the headline "events/packet" counter is ~255 on
-/// the per-hop walk at N=256 and ~2 here. Virtual times are bit-identical
-/// either way; only the host cost changes.
+/// walks every downstream node of an Arg-node ring on a quiet medium. Every
+/// hop is its own host event, so the "events/packet" counter reads N: the
+/// injection flush plus N-1 hops. This is the walk's worst case; in the
+/// figures, spinning pollers fill the queue between hops anyway.
 void BM_RingWalk256(benchmark::State& state) {
   const u32 nodes = static_cast<u32>(state.range(0));
   constexpr int kRounds = 512;
@@ -196,7 +194,7 @@ void BM_RingWalk256(benchmark::State& state) {
                         scramnet::RingConfig{.nodes = nodes, .bank_words = 1u << 12});
     for (int r = 0; r < kRounds; ++r) {
       ring.host_write(static_cast<u32>(r) % nodes, 16, static_cast<u32>(r));
-      sim.run();  // quiet ring: the whole broadcast tail coalesces
+      sim.run();  // quiet ring: one event per downstream hop
     }
     events += sim.events_executed();
     packets += kRounds;

@@ -68,7 +68,8 @@ SimTime Ring::inject_packet(u32 src, u32 word_addr, std::span<const u32> words,
   // serialization. Link state is sampled here, at injection, exactly as the
   // old per-node event posting did: a failed link on the path loses the
   // packet for nodes beyond it (no redundancy) or delays them past the
-  // switchover. One pooled walk event then carries the packet hop to hop.
+  // switchover. One pooled walk record then carries the packet hop to hop,
+  // one event per hop.
   u32 first_broken = kNoBrokenHop;
   for (u32 k = 1; k < cfg_.nodes; ++k) {
     if (link_failed_[(src + k - 1) % cfg_.nodes]) {
@@ -108,65 +109,18 @@ SimTime Ring::hop_time(const Walk& w, u32 k) const {
 }
 
 void Ring::walk_hop(Walk* w) {
-  // A real hop event, executing at hop w->k's own tick.
+  // Hop w->k runs at its own tick: deliver, run the node's tap, then post
+  // hop k+1.
   const u32 dst = (w->src + w->k) % cfg_.nodes;
   deliver(dst, w->word_addr, w->data(), w->nwords);
   if (const Relay& relay = hooks_[dst].relay)
     relay(w->word_addr, std::span<const u32>(w->data(), w->nwords), sim_.now());
-  walk_advance(w);
-}
-
-void Ring::walk_advance(Walk* w) {
-  // Hop w->k has been delivered. Keep walking *inside this event* for as
-  // long as the next hop is provably unobservable: no tap and no IRQ watch
-  // on the written range at the target (both must run at their own hop
-  // time), and strictly below the kernel's inline-apply bound -- every other
-  // observer (queued event, process resume, run_until return) runs at or
-  // past that bound, and no event can ever be created below it, so
-  // applying the bank update early is invisible. Virtual-time results are
-  // bit-identical to the per-hop event posting; only the host event count
-  // drops: a quiet-ring broadcast at N=256 coalesces all 255 downstream
-  // deliveries into one event. The bound is recomputed every hop because
-  // the hop just applied may have tightened it (an IRQ handler on the
-  // *current* hop can post events).
-  //
-  // When a hop *does* need a real event, post it from the previous hop's
-  // own tick -- the tick the one-event-per-hop reference posted it from --
-  // bouncing through a relay event first if this event has coalesced past
-  // that tick. Insertion order is the tiebreak for same-picosecond events,
-  // so posting the hop from anywhere earlier would let it jump ahead of
-  // equal-time observers (a poll read, a seq_flush) that the reference
-  // ordered before it. The relay's own tick is below the bound, so it
-  // collides with nothing.
-  for (;;) {
-    if (w->k >= w->last_hop) {
-      release_walk(w);
-      return;
-    }
-    const SimTime t_prev = hop_time(*w, w->k);
-    const u32 next_k = w->k + 1;
-    const u32 next = (w->src + next_k) % cfg_.nodes;
-    const SimTime t = hop_time(*w, next_k);
-    const NodeHooks& h = hooks_[next];
-    const bool stop = h.relay || (h.irq.handler && w->word_addr < h.irq.hi &&
-                                  w->word_addr + w->nwords > h.irq.lo);
-    const bool observable = t >= sim_.inline_apply_bound();
-    if (stop || observable) [[unlikely]] {
-      if (observable && sim_.now() != t_prev) {
-        // A tap or IRQ stop below the bound needs no relay event: ticks
-        // below the bound stay event-free, so nothing can tie with the hop.
-        sim_.post_at(t_prev, [this, w] { walk_advance(w); });
-        return;
-      }
-      w->k = next_k;
-      sim_.post_at(t, [this, w] { walk_hop(w); });
-      return;
-    }
-    // Inline-apply hop next_k at its (future) time t and keep walking.
-    w->k = next_k;
-    deliver(next, w->word_addr, w->data(), w->nwords);
-    sim_.note_inline_apply(t);
+  if (w->k >= w->last_hop) {
+    release_walk(w);
+    return;
   }
+  ++w->k;
+  sim_.post_at(hop_time(*w, w->k), [this, w] { walk_hop(w); });
 }
 
 Ring::Walk* Ring::acquire_walk() {
@@ -188,7 +142,10 @@ void Ring::release_walk(Walk* w) {
 void Ring::deliver(u32 dst, u32 word_addr, const u32* words, u32 nwords) {
   auto& bank = banks_[dst];
   assert(word_addr + nwords <= bank.size());
-  for (u32 i = 0; i < nwords; ++i) bank[word_addr + i] = words[i];
+  // Index from a pointer: `bank[word_addr + i]` may wrap in 32 bits, which
+  // keeps GCC from vectorizing the copy of a 256-word variable-mode packet.
+  u32* out = bank.data() + word_addr;
+  for (u32 i = 0; i < nwords; ++i) out[i] = words[i];
   const IrqRange& r = hooks_[dst].irq;
   if (r.handler) {
     const u32 end = word_addr + nwords;
@@ -306,8 +263,6 @@ void Ring::set_interrupt(u32 node, u32 lo_addr, u32 hi_addr,
   assert(node < cfg_.nodes && lo_addr <= hi_addr);
   hooks_[node].irq = IrqRange{lo_addr, hi_addr, std::move(handler)};
 }
-
-void Ring::clear_interrupt(u32 node) { hooks_[node].irq = IrqRange{}; }
 
 void Ring::publish_counters(obs::Counters& c, std::string_view group) const {
   c.add(group, "packets_sent", packets_sent());

@@ -67,13 +67,12 @@ class Ring {
   /// receive ablation (the paper's "future work" direction).
   void set_interrupt(u32 node, u32 lo_addr, u32 hi_addr,
                      std::function<void(u32 addr)> handler);
-  void clear_interrupt(u32 node);
 
   /// Tap `node`: `fn(word_addr, words, at)` runs for every packet that
   /// reaches it -- a network delivery in that hop's own event (`at` = the
   /// hop time), and a packet `node`'s own host wrote when it is injected
   /// (`at` = its serialization-done time). Packets that entered through
-  /// relay_write are never tapped. A tapped node stops coalesced walks.
+  /// relay_write are never tapped.
   using Relay = std::function<void(u32 word_addr, std::span<const u32> words, SimTime at)>;
   void set_relay(u32 node, Relay fn) { hooks_[node].relay = std::move(fn); }
 
@@ -135,8 +134,8 @@ class Ring {
   /// One in-flight packet working its way around the ring. The payload
   /// lives inline for small packets (every kFixed4 packet and every single
   /// host_write) and in a capacity-recycled vector for large variable-mode
-  /// chunks. A single event per packet walks hop to hop instead of one
-  /// pre-posted event per downstream node.
+  /// chunks. Each hop's event posts the next hop instead of pre-posting
+  /// one event per downstream node.
   static constexpr u32 kInlinePacketWords = 8;
   static constexpr u32 kNoBrokenHop = std::numeric_limits<u32>::max();
   struct Walk {
@@ -180,7 +179,6 @@ class Ring {
   /// redundant ring when the path was broken at injection).
   SimTime hop_time(const Walk& w, u32 k) const;
   void walk_hop(Walk* w);
-  void walk_advance(Walk* w);
 
   Walk* acquire_walk();
   void release_walk(Walk* w);

@@ -118,9 +118,6 @@ class SimHostPort final : public MemPort {
     proc_.delay(t_.irq_dispatch);  // handler + process wakeup
   }
 
-  const HostTimings& timings() const { return t_; }
-  sim::Process& process() { return proc_; }
-
  private:
   /// Yield first, so the writes and bridge relays recorded at this
   /// instant have injected, then wait until `settled()` has passed.

@@ -103,7 +103,6 @@ class Engine {
   // -- statistics ----------------------------------------------------------
   u64 packets_handled() const { return packets_handled_; }
   usize unexpected_depth() const { return unexpected_.size(); }
-  usize posted_depth() const { return posted_.size(); }
   /// Blocking waits that gave up at op_timeout.
   u64 op_timeouts() const { return timeouts_; }
   /// Packets referencing a dead (timed-out) or mismatched request, dropped.

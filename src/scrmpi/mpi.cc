@@ -217,7 +217,7 @@ void Mpi::barrier_native(const Comm& comm) {
 std::string_view Mpi::table_pick(std::string_view op, u32 nodes,
                                  u32 bytes) {
   const tune::DecisionTable& t =
-      table_ ? *table_ : tune::DecisionTable::active();
+      table_ ? *table_ : tune::DecisionTable::builtin();
   return t.pick(engine_.device().kind(), op, nodes, bytes);
 }
 

@@ -89,10 +89,9 @@ class Mpi {
   /// MPI_Allgather algorithm.
   void set_allgather_algo(AllgatherAlgo a) { allgather_algo_ = a; }
 
-  /// Override the decision table kAuto consults (default: the process
-  /// table, i.e. DecisionTable::active() -- the compiled-in sweep result
-  /// unless SCRNET_COLL_TABLE names a file). Not owned; must outlive the
-  /// Mpi instance.
+  /// Override the decision table kAuto consults (default:
+  /// DecisionTable::builtin(), the compiled-in sweep result). Tests inject
+  /// tables here. Not owned; must outlive the Mpi instance.
   void set_decision_table(const tune::DecisionTable* t) { table_ = t; }
 
   Engine& engine() { return engine_; }

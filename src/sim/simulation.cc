@@ -166,22 +166,12 @@ void Simulation::run() {
     while (step()) {
     }
   }
-  // A coalesced tail may have applied deliveries past the last event; the
-  // run still ends at the last delivery's virtual time.
-  if (now_ < inline_mark_) now_ = inline_mark_;
   // Queue drained: every process must have finished, otherwise we deadlocked.
   check_deadlock();
 }
 
 bool Simulation::run_until(SimTime t) {
   obs::Sink::Scope obs_scope(*sink_);
-  // The caller observes state the moment this returns, so nothing may be
-  // applied inline past the boundary (inline_apply_bound honors this cap).
-  struct CapReset {
-    SimTime* cap;
-    ~CapReset() { *cap = kNever; }
-  } cap_reset{&inline_cap_};
-  inline_cap_ = t + 1;
   while (!queue_.empty() && queue_.next_time() <= t) {
     step();
     check_time_limit();  // the safety valve guards bounded runs too

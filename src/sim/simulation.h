@@ -23,11 +23,9 @@
 // process names (a real protocol bug surface, exercised by tests).
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -173,37 +171,12 @@ class Simulation {
   /// (0 = unlimited).
   void set_time_limit(SimTime t) { time_limit_ = t; }
 
-  /// Exclusive upper bound on virtual times the currently executing event
-  /// may *apply inline* -- mutate state timestamped in the future without
-  /// posting an event for it. Sound because every other observer (a queued
-  /// event, a process resume, a run_until return) runs at or after this
-  /// bound, so a state change timestamped strictly below it is applied
-  /// before anything could have read the old value. The ring's coalesced
-  /// packet walk uses this to deliver a run of hops inside one pooled
-  /// event. Recomputed after every inline application: the applied work
-  /// may itself have posted events (e.g. an IRQ handler's reaction) that
-  /// tighten the bound.
-  SimTime inline_apply_bound() {
-    SimTime bound = inline_cap_;
-    if (!queue_.empty()) bound = std::min(bound, queue_.next_time());
-    if (time_limit_ > 0) bound = std::min(bound, time_limit_ + 1);
-    return bound;
-  }
-
-  /// Record that the running event applied state with virtual time `t`
-  /// inline (t must be below inline_apply_bound()).
-  void note_inline_apply(SimTime t) {
-    if (inline_mark_ < t) inline_mark_ = t;
-  }
-
   u64 events_executed() const { return queue_.executed(); }
   usize live_processes() const;
 
   /// Event-storage counters (pool growth, inline vs heap callables) -- the
   /// allocation-free guarantee is asserted against these in tests.
   EventQueue::Stats queue_stats() const { return queue_.stats(); }
-  /// Events currently queued (device callbacks + process resumes).
-  usize events_pending() const { return queue_.size(); }
 
   /// Fiber stack-pool counters (mmap'd vs recycled stacks).
   detail::StackPool::Stats stack_stats() const { return stacks_.stats(); }
@@ -216,13 +189,10 @@ class Simulation {
   /// job's private sink inside a sweep::Runner job. run()/run_until()
   /// (re)install it as the thread-current sink for their duration.
   obs::Sink& sink() const { return *sink_; }
-  void set_sink(obs::Sink& s) { sink_ = &s; }
 
  private:
   friend class Process;
   friend class Signal;
-
-  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
   /// Schedule process resume at absolute time t.
   void schedule_resume(Process& p, SimTime t);
@@ -250,17 +220,6 @@ class Simulation {
   detail::StackPool stacks_;
   detail::FiberContext kctx_;  // the context that called run()
   std::vector<std::unique_ptr<Process>> procs_;
-
-  /// Exclusive bound on virtual times the running event may apply inline
-  /// (see inline_apply_bound): the boundary during a run_until, max()
-  /// otherwise.
-  SimTime inline_cap_ = kNever;
-
-  /// Latest virtual time applied inline (coalesced walk deliveries run
-  /// ahead of the event clock). run() ends at the max of this and now_, so
-  /// a run whose *tail* is coalesced still ends at the last delivery's
-  /// virtual time exactly like the one-event-per-hop reference.
-  SimTime inline_mark_ = 0;
 };
 
 /// Condition-variable analog for simulated processes.

@@ -1,7 +1,6 @@
 #include "tune/table.h"
 
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -68,14 +67,6 @@ DecisionTable DecisionTable::parse(std::string_view text) {
   return t;
 }
 
-DecisionTable DecisionTable::load(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("tune: cannot read table '" + path + "'");
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return parse(buf.str());
-}
-
 std::string_view DecisionTable::pick(std::string_view device,
                                      std::string_view op, u32 nodes,
                                      u32 bytes) const {
@@ -103,15 +94,6 @@ const DecisionTable& DecisionTable::builtin() {
 #include "tune/builtin_table.inc"
   );
   return t;
-}
-
-const DecisionTable& DecisionTable::active() {
-  static const DecisionTable* t = []() -> const DecisionTable* {
-    if (const char* path = std::getenv("SCRNET_COLL_TABLE"))
-      return new DecisionTable(load(path));
-    return &builtin();
-  }();
-  return *t;
 }
 
 }  // namespace scrnet::tune

@@ -360,7 +360,9 @@ TEST(Bbp, ThirtyTwoProcsCanSendAndMcast) {
       std::vector<u8> buf(16);
       ASSERT_TRUE(ep.recv(0, buf).ok());
       EXPECT_TRUE(check_pattern(buf, 5));
-      if (r == kProcs - 1) ASSERT_TRUE(ep.send(0, make_msg(16, 6)).ok());
+      if (r == kProcs - 1) {
+        ASSERT_TRUE(ep.send(0, make_msg(16, 6)).ok());
+      }
       ep.drain();
     });
   }

@@ -11,9 +11,7 @@
 // in six mpi.cc call sites).
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <vector>
 
@@ -398,18 +396,6 @@ TEST(DecisionTableTest, ParseErrors) {
                std::invalid_argument);
   EXPECT_THROW(DecisionTable::parse("table v1\nbbp bcast four * native\n"),
                std::invalid_argument);
-}
-
-TEST(DecisionTableTest, LoadFromFile) {
-  const std::string path = ::testing::TempDir() + "/coll_table_test.txt";
-  {
-    std::ofstream f(path);
-    f << kTableText;
-  }
-  const DecisionTable t = DecisionTable::load(path);
-  EXPECT_EQ(t.pick("bbp", "bcast", 4, 1024), "native");
-  std::remove(path.c_str());
-  EXPECT_THROW(DecisionTable::load(path + ".nope"), std::runtime_error);
 }
 
 TEST(DecisionTableTest, BuiltinCoversAllOps) {

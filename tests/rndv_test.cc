@@ -13,6 +13,7 @@
 #include "common/bytes.h"
 #include "fault/plan.h"
 #include "harness/cluster.h"
+#include "scrmpi/ch_bbp.h"
 
 namespace scrnet::scrmpi {
 namespace {
@@ -23,6 +24,13 @@ using harness::run_tcp_mpi;
 using harness::ScramnetOptions;
 using harness::TcpFabricKind;
 using harness::TcpOptions;
+
+/// Bytes still reserved in this rank's billboard rendezvous window.
+u32 rndv_reserved_bytes(Mpi& mpi) {
+  return static_cast<BbpChannel&>(mpi.engine().device())
+      .endpoint()
+      .rndv_reserved_bytes();
+}
 
 /// Ping rank0 -> rank1 at 1 byte, eager_limit() - 1, eager_limit() and
 /// eager_limit() + 1 (queried from the live device, so the sweep tracks
@@ -102,15 +110,17 @@ TEST(RndvBoundary, HybridSwitchesExactlyAtEagerLimit) {
 TEST(Rendezvous, BbpZeroCopyWindowEndToEnd) {
   // A billboard rendezvous window plus a low eager cap: 16 KB messages go
   // RTS -> CTS(placement) -> ring put -> FIN, with the payload never
-  // riding a channel packet. Four back-to-back messages through a 64 KB
-  // window also prove extents are released and reused.
+  // riding a channel packet. Six back-to-back messages through a 64 KB
+  // window (96 KB in total) only fit if extents are released and reused,
+  // and the receiver must end with nothing reserved.
   ScramnetOptions opts;
   opts.ring.bank_words = 1u << 18;
   opts.bbp.rndv_window_bytes = 64 * 1024;
   opts.mpi.eager_cap = 4096;
   constexpr u32 kN = 16 * 1024;
-  constexpr u32 kMsgs = 4;
+  constexpr u32 kMsgs = 6;
   u64 puts = 0, zbytes = 0, fins = 0, cts = 0;
+  u32 reserved = ~0u;
   bool payloads_ok = true;
   run_scramnet_mpi(
       2,
@@ -133,6 +143,7 @@ TEST(Rendezvous, BbpZeroCopyWindowEndToEnd) {
           }
           fins = mpi.engine().rndv_fins();
           cts = mpi.engine().rndv_cts();
+          reserved = rndv_reserved_bytes(mpi);
         }
       },
       opts);
@@ -141,6 +152,7 @@ TEST(Rendezvous, BbpZeroCopyWindowEndToEnd) {
   EXPECT_EQ(zbytes, u64{kMsgs} * kN);
   EXPECT_EQ(fins, u64{kMsgs});
   EXPECT_EQ(cts, u64{kMsgs});
+  EXPECT_EQ(reserved, 0u);
 }
 
 TEST(Rendezvous, BbpWindowTooSmallFallsBackToCopy) {
@@ -196,6 +208,7 @@ TEST(Rendezvous, SeveredLinkMidRendezvousTimesOutBothRanks) {
   constexpr u32 kN = 16 * 1024;
   StatusCode send_err = StatusCode::kOk, recv_err = StatusCode::kOk;
   u64 rts = 0, cts = 0, send_timeouts = 0, recv_timeouts = 0;
+  u32 reserved = ~0u;
   run_scramnet_mpi(
       2,
       [&](sim::Process& p, Mpi& mpi) {
@@ -217,6 +230,7 @@ TEST(Rendezvous, SeveredLinkMidRendezvousTimesOutBothRanks) {
           recv_err = st.err;
           cts = mpi.engine().rndv_cts();
           recv_timeouts = mpi.engine().op_timeouts();
+          reserved = rndv_reserved_bytes(mpi);
         }
       },
       opts);
@@ -226,6 +240,7 @@ TEST(Rendezvous, SeveredLinkMidRendezvousTimesOutBothRanks) {
   EXPECT_EQ(cts, 1u);  // the receiver did grant a placement before dying
   EXPECT_EQ(send_timeouts, 1u);
   EXPECT_EQ(recv_timeouts, 1u);
+  EXPECT_EQ(reserved, 0u);  // the timed-out receiver released its placement
 }
 
 TEST(Rendezvous, CollectivesSurviveForcedRendezvous) {
