@@ -14,7 +14,10 @@
 //    events beyond the bucket horizon go to a sorted overflow heap and
 //    migrate into buckets as the window advances. The bucket currently
 //    being drained is kept as a small binary heap so same-bucket events
-//    pop in exact (time, sequence) order.
+//    pop in exact (time, sequence) order. Every post goes into the
+//    calendar and every pop comes off that heap; there is no side path.
+//    The calendar itself stays because a plain heap measured slower on the
+//    event-bound workload (docs/simulator.md, "Event queue internals").
 //
 // Ordering contract (identical to the priority_queue it replaced): events
 // execute in ascending time, ties broken by post order. This is what makes
@@ -59,7 +62,7 @@ class EventQueue {
     u64 heap_fallback = 0;   // callables that needed a heap allocation
     u64 pool_chunks = 0;     // node-pool growth events (chunk allocations)
     u64 overflow_posted = 0; // events that landed beyond the bucket horizon
-    u64 overflow_scanned = 0; // entries migration counted, popped or partitioned
+    u64 overflow_scanned = 0; // overflow entries migrated into buckets
     u64 max_calendar = 0;    // high-water mark of events in the calendar
   };
 
@@ -69,7 +72,6 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   ~EventQueue() {
-    if (slot_.node != nullptr) destroy_node(slot_.node);
     for (auto& e : active_) destroy_node(e.node);
     for (auto& b : buckets_)
       for (auto& e : b) destroy_node(e.node);
@@ -78,47 +80,18 @@ class EventQueue {
 
   /// Enqueue `fn` to run at absolute time `t`. Ties with already-queued
   /// events break in favor of the earlier push.
-  ///
-  /// Hot-slot fast path: the earliest queued event is cached in `slot_`
-  /// (invariant: slot_ <= everything in the calendar, (t, seq) order). A
-  /// simulation with one event in flight -- the post/step chain every
-  /// device callback cascade reduces to -- never touches the calendar.
   template <typename F>
   [[gnu::always_inline]] inline void push(SimTime t, F&& fn) {
     Node* n = acquire();
     bind(n, std::forward<F>(fn));
-    const u64 seq = seq_++;
-    // Field-at-a-time slot stores: keeps the compiler from staging an Entry
-    // on the stack and reloading it wide (a store-forwarding stall per post).
-    if (slot_.node == nullptr) {
-      if (calendar_live_ == 0) {  // queue was empty: this is the minimum
-        slot_.t = t;
-        slot_.seq = seq;
-        slot_.node = n;
-        slot_invoke_ = n->invoke;
-        return;
-      }
-      enqueue(Entry{t, seq, n});  // calendar holds the minimum; slot stays
-      return;
-    }
-    // Keep the smaller of the two as the slot (ties stay: n has higher seq).
-    if (t < slot_.t) {
-      enqueue(slot_);
-      slot_.t = t;
-      slot_.seq = seq;
-      slot_.node = n;
-      slot_invoke_ = n->invoke;
-    } else {
-      enqueue(Entry{t, seq, n});
-    }
+    enqueue(Entry{t, seq_++, n});
   }
 
-  bool empty() const { return slot_.node == nullptr && calendar_live_ == 0; }
-  usize size() const { return (slot_.node != nullptr ? 1u : 0u) + calendar_live_; }
+  bool empty() const { return calendar_live_ == 0; }
+  usize size() const { return calendar_live_; }
 
   /// Time of the earliest queued event. Only valid when !empty().
   SimTime next_time() {
-    if (slot_.node != nullptr) return slot_.t;
     const bool have = prime();
     assert(have && "next_time() on an empty queue");
     (void)have;
@@ -128,24 +101,10 @@ class EventQueue {
   /// Pop the earliest event without running it (the caller advances the
   /// clock first, so the callable observes its own timestamp as now()).
   bool pop(Popped* out) {
-    if (slot_.node != nullptr) {
-      *out = Popped{slot_.t, slot_.node, slot_invoke_};
-      slot_.node = nullptr;
-      ++executed_;
-      return true;
-    }
     if (!prime()) return false;
-    Entry e;
-    if (active_.size() == 1) {
-      // Single-entry heap (the normal case with ~16 ns buckets): take it
-      // without the pop_heap shuffle.
-      e = active_.front();
-      active_.clear();
-    } else {
-      std::pop_heap(active_.begin(), active_.end(), EntryAfter{});
-      e = active_.back();
-      active_.pop_back();
-    }
+    std::pop_heap(active_.begin(), active_.end(), EntryAfter{});
+    const Entry e = active_.back();
+    active_.pop_back();
     --calendar_live_;
     ++executed_;
     *out = Popped{e.t, e.node, e.node->invoke};
@@ -173,7 +132,7 @@ class EventQueue {
 
  private:
   /// Time and sequence live only in the queue's Entry records (one store
-  /// fewer each on the push fast path); the node is pure callable storage.
+  /// fewer each per post); the node is pure callable storage.
   struct Node {
     void (*invoke)(void*);
     void (*destroy)(void*);  // null for trivially destructible callables
@@ -241,16 +200,8 @@ class EventQueue {
   }
 
   Node* acquire() {
-    // One-node hot cache: the node released by the event that is posting
-    // right now. Takes a single load off the post/step cycle where the
-    // freelist would chase free_ -> next_free.
-    Node* n = hot_;
-    if (n != nullptr) {
-      hot_ = nullptr;
-      return n;
-    }
     if (free_ == nullptr) grow_pool();
-    n = free_;
+    Node* n = free_;
     free_ = n->next_free;
     return n;
   }
@@ -277,12 +228,8 @@ class EventQueue {
   };
 
   /// Return a node whose callable has already been destroyed (by the fused
-  /// invoke) to the hot cache, falling back to the freelist.
+  /// invoke) to the freelist.
   void release(Node* n) {
-    if (hot_ == nullptr) {
-      hot_ = n;
-      return;
-    }
     n->next_free = free_;
     free_ = n;
   }
@@ -299,9 +246,7 @@ class EventQueue {
     ~ReleaseGuard() { q->release(n); }
   };
 
-  /// Calendar insert -- deliberately out of the hot inline path (the slot
-  /// handles the common one-event-in-flight cycle).
-  [[gnu::cold]] [[gnu::noinline]] void enqueue(const Entry& e) {
+  void enqueue(const Entry& e) {
     ++calendar_live_;
     if (calendar_live_ > stats_.max_calendar) stats_.max_calendar = calendar_live_;
     if (e.t < win_start_) {
@@ -338,51 +283,16 @@ class EventQueue {
     ++window_live_;
   }
 
-  /// Overflow entries at heap index `i` and below that lie before `horizon`,
-  /// counted exactly up to `cap`; past it the walk stops and returns some
-  /// value > cap. Heap order makes those entries one subtree at the root,
-  /// so the walk examines O(min(count, cap)) entries.
-  usize count_migrants(usize i, SimTime horizon, usize cap) const {
-    if (i >= overflow_.size() || overflow_[i].t >= horizon) return 0;
-    usize n = 1;
-    if (n <= cap) n += count_migrants(2 * i + 1, horizon, cap - n);
-    if (n <= cap) n += count_migrants(2 * i + 2, horizon, cap - n);
-    return n;
-  }
-
-  /// Move overflow events now inside the window into their buckets.
+  /// Move overflow events now inside the window into their buckets, one
+  /// pop each: O(m log n) for m migrants out of n, whatever the heap holds.
   void migrate_overflow() {
     const SimTime horizon = win_start_ + kSpan;
-    // Few migrants relative to the heap (a long monotone run, e.g. a fixed-4
-    // block write, drains ~140 per window) are cheapest via pop_heap at
-    // O(m log n); a bulk migration is cheaper as one partition pass plus a
-    // re-heapify of whatever stays behind. Count the migrants first and
-    // partition only when they exceed 1/16 of the heap: that bounds the O(n)
-    // pass by 16 m, so an advance never costs more than O(m log n), and no
-    // pops are wasted before a partition. Buckets sort on drain, so the
-    // order in which migrants reach them doesn't matter here.
-    const usize pop_limit = std::max<usize>(8, overflow_.size() / 16);
-    const usize migrants = count_migrants(0, horizon, pop_limit);
-    stats_.overflow_scanned += migrants;  // the count walk
-    if (migrants > pop_limit) {
-      stats_.overflow_scanned += overflow_.size();
-      auto stay = std::partition(
-          overflow_.begin(), overflow_.end(),
-          [horizon](const Entry& e) { return e.t >= horizon; });
-      for (auto it = stay; it != overflow_.end(); ++it) {
-        bucket_put(
-            static_cast<u32>(static_cast<u64>(it->t - win_start_) >> kBucketShift), *it);
-      }
-      overflow_.erase(stay, overflow_.end());
-      std::make_heap(overflow_.begin(), overflow_.end(), EntryAfter{});
-      return;
-    }
-    stats_.overflow_scanned += migrants;  // the pops
-    for (usize k = 0; k < migrants; ++k) {
+    while (!overflow_.empty() && overflow_.front().t < horizon) {
       std::pop_heap(overflow_.begin(), overflow_.end(), EntryAfter{});
       const Entry e = overflow_.back();
       overflow_.pop_back();
       bucket_put(static_cast<u32>(static_cast<u64>(e.t - win_start_) >> kBucketShift), e);
+      ++stats_.overflow_scanned;
     }
   }
 
@@ -413,16 +323,8 @@ class EventQueue {
       }
       const u32 idx = next_set_bucket(sweep_);
       assert(idx < kBuckets && "window_live_ out of sync with bitmap");
-      auto& b = buckets_[idx];
-      if (b.size() == 1) {
-        // Common case (buckets are ~16 ns wide): no heap needed, and the
-        // bucket keeps its capacity in place for the next window.
-        active_.push_back(b.front());
-        b.clear();
-      } else {
-        active_.swap(b);
-        std::make_heap(active_.begin(), active_.end(), EntryAfter{});
-      }
+      active_.swap(buckets_[idx]);
+      std::make_heap(active_.begin(), active_.end(), EntryAfter{});
       bitmap_[idx >> 6] &= ~(u64{1} << (idx & 63));
       window_live_ -= active_.size();
       sweep_ = idx + 1;
@@ -439,11 +341,9 @@ class EventQueue {
 
   u64 seq_ = 0;        // next insertion sequence == total events posted
   u64 executed_ = 0;   // total events popped for execution
-  usize calendar_live_ = 0;  // events in active_/buckets_/overflow_ (not slot)
+  usize calendar_live_ = 0;  // events in active_/buckets_/overflow_
   Stats stats_;
 
-  Entry slot_{0, 0, nullptr};                 // cached global-minimum event
-  void (*slot_invoke_)(void*) = nullptr;      // slot_.node->invoke, pre-loaded
   std::vector<Entry> active_;                 // heap: the bucket being drained
   std::vector<std::vector<Entry>> buckets_;   // fixed-width near-future buckets
   std::array<u64, kBuckets / 64> bitmap_{};   // non-empty-bucket index
@@ -452,7 +352,6 @@ class EventQueue {
   u32 sweep_ = 0;                             // next bucket index to drain
   usize window_live_ = 0;                     // events currently in buckets
 
-  Node* hot_ = nullptr;   // most recently released node (single-node cache)
   Node* free_ = nullptr;
   std::vector<std::unique_ptr<Node[]>> chunks_;
 };

@@ -9,7 +9,11 @@
 // the grid (hybrid, mocks) on their pre-tuner behavior.
 //
 // Usage:
-//   tuner [--jobs N] [--out table.txt] [--cc builtin_table.inc] [--quick]
+//   tuner [--jobs N] [--cc builtin_table.inc] [--quick]
+//
+// stdout carries the measurement matrix and then the table's text form
+// (DecisionTable::serialize()); --cc writes the same rules as the Rule
+// initializers DecisionTable::builtin() compiles in.
 //
 // --quick shrinks the grid to a 2x2 (sizes x nodes) corner -- enough for
 // the CI determinism leg to race Runner orderings without paying for the
@@ -46,6 +50,11 @@ const char* parse_opt(int argc, char** argv, const char* flag) {
 struct RowWinners {
   std::vector<std::string> algo;  // parallel to kSweepSizes (1 for barrier)
 };
+
+/// A rule limit as builtin_table.inc spells it.
+std::string cc_limit(u32 v) {
+  return v == kUnlimited ? "kUnlimited" : std::to_string(v);
+}
 
 /// Midpoint threshold between adjacent grid coordinates; "*" past the end.
 u32 limit_after(const std::vector<u32>& grid, usize i) {
@@ -162,18 +171,14 @@ int main(int argc, char** argv) {
   std::cout << "\nDecision table (" << table.size() << " rules):\n"
             << table.serialize();
 
-  if (const char* out = parse_opt(argc, argv, "--out")) {
-    std::ofstream f(out);
-    f << table.serialize();
-    std::cout << "\nwrote " << out << "\n";
-  }
   if (const char* cc = parse_opt(argc, argv, "--cc")) {
     std::ofstream f(cc);
     f << "// Generated by src/tune/tuner --cc; see docs/collectives.md for\n"
-         "// the regeneration workflow. Parsed at first use by\n"
-         "// DecisionTable::builtin().\n"
-         "R\"tbl(\n"
-      << table.serialize() << ")tbl\"\n";
+         "// the regeneration workflow. Rule initializers, included by\n"
+         "// DecisionTable::builtin().\n";
+    for (const Rule& r : table.rules())
+      f << "{\"" << r.device << "\", \"" << r.op << "\", " << cc_limit(r.max_nodes)
+        << ", " << cc_limit(r.max_bytes) << ", \"" << r.algo << "\"},\n";
     std::cout << "wrote " << cc << "\n";
   }
   return 0;

@@ -1,12 +1,15 @@
 // Regression tests for the bucketed event queue: ordering (total order on
-// (time, insertion sequence) across the hot slot, calendar buckets, and the
-// overflow heap), the allocation-free guarantee, run_until's time-limit
-// safety valve, and bit-reproducibility of a full device-model run.
+// (time, insertion sequence) across calendar buckets and the overflow heap,
+// under fixed and seeded random traffic), the one-pop-per-entry overflow
+// migration, the allocation-free guarantee, run_until's time-limit safety
+// valve, and bit-reproducibility of a full device-model run.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "scramnet/ring.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
@@ -21,8 +24,7 @@ namespace {
 TEST(EventQueueTest, SameTimestampPopsInInsertionOrder) {
   sim::EventQueue q;
   std::vector<int> order;
-  // All at one timestamp: first push lands in the hot slot, the rest go to
-  // the calendar. Ties must pop in push order.
+  // All at one timestamp, so all in one bucket. Ties must pop in push order.
   for (int i = 0; i < 8; ++i) q.push(ns(100), [&order, i] { order.push_back(i); });
   sim::EventQueue::Popped ev;
   while (q.pop(&ev)) q.run_and_release(ev);
@@ -33,9 +35,10 @@ TEST(EventQueueTest, SameTimestampPopsInInsertionOrder) {
 TEST(EventQueueTest, SlotKeepsEarlierPushOnTie) {
   sim::EventQueue q;
   std::vector<int> order;
-  q.push(ns(50), [&] { order.push_back(0) ; });   // slot
-  q.push(ns(10), [&] { order.push_back(1); });    // earlier: swaps into slot
-  q.push(ns(10), [&] { order.push_back(2); });    // tie with slot: stays behind
+  // A later push at an earlier time pops first; the tie pops in push order.
+  q.push(ns(50), [&] { order.push_back(0); });
+  q.push(ns(10), [&] { order.push_back(1); });
+  q.push(ns(10), [&] { order.push_back(2); });
   sim::EventQueue::Popped ev;
   while (q.pop(&ev)) q.run_and_release(ev);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
@@ -92,8 +95,7 @@ TEST(EventQueueTest, GlobalOrderAcrossBucketsAndOverflow) {
   }
   {
     // Few migrants from a large heap: a 20K-event monotone run 240 ns apart
-    // moves ~140 entries per window advance, far under 1/16 of the heap, so
-    // migration pops them one by one. Every 7th run event posts two ties
+    // moves ~140 entries per window advance. Every 7th run event posts two ties
     // with later run events: 2.4 us ahead lands in a bucket beside an entry
     // that migrated from overflow; 36 us ahead lands in overflow beside one
     // posted there at the start.
@@ -112,9 +114,8 @@ TEST(EventQueueTest, GlobalOrderAcrossBucketsAndOverflow) {
     // Most of the heap migrating at once: 5000 events on a 10 ns grid inside
     // one 30 us span far past the horizon (many same-time ties among them),
     // plus a tail beyond the span that stays behind. The window jump to the
-    // span migrates nearly the whole heap in one partition pass. The first
-    // event after the jump posts ties with later span events directly into
-    // buckets.
+    // span migrates nearly the whole heap at once. The first event after the
+    // jump posts ties with later span events directly into buckets.
     OrderProbe p;
     p.on_run = [&p](SimTime t, int) {
       if (p.popped.size() != 2) return;
@@ -128,13 +129,38 @@ TEST(EventQueueTest, GlobalOrderAcrossBucketsAndOverflow) {
     for (int i = 0; i < 200; ++i) p.post(us(240) + i * ns(500));
     p.drain_and_expect_order();
   }
+  // Seeded random traffic: every event posts 0-2 follow-ups until 40K posts,
+  // each delay drawn from one of five classes: zero, inside one bucket,
+  // inside the window, just past the horizon, or up to 5 ms. The bucket
+  // width and the horizon are the calendar geometry in event_queue.h.
+  constexpr SimTime kBucket = SimTime{1} << 14;
+  constexpr SimTime kHorizon = 2048 * kBucket;
+  for (u64 seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    OrderProbe p;
+    Rng rng(seed);
+    const auto delay = [&rng]() -> SimTime {
+      switch (rng.below(5)) {
+        case 0: return 0;
+        case 1: return static_cast<SimTime>(rng.below(kBucket));
+        case 2: return static_cast<SimTime>(rng.below(kHorizon));
+        case 3: return kHorizon + static_cast<SimTime>(rng.below(kBucket));
+        default: return static_cast<SimTime>(rng.below(ms(5)));
+      }
+    };
+    p.on_run = [&](SimTime t, int) {
+      for (u64 k = rng.below(3); k > 0 && p.posted < 40'000; --k) p.post(t + delay());
+    };
+    for (int i = 0; i < 64; ++i) p.post(delay());
+    p.drain_and_expect_order();
+  }
 }
 
 TEST(EventQueueTest, OverflowMigrationCostIsProportionalToMigrants) {
   // A fixed-4 block write's shape: 100K monotone events 240 ns apart, all
-  // beyond the horizon, ~140 migrating per window advance. Migration must
-  // touch each overflow entry a bounded number of times in total; a
-  // full-heap pass per window advance would scan hundreds per entry.
+  // beyond the horizon, ~140 migrating per window advance. Migration pops
+  // each overflow entry exactly once; a full-heap pass per window advance
+  // would scan hundreds per entry.
   sim::Simulation simu;
   constexpr int kEvents = 100'000;
   int ran = 0;
@@ -144,7 +170,7 @@ TEST(EventQueueTest, OverflowMigrationCostIsProportionalToMigrants) {
   EXPECT_EQ(ran, kEvents);
   const auto st = simu.queue_stats();
   EXPECT_GE(st.overflow_posted, u64{kEvents - 1});
-  EXPECT_LE(st.overflow_scanned, 17 * st.overflow_posted);
+  EXPECT_EQ(st.overflow_scanned, st.overflow_posted);
 }
 
 TEST(EventQueueTest, ReschedulingAcrossWindowsKeepsOrder) {
@@ -275,7 +301,7 @@ struct RunResult {
 
 /// A fig4-style workload: block writes from several nodes, a mid-run link
 /// fault on a redundant ring, and interrupt handlers that write back --
-/// exercising slot, calendar, overflow, and the pooled packet walk.
+/// exercising calendar buckets, overflow, and the pooled packet walk.
 RunResult ring_scenario() {
   sim::Simulation simu;
   scramnet::Ring ring(simu, scramnet::RingConfig{.nodes = 4,
