@@ -22,7 +22,6 @@ namespace {
 
 constexpr u32 kFlagAddr = 100;
 constexpr u32 kDataAddr = 101;
-constexpr SimTime kInterruptDispatch = us(7);  // Linux-2.0-era irq + wakeup
 
 struct RecvResult {
   double latency_us;
@@ -61,8 +60,6 @@ RecvResult interrupt_driven(u32 gap_writes) {
   scramnet::Ring ring(sim, {});
   SimTime sent = 0, got = 0;
   u64 reads = 0;
-  sim::Signal irq(sim);
-  ring.set_interrupt(1, kFlagAddr, kFlagAddr + 1, [&](u32) { irq.notify_all(); });
   sim.spawn("writer", [&](sim::Process& p) {
     scramnet::SimHostPort port(ring, 0, p);
     p.delay(us(3) * gap_writes);
@@ -72,8 +69,8 @@ RecvResult interrupt_driven(u32 gap_writes) {
   });
   sim.spawn("reader", [&](sim::Process& p) {
     scramnet::SimHostPort port(ring, 1, p);
-    irq.wait(p);                 // blocked: zero bus traffic while idle
-    p.delay(kInterruptDispatch); // irq handler + process wakeup
+    port.watch_range(kFlagAddr, kFlagAddr + 1);
+    port.wait_write();  // blocked: zero bus traffic while idle, then irq dispatch
     (void)port.read_u32(kDataAddr);
     ++reads;
     got = p.now();

@@ -136,7 +136,7 @@ void Endpoint::collect_garbage() {
   DestSet interested;
   for (u32 id : live_) interested.or_with(slot_[id].pending);
   interested.for_each([&](u32 r) {
-    port_.cpu_delay(cfg_.cpu.gc_cpu);
+    port_.cpu_delay(CpuCosts::gc_cpu);
     const u32 cur = port_.read_u32(layout_.ack_flag_addr(me_, r));
     const u32 changed = cur ^ ack_base_[r];
     if (!changed) return;
@@ -187,7 +187,7 @@ Status Endpoint::post(const DestSet& dests, std::span<const u8> payload,
     return Status::InvalidArg("bbp: message exceeds data partition");
   const u32 len_bytes = static_cast<u32>(payload.size());
 
-  port_.cpu_delay(cfg_.cpu.send_setup);
+  port_.cpu_delay(CpuCosts::send_setup);
   Result<u32> slot_id = alloc_slot(len_bytes, block);
   if (!slot_id.ok()) return slot_id.status();
   const u32 id = slot_id.value();
@@ -218,7 +218,7 @@ Status Endpoint::post(const DestSet& dests, std::span<const u8> payload,
   // word write, not a 256-bit scan.
   u32 ndest = 0;
   dests.for_each([&](u32 r) {
-    port_.cpu_delay(cfg_.cpu.send_per_dest);
+    port_.cpu_delay(CpuCosts::send_per_dest);
     sent_flag_mirror_[r] ^= (1u << id);
     port_.write_u32(layout_.msg_flag_addr(r, me_), sent_flag_mirror_[r]);
     ++ndest;
@@ -271,7 +271,7 @@ bool Endpoint::poll_sender(u32 s) {
   while (changed) {
     const u32 b = static_cast<u32>(std::countr_zero(changed));
     changed &= changed - 1;
-    port_.cpu_delay(cfg_.cpu.recv_detect);
+    port_.cpu_delay(CpuCosts::recv_detect);
     u32 desc[3] = {0, 0, 0};
     port_.read_block(layout_.desc_addr(s, b), desc);
     Incoming in{s, b, desc[0], desc[1], desc[2]};
@@ -305,7 +305,7 @@ Result<RecvInfo> Endpoint::deliver(Incoming msg, std::span<u8> buf) {
     port_.read_block(msg.offset_words, words);
     unpack_into(words, buf, info.copied);
   }
-  port_.cpu_delay(cfg_.cpu.recv_deliver);
+  port_.cpu_delay(CpuCosts::recv_deliver);
 
   // Acknowledge: toggle my bit for this slot in the sender's partition.
   ack_out_mirror_[msg.src] ^= (1u << msg.slot);
@@ -358,7 +358,7 @@ Result<RecvInfo> Endpoint::recv_any(std::span<u8> buf) {
 }
 
 std::optional<u32> Endpoint::msg_avail() {
-  port_.cpu_delay(cfg_.cpu.msg_avail);
+  port_.cpu_delay(CpuCosts::msg_avail);
   for (u32 i = 0; i < layout_.procs; ++i) {
     const u32 s = (rr_next_ + i) % layout_.procs;
     if (!inq_[s].empty()) return s;
@@ -374,7 +374,7 @@ std::optional<u32> Endpoint::msg_avail() {
 
 bool Endpoint::msg_avail_from(u32 src) {
   if (src >= layout_.procs) return false;
-  port_.cpu_delay(cfg_.cpu.msg_avail);
+  port_.cpu_delay(CpuCosts::msg_avail);
   if (!inq_[src].empty()) return true;
   poll_sender(src);
   return !inq_[src].empty();
@@ -456,7 +456,7 @@ Status Endpoint::rndv_put(u32 addr_words, std::span<const u8> payload) {
   // Straight from the user buffer onto the ring: no slot, no descriptor,
   // no staging copy. The alloc/bookkeeping cost of the slot path is gone;
   // only the send setup (address arithmetic) remains.
-  port_.cpu_delay(cfg_.cpu.send_setup);
+  port_.cpu_delay(CpuCosts::send_setup);
   const std::vector<u32> words = pack_words(payload);
   if (payload.size() >= cfg_.dma_threshold_bytes) {
     port_.dma_write(addr_words, words);
@@ -477,7 +477,7 @@ Status Endpoint::rndv_read(u32 addr_words, std::span<u8> buf, u32 len) {
     port_.read_block(addr_words, words);
     unpack_into(words, buf, n);
   }
-  port_.cpu_delay(cfg_.cpu.recv_deliver);
+  port_.cpu_delay(CpuCosts::recv_deliver);
   return Status::Ok();
 }
 

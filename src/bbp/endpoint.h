@@ -46,12 +46,12 @@ namespace scrnet::bbp {
 /// port (calibrated so a 4-byte one-way send measures 7.8 us as in the
 /// paper).
 struct CpuCosts {
-  SimTime send_setup = ns(600);    // alloc + slot bookkeeping
-  SimTime send_per_dest = ns(60);  // destination-mask bookkeeping
-  SimTime recv_detect = ns(150);   // flag diff + queue insert
-  SimTime recv_deliver = ns(650);  // copy-out + API return bookkeeping
-  SimTime gc_cpu = ns(120);        // reconcile one ack word
-  SimTime msg_avail = ns(100);     // bbp_MsgAvail bookkeeping
+  static constexpr SimTime send_setup = ns(600);    // alloc + slot bookkeeping
+  static constexpr SimTime send_per_dest = ns(60);  // destination-mask bookkeeping
+  static constexpr SimTime recv_detect = ns(150);   // flag diff + queue insert
+  static constexpr SimTime recv_deliver = ns(650);  // copy-out + API return bookkeeping
+  static constexpr SimTime gc_cpu = ns(120);        // reconcile one ack word
+  static constexpr SimTime msg_avail = ns(100);     // bbp_MsgAvail bookkeeping
 };
 
 /// How a blocked receiver waits for new MESSAGE/ACK flag toggles.
@@ -84,7 +84,6 @@ struct Config {
   // exactly as the paper describes; nonzero shrinks the circular data
   // partition by this many bytes and enables rndv_reserve/rndv_put.
   u32 rndv_window_bytes = 0;
-  CpuCosts cpu;
 };
 
 /// Result of a successful receive.

@@ -26,11 +26,8 @@ class Rng {
  public:
   using result_type = u64;
 
-  explicit Rng(u64 seed = 0x5CA3B0A7D15EA5EDULL) { reseed(seed); }
-
-  void reseed(u64 seed) {
-    u64 sm = seed;
-    for (auto& w : s_) w = splitmix64(sm);
+  explicit Rng(u64 seed = 0x5CA3B0A7D15EA5EDULL) {
+    for (auto& w : s_) w = splitmix64(seed);
   }
 
   static constexpr result_type min() { return 0; }

@@ -4,42 +4,11 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cmath>
-#include <limits>
 #include <vector>
 
 #include "common/types.h"
 
 namespace scrnet {
-
-/// Welford streaming mean/variance plus min/max.
-class RunningStats {
- public:
-  void add(double x) {
-    ++n_;
-    const double d = x - mean_;
-    mean_ += d / static_cast<double>(n_);
-    m2_ += d * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-
-  u64 count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-  double stddev() const { return std::sqrt(variance()); }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
-  void reset() { *this = RunningStats{}; }
-
- private:
-  u64 n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Sample reservoir with exact percentiles (benchmarks collect few samples).
 class Samples {

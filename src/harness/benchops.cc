@@ -101,8 +101,7 @@ double tcp_api_oneway_us(TcpFabricKind kind, u32 bytes, u32 iters, u32 warmup,
   PingPongClock clk;
   sim::Simulation sim;
   auto fabric = make_fabric(sim, 2, kind, opts);
-  const netmodels::TcpConfig cfg =
-      opts.custom_stack ? opts.stack : default_stack(kind);
+  const netmodels::TcpConfig cfg = default_stack(kind);
   const u32 wire_bytes = std::max<u32>(bytes, 1);  // 0B -> 1 dummy byte
   for (u32 r = 0; r < 2; ++r) {
     sim.spawn("tcp-host" + std::to_string(r), [&, r](sim::Process& p) {

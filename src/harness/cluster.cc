@@ -68,7 +68,7 @@ SimTime run_scramnet_bbp(
   arm_faults(opts.faults, sim, &ring);
   for (u32 r = 0; r < nodes; ++r) {
     sim.spawn("bbp-rank" + std::to_string(r), [&, r](sim::Process& p) {
-      scramnet::SimHostPort port(ring, r, p, opts.host);
+      scramnet::SimHostPort port(ring, r, p);
       if (opts.faults) port.set_dials(opts.faults->dials(r));
       bbp::Endpoint ep(port, nodes, r, opts.bbp);
       body(p, ep);
@@ -90,7 +90,7 @@ SimTime run_scramnet_mpi(
   arm_faults(opts.faults, sim, &ring);
   for (u32 r = 0; r < nodes; ++r) {
     sim.spawn("mpi-rank" + std::to_string(r), [&, r](sim::Process& p) {
-      scramnet::SimHostPort port(ring, r, p, opts.host);
+      scramnet::SimHostPort port(ring, r, p);
       if (opts.faults) port.set_dials(opts.faults->dials(r));
       bbp::Endpoint ep(port, nodes, r, opts.bbp);
       scrmpi::BbpChannel dev(ep);
@@ -114,11 +114,10 @@ SimTime run_hybrid_mpi(u32 nodes, TcpFabricKind bulk_kind, u32 threshold,
   scramnet::Ring ring(sim, sopts.ring);
   auto fabric = make_fabric(sim, nodes, bulk_kind, topts);
   arm_faults(sopts.faults, sim, &ring, fabric.get());
-  const netmodels::TcpConfig stack_cfg =
-      topts.custom_stack ? topts.stack : default_stack(bulk_kind);
+  const netmodels::TcpConfig stack_cfg = default_stack(bulk_kind);
   for (u32 r = 0; r < nodes; ++r) {
     sim.spawn("hybrid-rank" + std::to_string(r), [&, r, stack_cfg](sim::Process& p) {
-      scramnet::SimHostPort port(ring, r, p, sopts.host);
+      scramnet::SimHostPort port(ring, r, p);
       if (sopts.faults) port.set_dials(sopts.faults->dials(r));
       bbp::Endpoint ep(port, nodes, r, sopts.bbp);
       scrmpi::BbpChannel low(ep);
@@ -154,9 +153,9 @@ std::unique_ptr<netmodels::Fabric> make_fabric(sim::Simulation& sim, u32 nodes,
     case TcpFabricKind::kFastEthernet:
       return std::make_unique<netmodels::EthernetFabric>(sim, nodes, opts.ethernet);
     case TcpFabricKind::kAtm:
-      return std::make_unique<netmodels::AtmFabric>(sim, nodes, opts.atm);
+      return std::make_unique<netmodels::AtmFabric>(sim, nodes);
     case TcpFabricKind::kMyrinet:
-      return std::make_unique<netmodels::MyrinetFabric>(sim, nodes, opts.myrinet);
+      return std::make_unique<netmodels::MyrinetFabric>(sim, nodes);
   }
   return nullptr;
 }
@@ -165,7 +164,7 @@ SimTime run_rdma_mpi(u32 nodes,
                      const std::function<void(sim::Process&, scrmpi::Mpi&)>& body,
                      RdmaOptions opts) {
   sim::Simulation sim;
-  netmodels::RdmaFabric fabric(sim, nodes, opts.nic);
+  netmodels::RdmaFabric fabric(sim, nodes);
   arm_faults(opts.faults, sim, /*ring=*/nullptr, &fabric);
   for (u32 r = 0; r < nodes; ++r) {
     sim.spawn("rdma-rank" + std::to_string(r), [&, r](sim::Process& p) {
@@ -188,8 +187,7 @@ SimTime run_tcp_mpi(u32 nodes, TcpFabricKind kind,
   sim::Simulation sim;
   auto fabric = make_fabric(sim, nodes, kind, opts);
   arm_faults(opts.faults, sim, /*ring=*/nullptr, fabric.get());
-  const netmodels::TcpConfig stack_cfg =
-      opts.custom_stack ? opts.stack : default_stack(kind);
+  const netmodels::TcpConfig stack_cfg = default_stack(kind);
   for (u32 r = 0; r < nodes; ++r) {
     sim.spawn("mpi-" + to_string(kind) + "-rank" + std::to_string(r),
               [&, r, stack_cfg](sim::Process& p) {

@@ -28,7 +28,6 @@ namespace scrnet::harness {
 
 struct ScramnetOptions {
   scramnet::RingConfig ring;
-  scramnet::HostTimings host;
   bbp::Config bbp;
   scrmpi::LayerCosts mpi;
   /// Optional fault plan, armed against the ring (and, for hybrid runs,
@@ -50,12 +49,9 @@ inline std::string to_string(TcpFabricKind k) {
   return "?";
 }
 
+/// The stack is always default_stack(kind); ATM and Myrinet have no dials.
 struct TcpOptions {
   netmodels::EthernetConfig ethernet;
-  netmodels::AtmConfig atm;
-  netmodels::MyrinetConfig myrinet;
-  netmodels::TcpConfig stack;   // overridden per-kind unless custom set
-  bool custom_stack = false;
   // Per-byte channel costs are device-owned (SockChannel::pack_cost), so
   // the same LayerCosts work across devices.
   scrmpi::LayerCosts mpi;
@@ -84,7 +80,6 @@ SimTime run_tcp_mpi(u32 nodes, TcpFabricKind kind,
                     TcpOptions opts = {});
 
 struct RdmaOptions {
-  netmodels::RdmaConfig nic;
   scrmpi::LayerCosts mpi;
   /// Optional fault plan, armed against the RDMA fabric (partitions, frame
   /// loss, congestion apply to eager frames and put chunks alike). Must

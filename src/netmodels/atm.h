@@ -10,19 +10,17 @@
 namespace scrnet::netmodels {
 
 struct AtmConfig {
-  double mbits_per_s = 155.52;
-  u32 mtu = 9180;                   // classical-IP-over-ATM default MTU
-  SimTime propagation = ns(500);
-  SimTime switch_cell_latency = us(2);  // first-cell pipeline fill in switch
+  static constexpr double mbits_per_s = 155.52;
+  static constexpr u32 mtu = 9180;                   // classical-IP-over-ATM default MTU
+  static constexpr SimTime propagation = ns(500);
+  static constexpr SimTime switch_cell_latency = us(2);  // first-cell pipeline fill
 };
 
 class AtmFabric final : public Fabric {
  public:
-  AtmFabric(sim::Simulation& sim, u32 hosts, AtmConfig cfg = {})
-      : Fabric(sim, hosts), cfg_(cfg) {}
+  AtmFabric(sim::Simulation& sim, u32 hosts) : Fabric(sim, hosts) {}
 
-  u32 mtu_payload() const override { return cfg_.mtu; }
-  const AtmConfig& config() const { return cfg_; }
+  u32 mtu_payload() const override { return AtmConfig::mtu; }
 
   /// Number of 53-byte cells for a PDU of `payload_bytes` (AAL5).
   static u32 cells_for(usize payload_bytes) {
@@ -31,9 +29,6 @@ class AtmFabric final : public Fabric {
   }
 
   void transmit(Frame f) override;
-
- private:
-  AtmConfig cfg_;
 };
 
 }  // namespace scrnet::netmodels

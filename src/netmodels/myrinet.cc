@@ -7,17 +7,18 @@
 namespace scrnet::netmodels {
 
 void MyrinetFabric::transmit(Frame f) {
+  using C = MyrinetConfig;
   assert(f.src < hosts_ && f.dst < hosts_);
-  assert(f.payload.size() <= cfg_.mtu);
+  assert(f.payload.size() <= C::mtu);
   const SimTime wire = wire_time_bits(
-      (static_cast<u64>(f.payload.size()) + cfg_.header_bytes) * 8, cfg_.mbits_per_s);
+      (static_cast<u64>(f.payload.size()) + C::header_bytes) * 8, C::mbits_per_s);
 
   // Wormhole cut-through: the head flit reaches the output port after the
   // routing decision; the tail follows one wire time later. If the output
   // port is busy the worm stalls in place until it frees.
   const SimTime arrive = cross_switch(f.src, f.dst, wire,
-                                      cfg_.propagation + cfg_.switch_latency,
-                                      cfg_.propagation);
+                                      C::propagation + C::switch_latency,
+                                      C::propagation);
   deliver_at(arrive, std::move(f));
 }
 
@@ -28,7 +29,8 @@ void MyrinetApi::send(sim::Process& p, u32 dst, std::span<const u8> payload) {
   usize off = 0;
   while (off < data.size()) {
     const usize n = std::min<usize>(data.size() - off, fabric_.mtu_payload());
-    p.delay(c_.send_fixed + static_cast<SimTime>(n) * c_.per_byte_send);
+    p.delay(MyrinetApiCosts::send_fixed +
+            static_cast<SimTime>(n) * MyrinetApiCosts::per_byte_send);
     Frame f;
     f.src = host_;
     f.dst = dst;
@@ -45,7 +47,8 @@ void MyrinetApi::recv(sim::Process& p, u32 src, std::span<u8> out, usize nbytes)
   auto& buf = pending_[src];
   while (buf.size() < need) {
     Frame f = fabric_.rx(host_).pop(p);
-    p.delay(c_.recv_fixed + static_cast<SimTime>(f.payload.size()) * c_.per_byte_recv);
+    p.delay(MyrinetApiCosts::recv_fixed +
+            static_cast<SimTime>(f.payload.size()) * MyrinetApiCosts::per_byte_recv);
     auto& dst_buf = pending_[f.src];
     dst_buf.insert(dst_buf.end(), f.payload.begin(), f.payload.end());
   }

@@ -10,25 +10,20 @@
 namespace scrnet::netmodels {
 
 struct MyrinetConfig {
-  double mbits_per_s = 1280.0;
-  u32 mtu = 8192;                  // native API message cap per network op
-  u32 header_bytes = 16;           // route + type + CRC
-  SimTime propagation = ns(300);
-  SimTime switch_latency = ns(550);  // cut-through routing decision
+  static constexpr double mbits_per_s = 1280.0;
+  static constexpr u32 mtu = 8192;          // native API message cap per network op
+  static constexpr u32 header_bytes = 16;   // route + type + CRC
+  static constexpr SimTime propagation = ns(300);
+  static constexpr SimTime switch_latency = ns(550);  // cut-through routing decision
 };
 
 class MyrinetFabric final : public Fabric {
  public:
-  MyrinetFabric(sim::Simulation& sim, u32 hosts, MyrinetConfig cfg = {})
-      : Fabric(sim, hosts), cfg_(cfg) {}
+  MyrinetFabric(sim::Simulation& sim, u32 hosts) : Fabric(sim, hosts) {}
 
-  u32 mtu_payload() const override { return cfg_.mtu; }
-  const MyrinetConfig& config() const { return cfg_; }
+  u32 mtu_payload() const override { return MyrinetConfig::mtu; }
 
   void transmit(Frame f) override;
-
- private:
-  MyrinetConfig cfg_;
 };
 
 /// Host-side cost model of the vendor ("MyriAPI"-era) messaging library the
@@ -39,17 +34,16 @@ class MyrinetFabric final : public Fabric {
 /// microseconds -- far above research layers like FM, and that is exactly
 /// what Figure 2 shows (SCRAMNet beats it below ~500 bytes).
 struct MyrinetApiCosts {
-  SimTime send_fixed = us(20);       // library call + doorbell + DMA setup
-  SimTime recv_fixed = us(22);       // event dispatch + completion
-  SimTime per_byte_send = ns(12);    // staging copy to pinned DMA region
-  SimTime per_byte_recv = ns(12);    // copy-out to user buffer
+  static constexpr SimTime send_fixed = us(20);     // library call + doorbell + DMA setup
+  static constexpr SimTime recv_fixed = us(22);     // event dispatch + completion
+  static constexpr SimTime per_byte_send = ns(12);  // staging copy to pinned DMA region
+  static constexpr SimTime per_byte_recv = ns(12);  // copy-out to user buffer
 };
 
 /// Blocking message API over MyrinetFabric for one host.
 class MyrinetApi {
  public:
-  MyrinetApi(MyrinetFabric& fabric, u32 host, MyrinetApiCosts costs = {})
-      : fabric_(fabric), host_(host), c_(costs) {}
+  MyrinetApi(MyrinetFabric& fabric, u32 host) : fabric_(fabric), host_(host) {}
 
   /// Send `payload` to `dst`, splitting at the fabric MTU.
   void send(sim::Process& p, u32 dst, std::span<const u8> payload);
@@ -61,7 +55,6 @@ class MyrinetApi {
  private:
   MyrinetFabric& fabric_;
   u32 host_;
-  MyrinetApiCosts c_;
   // Per-source reassembly buffers (frames can interleave across sources).
   std::vector<std::vector<u8>> pending_ =
       std::vector<std::vector<u8>>(fabric_.hosts());

@@ -15,13 +15,13 @@ RdmaFabric::RdmaFabric(sim::Simulation& sim, u32 hosts, RdmaConfig cfg)
 }
 
 SimTime RdmaFabric::schedule_wire(u32 src, u32 dst, usize payload_bytes) {
+  using C = RdmaConfig;
   const SimTime wire = wire_time_bits(
-      (static_cast<u64>(payload_bytes) + cfg_.header_bytes) * 8,
-      cfg_.mbits_per_s);
+      (static_cast<u64>(payload_bytes) + C::header_bytes) * 8, C::mbits_per_s);
   // Cut-through: head reaches the output port after the routing decision,
   // stalls there if the port is draining an earlier worm.
-  return cross_switch(src, dst, wire, cfg_.propagation + cfg_.switch_latency,
-                      cfg_.propagation);
+  return cross_switch(src, dst, wire, C::propagation + C::switch_latency,
+                      C::propagation);
 }
 
 void RdmaFabric::transmit(Frame f) {
@@ -60,7 +60,6 @@ void RdmaFabric::rdma_put(u32 src_host, u32 rkey, u32 offset,
   put_bytes_.inc(payload.size());
 
   usize off = 0;
-  u32 chunks = 0;
   do {  // a zero-byte put still needs one wire op to generate its CQE
     const usize n = std::min<usize>(payload.size() - off, cfg_.mtu);
     SimTime arrive = schedule_wire(src_host, dst_host, n);
@@ -78,7 +77,6 @@ void RdmaFabric::rdma_put(u32 src_host, u32 rkey, u32 offset,
         op->failed = true;
         --op->remaining;
         off += n;
-        ++chunks;
         continue;
       }
       arrive += v.extra_delay;
@@ -101,15 +99,13 @@ void RdmaFabric::rdma_put(u32 src_host, u32 rkey, u32 offset,
         delivered_.inc();
       }
       if (--op->remaining == 0 && !op->failed) {
-        sim_.post_at(sim_.now() + cfg_.completion_delay, [this, op] {
+        sim_.post_at(sim_.now() + RdmaConfig::completion_delay, [this, op] {
           cq_[op->src]->push(CqEvent{op->wr_id, op->rkey, op->bytes});
         });
       }
     });
     off += n;
-    ++chunks;
   } while (off < payload.size());
-  (void)chunks;
 }
 
 }  // namespace scrnet::netmodels

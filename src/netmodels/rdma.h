@@ -23,19 +23,20 @@
 namespace scrnet::netmodels {
 
 struct RdmaConfig {
-  double mbits_per_s = 8000.0;      // 8 Gb/s link (IB 4X-era data rate)
   u32 mtu = 2048;                   // max payload per wire frame
-  u32 header_bytes = 30;            // LRH + BTH + RETH + CRCs
-  SimTime propagation = ns(250);
-  SimTime switch_latency = ns(200);
-  SimTime doorbell = ns(400);       // WQE build + doorbell PIO write
-  SimTime completion_delay = ns(500);  // last-byte ack -> CQE visible
-  SimTime cq_poll = ns(150);        // one CQ poll by host software
-  SimTime reg_fixed = us(10);       // registration syscall + pin setup
-  SimTime reg_per_page = ns(300);   // per-4K-page pinning cost
-  SimTime retry_timeout = ms(2);    // sender gives up waiting for its CQE
-                                    // (lost chunk = RC retries exhausted);
-                                    // 0 = wait forever
+
+  static constexpr double mbits_per_s = 8000.0;   // 8 Gb/s link (IB 4X-era data rate)
+  static constexpr u32 header_bytes = 30;         // LRH + BTH + RETH + CRCs
+  static constexpr SimTime propagation = ns(250);
+  static constexpr SimTime switch_latency = ns(200);
+  static constexpr SimTime doorbell = ns(400);          // WQE build + doorbell PIO write
+  static constexpr SimTime completion_delay = ns(500);  // last-byte ack -> CQE visible
+  static constexpr SimTime cq_poll = ns(150);           // one CQ poll by host software
+  static constexpr SimTime reg_fixed = us(10);          // registration syscall + pinning
+  static constexpr SimTime reg_per_page = ns(300);      // per-4K-page pinning cost
+  // The sender gives up waiting for its CQE after this long (a lost chunk
+  // means RC retries were exhausted).
+  static constexpr SimTime retry_timeout = ms(2);
 };
 
 /// Completion-queue event, delivered to the *initiating* host's CQ.
@@ -50,7 +51,6 @@ class RdmaFabric final : public Fabric {
   RdmaFabric(sim::Simulation& sim, u32 hosts, RdmaConfig cfg = {});
 
   u32 mtu_payload() const override { return cfg_.mtu; }
-  const RdmaConfig& config() const { return cfg_; }
 
   /// Two-sided frame path (eager packets, FIN): same wormhole occupancy
   /// model as the Myrinet fabric, ending in rx(dst).

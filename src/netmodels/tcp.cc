@@ -20,9 +20,9 @@ void TcpStack::send(sim::Process& p, u32 dst, std::span<const u8> data) {
     Frame f;
     f.src = host_;
     f.dst = dst;
-    f.payload.resize(cfg_.header_bytes + n);  // header bytes are modeled, zeroed
+    f.payload.resize(TcpConfig::header_bytes + n);  // header bytes are modeled, zeroed
     if (n) std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(off), n,
-                       f.payload.begin() + cfg_.header_bytes);
+                       f.payload.begin() + TcpConfig::header_bytes);
     fabric_.transmit(std::move(f));
     off += n;
   } while (off < data.size());
@@ -30,12 +30,12 @@ void TcpStack::send(sim::Process& p, u32 dst, std::span<const u8> data) {
 
 void TcpStack::absorb_frame(sim::Process& p) {
   Frame f = fabric_.rx(host_).pop(p);
-  assert(f.payload.size() >= cfg_.header_bytes);
-  const usize n = f.payload.size() - cfg_.header_bytes;
+  assert(f.payload.size() >= TcpConfig::header_bytes);
+  const usize n = f.payload.size() - TcpConfig::header_bytes;
   p.delay(cfg_.per_segment_recv +
           static_cast<SimTime>(n) * (cfg_.per_byte_copy + cfg_.per_byte_csum));
   auto& s = streams_[f.src];
-  s.insert(s.end(), f.payload.begin() + cfg_.header_bytes, f.payload.end());
+  s.insert(s.end(), f.payload.begin() + TcpConfig::header_bytes, f.payload.end());
 }
 
 usize TcpStack::try_absorb(sim::Process& p) {

@@ -27,7 +27,8 @@ struct TcpConfig {
   SimTime per_segment_recv = us(3); // interrupt + protocol input processing
   SimTime per_byte_copy = ns(10);   // user<->kernel copy, each direction
   SimTime per_byte_csum = ns(8);    // software checksum (0 if NIC offloads)
-  u32 header_bytes = 40;            // TCP + IP headers per segment
+
+  static constexpr u32 header_bytes = 40;  // TCP + IP headers per segment
 
   /// TCP over switched Fast Ethernet (the paper's baseline LAN).
   static TcpConfig fast_ethernet() {
@@ -69,8 +70,7 @@ class TcpStack {
       : fabric_(fabric), host_(host), cfg_(cfg), streams_(fabric.hosts()) {}
 
   u32 host() const { return host_; }
-  const TcpConfig& config() const { return cfg_; }
-  u32 mss() const { return fabric_.mtu_payload() - cfg_.header_bytes; }
+  u32 mss() const { return fabric_.mtu_payload() - TcpConfig::header_bytes; }
 
   /// Stream write toward `dst`; returns once the data is handed to the NIC
   /// (socket-buffer semantics; the benches' messages fit the send buffer).

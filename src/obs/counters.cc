@@ -7,8 +7,8 @@
 
 namespace scrnet::obs {
 
-// Counters::global()/current() are defined in sink.cc: they are views
-// into the global / thread-current obs::Sink.
+// Counters::global() is defined in sink.cc: it is a view into the global
+// obs::Sink.
 
 void Counters::add(std::string_view group, std::string_view name, u64 delta) {
   std::lock_guard<std::mutex> lk(mu_);

@@ -30,10 +30,6 @@ class Counters {
   /// set).
   static Counters& global();
 
-  /// The current obs::Sink's registry on this thread -- per-run inside a
-  /// sweep job, global() otherwise.
-  static Counters& current();
-
   static bool enabled() { return enabled_; }
   void enable(bool on) { enabled_ = on; }
 

@@ -34,10 +34,12 @@ const EnvPaths& env_paths() {
   return p;
 }
 
-}  // namespace
-
+/// SCRNET_TRACE / SCRNET_COUNTERS values captured at process start
+/// (nullptr when unset or empty).
 const char* trace_env_path() { return env_paths().trace; }
 const char* counters_env_path() { return env_paths().counters; }
+
+}  // namespace
 
 Sink& Sink::global() {
   static Sink s;
@@ -84,7 +86,6 @@ void Sink::flush_env() {
 Tracer& Tracer::global() { return Sink::global().tracer(); }
 Tracer& Tracer::current() { return Sink::current().tracer(); }
 Counters& Counters::global() { return Sink::global().counters(); }
-Counters& Counters::current() { return Sink::current().counters(); }
 
 namespace {
 

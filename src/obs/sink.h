@@ -91,10 +91,4 @@ class Sink {
   std::string label_;
 };
 
-/// SCRNET_TRACE / SCRNET_COUNTERS values captured at process start
-/// (nullptr when unset or empty). Exposed so the sweep runner can skip
-/// flush work entirely when nothing is armed.
-const char* trace_env_path();
-const char* counters_env_path();
-
 }  // namespace scrnet::obs

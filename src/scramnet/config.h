@@ -31,10 +31,12 @@ struct RingConfig {
   u32 bank_words = 1u << 20;   // 4 MB replicated memory bank (32-bit words)
   PacketMode mode = PacketMode::kVariable;
   SimTime hop_latency = ns(400);          // within the 250-800 ns band
-  double fixed_mbps = 6.5;                // payload MB/s, fixed mode
-  double variable_mbps = 16.7;            // payload MB/s, variable mode
   u32 max_var_packet_bytes = 1024;        // variable-mode packet cap
-  SimTime per_packet_overhead = ns(60);   // framing/insertion per packet
+
+  // Calibration, not dials: the paper's §2 rates and per-packet framing.
+  static constexpr double fixed_mbps = 6.5;              // payload MB/s, fixed mode
+  static constexpr double variable_mbps = 16.7;          // payload MB/s, variable mode
+  static constexpr SimTime per_packet_overhead = ns(60); // framing/insertion per packet
 
   // Redundant cabling (a SCRAMNet+ deployment option): on a link failure
   // the nodes switch to the backup ring after `switchover`; without it,
@@ -57,21 +59,22 @@ struct RingConfig {
   }
 };
 
-/// Host (CPU + I/O bus) access costs for one workstation.
+/// Host (CPU + I/O bus) access costs for one workstation. Calibration
+/// constants; per-node slowdowns come from PortDials.
 struct HostTimings {
-  SimTime pio_write = ns(250);        // posted PCI write, one 32-bit word
-  SimTime pio_read = ns(900);         // PCI read (non-posted, round trip)
-  SimTime burst_write_word = ns(240); // subsequent word in a write burst
-  SimTime burst_read_word = ns(280);  // subsequent word in a read burst
-  SimTime poll_gap = ns(300);         // host loop overhead between polls
-  SimTime irq_dispatch = us(7);       // interrupt + process wakeup (Linux 2.0)
+  static constexpr SimTime pio_write = ns(250);     // posted PCI write, one 32-bit word
+  static constexpr SimTime pio_read = ns(900);      // PCI read (non-posted, round trip)
+  static constexpr SimTime burst_write_word = ns(240);  // next word in a write burst
+  static constexpr SimTime burst_read_word = ns(280);   // next word in a read burst
+  static constexpr SimTime poll_gap = ns(300);      // host loop overhead between polls
+  static constexpr SimTime irq_dispatch = us(7);    // interrupt + wakeup (Linux 2.0)
 
   // DMA engine (Section 2: "for larger data transfers, programmed I/O or
   // DMA can be used"): one descriptor setup, then the NIC masters the bus
   // at burst rate while the CPU is free; completion costs a check/IRQ.
-  SimTime dma_setup = us(3);          // descriptor write + doorbell
-  SimTime dma_per_word = ns(90);      // bus-master burst, faster than PIO
-  SimTime dma_complete = us(1);       // completion status handling
+  static constexpr SimTime dma_setup = us(3);       // descriptor write + doorbell
+  static constexpr SimTime dma_per_word = ns(90);   // bus-master burst, faster than PIO
+  static constexpr SimTime dma_complete = us(1);    // completion status handling
 };
 
 /// Per-node runtime dials a fault plan can turn mid-run (fault/plan.h).

@@ -10,7 +10,7 @@ RingConfig backbone_config(const HierarchyConfig& cfg) {
   if (cfg.leaf_rings < 2) throw std::invalid_argument("hierarchy: need >=2 rings");
   RingConfig bb = cfg.leaf;
   bb.nodes = cfg.leaf_rings;
-  bb.hop_latency = cfg.backbone_hop;
+  bb.hop_latency = HierarchyConfig::backbone_hop;
   return bb;
 }
 

@@ -28,8 +28,9 @@ namespace scrnet::scramnet {
 struct HierarchyConfig {
   u32 leaf_rings = 3;
   RingConfig leaf;                  // one leaf ring; nodes include the bridge
-  SimTime backbone_hop = ns(600);   // longer cable runs between cabinets
   SimTime bridge_latency = us(2);   // store-and-forward + re-framing
+
+  static constexpr SimTime backbone_hop = ns(600);  // longer cable runs between cabinets
 
   u32 total_nodes() const { return leaf_rings * leaf.nodes; }
 };

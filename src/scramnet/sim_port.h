@@ -16,13 +16,13 @@ namespace scrnet::scramnet {
 
 class SimHostPort final : public MemPort {
  public:
-  SimHostPort(Ring& ring, u32 node, sim::Process& proc, HostTimings timings = {})
-      : ring_(ring), node_(node), proc_(proc), t_(timings) {}
+  SimHostPort(Ring& ring, u32 node, sim::Process& proc)
+      : ring_(ring), node_(node), proc_(proc) {}
 
   /// Global node `node` of a ring hierarchy: the port sits on its leaf
   /// ring, and fence() also waits for the bridges' copies of its writes.
-  SimHostPort(RingHierarchy& h, u32 node, sim::Process& proc, HostTimings timings = {})
-      : SimHostPort(h.leaf(h.ring_of(node)), h.local_of(node), proc, timings) {
+  SimHostPort(RingHierarchy& h, u32 node, sim::Process& proc)
+      : SimHostPort(h.leaf(h.ring_of(node)), h.local_of(node), proc) {
     hier_ = &h;
     leaf_ = h.ring_of(node);
   }
@@ -36,14 +36,14 @@ class SimHostPort final : public MemPort {
   void write_u32(u32 word_addr, u32 value) override {
     // Posted write: the bus transaction costs pio_write, after which the
     // word is in the NIC and on its way around the ring.
-    proc_.delay(io_t(t_.pio_write));
+    proc_.delay(io_t(HostTimings::pio_write));
     ring_.host_write(node_, word_addr, value);
   }
 
   u32 read_u32(u32 word_addr) override {
     // Non-posted PCI read: the CPU stalls for the full round trip and the
     // value it gets is the bank content at completion time.
-    proc_.delay(io_t(t_.pio_read));
+    proc_.delay(io_t(HostTimings::pio_read));
     return ring_.host_read(node_, word_addr);
   }
 
@@ -51,20 +51,21 @@ class SimHostPort final : public MemPort {
     if (words.empty()) return;
     // Inject paced chunks first (pacing starts now), then burn the host
     // burst time; ring serialization overlaps the PIO burst.
-    ring_.host_write_block(node_, word_addr, words, io_t(t_.burst_write_word));
-    proc_.delay(io_t(t_.pio_write +
-                     static_cast<SimTime>(words.size() - 1) * t_.burst_write_word));
+    ring_.host_write_block(node_, word_addr, words,
+                           io_t(HostTimings::burst_write_word));
+    const auto more = static_cast<SimTime>(words.size() - 1);
+    proc_.delay(io_t(HostTimings::pio_write + more * HostTimings::burst_write_word));
   }
 
   void read_block(u32 word_addr, std::span<u32> out) override {
     if (out.empty()) return;
-    proc_.delay(io_t(t_.pio_read +
-                     static_cast<SimTime>(out.size() - 1) * t_.burst_read_word));
+    const auto more = static_cast<SimTime>(out.size() - 1);
+    proc_.delay(io_t(HostTimings::pio_read + more * HostTimings::burst_read_word));
     ring_.host_read_block(node_, word_addr, out);
   }
 
   SimTime now() const override { return proc_.now(); }
-  void poll_pause() override { proc_.delay(cpu_t(t_.poll_gap)); }
+  void poll_pause() override { proc_.delay(cpu_t(HostTimings::poll_gap)); }
   void cpu_delay(SimTime dt) override { proc_.delay(cpu_t(dt)); }
 
   u32 peek_u32(u32 word_addr) override { return ring_.host_read(node_, word_addr); }
@@ -96,9 +97,9 @@ class SimHostPort final : public MemPort {
     // CPU: descriptor + doorbell, then the NIC masters the bus while the
     // process is free; ordering with later port writes is preserved by the
     // ring's per-sender insertion engine (tx_free_).
-    proc_.delay(io_t(t_.dma_setup));
-    ring_.host_write_block(node_, word_addr, words, io_t(t_.dma_per_word));
-    proc_.delay(io_t(t_.dma_complete));
+    proc_.delay(io_t(HostTimings::dma_setup));
+    ring_.host_write_block(node_, word_addr, words, io_t(HostTimings::dma_per_word));
+    proc_.delay(io_t(HostTimings::dma_complete));
   }
 
   // -- interrupt-driven receive (paper Section 7 future work) --------------
@@ -115,7 +116,7 @@ class SimHostPort final : public MemPort {
     assert(irq_ && "watch_range() must be armed before wait_write()");
     while (pending_irqs_ == 0) irq_->wait(proc_);
     pending_irqs_ = 0;
-    proc_.delay(t_.irq_dispatch);  // handler + process wakeup
+    proc_.delay(HostTimings::irq_dispatch);  // handler + process wakeup
   }
 
  private:
@@ -134,7 +135,6 @@ class SimHostPort final : public MemPort {
   Ring& ring_;
   u32 node_;
   sim::Process& proc_;
-  HostTimings t_;
   RingHierarchy* hier_ = nullptr;  // set when attached to a hierarchy
   u32 leaf_ = 0;                   // ... then: the index of ring_ in it
   const PortDials* dials_ = nullptr;

@@ -38,7 +38,7 @@ u32 Engine::effective_eager_limit() const {
 }
 
 u32 Engine::alloc_req() {
-  dev_.cpu(costs_.request_alloc);
+  dev_.cpu(LayerCosts::request_alloc);
   if (!free_reqs_.empty()) {
     const u32 idx = free_reqs_.back();
     free_reqs_.pop_back();
@@ -124,7 +124,7 @@ Request Engine::irecv(i32 src, u16 ctx, i32 tag, std::span<u8> buf) {
   dev_.cpu(costs_.adi_dispatch);
 
   // Check the unexpected queue first (a message may already be here).
-  dev_.cpu(costs_.match);
+  dev_.cpu(LayerCosts::match);
   for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
     if (!match(r, it->hdr)) continue;
     Unexpected u = std::move(*it);
@@ -190,7 +190,7 @@ void Engine::complete_recv_into(u32 req_idx, const PktHeader& hdr,
   Req& r = reqs_[req_idx];
   const usize n = std::min<usize>(payload.size(), r.buf.size());
   if (n) std::memcpy(r.buf.data(), payload.data(), n);
-  dev_.cpu(costs_.complete + scaled(dev_.unpack_cost(static_cast<u32>(n))));
+  dev_.cpu(LayerCosts::complete + scaled(dev_.unpack_cost(static_cast<u32>(n))));
   r.status = status_of(hdr);
   r.status.truncated = payload.size() > r.buf.size();
   r.state = Req::State::kDone;
@@ -214,7 +214,7 @@ void Engine::handle(Packet pkt) {
   const PktHeader& h = pkt.hdr;
   switch (h.kind) {
     case PktKind::kShort: {
-      dev_.cpu(costs_.match);
+      dev_.cpu(LayerCosts::match);
       for (auto it = posted_.begin(); it != posted_.end(); ++it) {
         if (!match(reqs_[*it], h)) continue;
         const u32 idx = *it;
@@ -226,7 +226,7 @@ void Engine::handle(Packet pkt) {
       return;
     }
     case PktKind::kRndvRts: {
-      dev_.cpu(costs_.match);
+      dev_.cpu(LayerCosts::match);
       for (auto it = posted_.begin(); it != posted_.end(); ++it) {
         if (!match(reqs_[*it], h)) continue;
         const u32 idx = *it;
@@ -339,7 +339,7 @@ void Engine::handle(Packet pkt) {
       const u32 n = static_cast<u32>(std::min<usize>(
           std::min<usize>(r.status.count_bytes, r.buf.size()),
           r.placement.bytes));
-      dev_.cpu(costs_.complete);
+      dev_.cpu(LayerCosts::complete);
       const Status st = dev_.rndv_complete(r.placement, r.buf, n);
       dev_.rndv_release(r.placement);
       ++rndv_fin_;
@@ -349,17 +349,17 @@ void Engine::handle(Packet pkt) {
       return;
     }
     case PktKind::kCollData: {
-      dev_.cpu(costs_.coll_fast);
+      dev_.cpu(LayerCosts::coll_fast);
       collq_[{h.ctx, h.src}].push_back(std::move(pkt.payload));
       return;
     }
     case PktKind::kCollBarrier: {
-      dev_.cpu(costs_.coll_fast);
+      dev_.cpu(LayerCosts::coll_fast);
       ++barrier_count_[{h.ctx, h.aux}];
       return;
     }
     case PktKind::kCollRelease: {
-      dev_.cpu(costs_.coll_fast);
+      dev_.cpu(LayerCosts::coll_fast);
       u32& e = release_epoch_[h.ctx];
       e = std::max(e, h.aux);
       return;
@@ -487,7 +487,7 @@ MpiStatus Engine::probe(i32 src, u16 ctx, i32 tag) {
 }
 
 std::optional<MpiStatus> Engine::iprobe(i32 src, u16 ctx, i32 tag) {
-  dev_.cpu(costs_.probe);
+  dev_.cpu(LayerCosts::probe);
   progress();
   for (const Unexpected& u : unexpected_) {
     if (!match(src, ctx, tag, u.hdr)) continue;
@@ -510,7 +510,7 @@ void Engine::coll_mcast(std::span<const u32> dsts, u16 ctx, PktKind kind,
   h.src = rank();
   h.len = static_cast<u32>(data.size());
   h.aux = aux;
-  dev_.cpu(costs_.coll_fast + scaled(dev_.pack_cost(static_cast<u32>(data.size()))));
+  dev_.cpu(LayerCosts::coll_fast + scaled(dev_.pack_cost(h.len)));
   // Collective transport keeps fire-and-forget semantics: a degraded path
   // surfaces at the blocked coll_wait_* peer, not here.
   (void)dev_.mcast_packet(dsts, h, data);
@@ -524,7 +524,7 @@ void Engine::coll_send(u32 dst, u16 ctx, PktKind kind, u32 aux,
   h.src = rank();
   h.len = static_cast<u32>(data.size());
   h.aux = aux;
-  dev_.cpu(costs_.coll_fast);
+  dev_.cpu(LayerCosts::coll_fast);
   (void)dev_.send_packet(dst, h, data);
 }
 
@@ -533,7 +533,8 @@ std::optional<std::vector<u8>> Engine::coll_wait_data(u16 ctx, u32 root) {
   if (!progress_until([&] { return !q.empty(); })) return std::nullopt;
   std::vector<u8> data = std::move(q.front());
   q.pop_front();
-  dev_.cpu(costs_.coll_fast + scaled(dev_.unpack_cost(static_cast<u32>(data.size()))));
+  dev_.cpu(LayerCosts::coll_fast +
+           scaled(dev_.unpack_cost(static_cast<u32>(data.size()))));
   return data;
 }
 

@@ -23,21 +23,16 @@ namespace scrnet::scrmpi {
 
 /// CPU cost of each MPICH-style software layer, charged via the device.
 /// Defaults are calibrated so MPI-over-BBP measures ~44 us for a 0-byte
-/// one-way send (paper Figure 1) on the simulated testbed.
+/// one-way send (paper Figure 1) on the simulated testbed. The fields are
+/// the dials abl_channel_interface, fault plans and the rendezvous tests
+/// turn; the static members are calibration that no experiment moves.
 struct LayerCosts {
-  SimTime binding = us(4);        // MPI_* binding: argument/handle processing
-  SimTime request_alloc = ns(5500);  // request creation bookkeeping
   SimTime adi_dispatch = us(4);   // ADI protocol selection + envelope build
   SimTime channel_pack = us(4);   // channel packetization fixed cost
   // Per-byte pack/unpack costs are owned by the channel *device*
   // (ChannelDevice::pack_cost / unpack_cost); this factor scales them --
   // the "remove the channel interface" ablation turns it down.
   double per_byte_scale = 1.0;
-  SimTime match = us(5);          // matching-queue search per arrival
-  SimTime complete = us(5);       // completion + status fill
-  SimTime probe = us(2);
-  SimTime coll_fast = us(1);      // native-multicast collective bookkeeping
-                                  // (thin wrapper straight onto bbp_Mcast)
   // Bounded wait for every blocking call (wait, waitany, probe and the
   // native-multicast collective waits): once one has waited this much
   // virtual time it gives up -- counted in op_timeouts() -- instead of
@@ -53,6 +48,14 @@ struct LayerCosts {
   // so CI can force the rendezvous path across a whole run (an explicit
   // nonzero value here always wins over the environment).
   u32 eager_cap = 0;
+
+  static constexpr SimTime binding = us(4);          // MPI_* argument/handle processing
+  static constexpr SimTime request_alloc = ns(5500); // request creation bookkeeping
+  static constexpr SimTime match = us(5);            // matching-queue search per arrival
+  static constexpr SimTime complete = us(5);         // completion + status fill
+  static constexpr SimTime probe = us(2);
+  // Native-multicast collective bookkeeping (thin wrapper onto bbp_Mcast).
+  static constexpr SimTime coll_fast = us(1);
 };
 
 class Engine {
@@ -62,7 +65,6 @@ class Engine {
   u32 rank() const { return dev_.rank(); }
   u32 size() const { return dev_.size(); }
   ChannelDevice& device() { return dev_; }
-  const LayerCosts& costs() const { return costs_; }
 
   // -- point to point ------------------------------------------------------
   Request isend(u32 dst, u16 ctx, i32 tag, std::span<const u8> data);

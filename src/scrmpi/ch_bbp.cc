@@ -1,5 +1,6 @@
 #include "scrmpi/ch_bbp.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace scrnet::scrmpi {
@@ -68,23 +69,27 @@ std::optional<Packet> BbpChannel::poll_packet() {
   // shorter than the envelope. Count and drop it, as the ADI does with
   // undecodable packets; the operation it carried then times out. Every
   // recv consumes the message msg_avail announced, so the loop ends.
+  // Each frame is read into a buffer of its own queued length, capped at
+  // kHeaderBytes + max_message_bytes(), above anything a sender can post:
+  // an oversize announced length still reads as truncated and is dropped.
+  const u32 max_frame = kHeaderBytes + ep_.layout().max_message_bytes();
   while (const auto src = ep_.msg_avail()) {
-    auto r = ep_.recv(*src, rxbuf_);
+    std::vector<u8> buf(std::min(*ep_.peek_len(*src), max_frame));
+    auto r = ep_.recv(*src, buf);
     if (!r.ok() || r.value().truncated || r.value().len < kHeaderBytes) {
       ++dropped_frames_;
       continue;
     }
     Packet pkt;
     u32 words[kHeaderWords];
-    std::memcpy(words, rxbuf_.data(), kHeaderBytes);
+    std::memcpy(words, buf.data(), kHeaderBytes);
     pkt.hdr = decode_header(words);
-    const u32 body = r.value().len - kHeaderBytes;
-    if (body != pkt.hdr.len) {
+    if (r.value().len - kHeaderBytes != pkt.hdr.len) {
       ++dropped_frames_;
       continue;
     }
-    pkt.payload.assign(rxbuf_.begin() + kHeaderBytes,
-                       rxbuf_.begin() + kHeaderBytes + body);
+    buf.erase(buf.begin(), buf.begin() + kHeaderBytes);
+    pkt.payload = std::move(buf);
     return pkt;
   }
   return std::nullopt;

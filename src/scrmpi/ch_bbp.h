@@ -14,9 +14,7 @@ namespace scrnet::scrmpi {
 class BbpChannel final : public ChannelDevice {
  public:
   /// `ep` must outlive the channel. Ranks are BBP ranks.
-  explicit BbpChannel(bbp::Endpoint& ep) : ep_(ep) {
-    rxbuf_.resize(kHeaderBytes + ep.layout().max_message_bytes());
-  }
+  explicit BbpChannel(bbp::Endpoint& ep) : ep_(ep) {}
 
   std::string_view kind() const override { return "bbp"; }
   u32 rank() const override { return ep_.rank(); }
@@ -75,7 +73,6 @@ class BbpChannel final : public ChannelDevice {
   std::vector<u8> frame(const PktHeader& hdr, std::span<const u8> payload) const;
 
   bbp::Endpoint& ep_;
-  std::vector<u8> rxbuf_;
   u64 dropped_frames_ = 0;
 };
 

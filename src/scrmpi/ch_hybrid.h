@@ -71,7 +71,6 @@ class HybridChannel final : public ChannelDevice {
     return std::max(threshold_, high_.eager_limit() - kPreambleBytes);
   }
 
-  u32 threshold() const { return threshold_; }
   u64 low_packets() const { return low_pkts_; }
   u64 high_packets() const { return high_pkts_; }
 

@@ -5,11 +5,13 @@
 
 namespace scrnet::scrmpi {
 
+using netmodels::RdmaConfig;
+
 Status RdmaChannel::send_packet(u32 dst, const PktHeader& hdr,
                                 std::span<const u8> payload) {
   if (kHeaderBytes + payload.size() > fabric_.mtu_payload())
     return Status::InvalidArg("ch_rdma: packet exceeds frame MTU");
-  proc_.delay(fabric_.config().doorbell);
+  proc_.delay(RdmaConfig::doorbell);
   netmodels::Frame f;
   f.src = host_;
   f.dst = dst;
@@ -47,8 +49,7 @@ Result<RndvPlacement> RdmaChannel::rndv_reserve(u32 src, u32 bytes,
   // directly into it. Registration is the (real, charged) price of the
   // zero-copy path; amortized over a large message it is cheap.
   const u32 pages = (bytes + 4095) / 4096;
-  proc_.delay(fabric_.config().reg_fixed +
-              fabric_.config().reg_per_page * pages);
+  proc_.delay(RdmaConfig::reg_fixed + RdmaConfig::reg_per_page * pages);
   const u32 rkey = fabric_.register_region(host_, dest.first(bytes));
   RndvPlacement pl;
   pl.addr = 0;  // offset within the registered region
@@ -62,7 +63,7 @@ Status RdmaChannel::rndv_put(u32 dst, const RndvPlacement& placement,
                              const PktHeader& fin_hdr,
                              std::span<const u8> fin_payload) {
   const u64 wr = next_wr_++;
-  proc_.delay(fabric_.config().doorbell);
+  proc_.delay(RdmaConfig::doorbell);
   fabric_.rdma_put(host_, placement.rkey, static_cast<u32>(placement.addr),
                    payload, wr);
   // Wait for my CQE before sending FIN: the completion proves the last
@@ -70,15 +71,12 @@ Status RdmaChannel::rndv_put(u32 dst, const RndvPlacement& placement,
   // frame races nothing. The engine runs one fiber per rank, so this put
   // is the only one outstanding; a bounded wait surfaces lost chunks
   // (fault-injected drops = RC retry exhaustion) as kTimedOut.
-  const SimTime timeout = fabric_.config().retry_timeout;
   for (;;) {
-    std::optional<netmodels::CqEvent> ev =
-        timeout > 0 ? fabric_.cq(host_).pop_for(proc_, timeout)
-                    : std::optional<netmodels::CqEvent>(
-                          fabric_.cq(host_).pop(proc_));
+    const std::optional<netmodels::CqEvent> ev =
+        fabric_.cq(host_).pop_for(proc_, RdmaConfig::retry_timeout);
     if (!ev)
       return Status::TimedOut("ch_rdma: put completion never arrived");
-    proc_.delay(fabric_.config().cq_poll);
+    proc_.delay(RdmaConfig::cq_poll);
     if (ev->wr_id == wr) break;  // stale CQE from a timed-out earlier put
   }
   return send_packet(dst, fin_hdr, fin_payload);
@@ -92,7 +90,7 @@ Status RdmaChannel::rndv_complete(const RndvPlacement& placement,
   // The NIC already landed the payload in the registered user buffer;
   // completion is one CQ/teardown poll, independent of message size --
   // this is the whole point of the rendezvous path on real RDMA hardware.
-  proc_.delay(fabric_.config().cq_poll);
+  proc_.delay(RdmaConfig::cq_poll);
   return Status::Ok();
 }
 

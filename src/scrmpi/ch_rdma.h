@@ -22,9 +22,8 @@ class RdmaChannel final : public ChannelDevice {
   /// One channel per rank; `proc` is the simulated process running the
   /// rank and the channel's world rank equals its fabric host id.
   RdmaChannel(netmodels::RdmaFabric& fabric, sim::Process& proc, u32 host,
-              u32 size, SimTime poll_gap = ns(500))
-      : fabric_(fabric), proc_(proc), host_(host), size_(size),
-        poll_gap_(poll_gap) {}
+              u32 size)
+      : fabric_(fabric), proc_(proc), host_(host), size_(size) {}
 
   std::string_view kind() const override { return "rdma"; }
   u32 rank() const override { return host_; }
@@ -41,7 +40,7 @@ class RdmaChannel final : public ChannelDevice {
 
   SimTime now() const override { return proc_.now(); }
   void cpu(SimTime dt) override { proc_.delay(dt); }
-  void idle_pause() override { proc_.delay(poll_gap_); }
+  void idle_pause() override { proc_.delay(kPollGap); }
 
   /// One packet = one frame: envelope + payload must fit the wire MTU.
   u32 eager_limit() const override {
@@ -63,11 +62,12 @@ class RdmaChannel final : public ChannelDevice {
   netmodels::RdmaFabric& fabric() { return fabric_; }
 
  private:
+  static constexpr SimTime kPollGap = ns(500);  // host loop between empty polls
+
   netmodels::RdmaFabric& fabric_;
   sim::Process& proc_;
   u32 host_;
   u32 size_;
-  SimTime poll_gap_;
   u64 next_wr_ = 1;
 };
 

@@ -18,10 +18,8 @@ class SockChannel final : public ChannelDevice {
  public:
   /// One channel per rank; `stack` is this host's TCP stack and `proc` the
   /// simulated process running the rank.
-  SockChannel(netmodels::TcpStack& stack, sim::Process& proc, u32 size,
-              SimTime poll_gap = ns(500))
-      : stack_(stack), proc_(proc), size_(size), poll_gap_(poll_gap),
-        want_(size, 0) {}
+  SockChannel(netmodels::TcpStack& stack, sim::Process& proc, u32 size)
+      : stack_(stack), proc_(proc), size_(size), want_(size, 0) {}
 
   std::string_view kind() const override { return "sock"; }
   u32 rank() const override { return stack_.host(); }
@@ -39,17 +37,18 @@ class SockChannel final : public ChannelDevice {
 
   SimTime now() const override { return proc_.now(); }
   void cpu(SimTime dt) override { proc_.delay(dt); }
-  void idle_pause() override { proc_.delay(poll_gap_); }
+  void idle_pause() override { proc_.delay(kPollGap); }
 
   /// TCP streams carry any size; cap eager at 64 KB so rendezvous is still
   /// exercised and huge sends don't monopolize socket buffers.
   u32 eager_limit() const override { return 64 * 1024; }
 
  private:
+  static constexpr SimTime kPollGap = ns(500);  // host loop between empty polls
+
   netmodels::TcpStack& stack_;
   sim::Process& proc_;
   u32 size_;
-  SimTime poll_gap_;
   // Per-source: decoded header of a partially arrived packet (want_ > 0
   // means we know the total frame size we are waiting for).
   std::vector<usize> want_;

@@ -11,19 +11,19 @@ namespace scrnet::scrmpi::coll {
 // ---------------------------------------------------------------------------
 
 void Ctx::send(u32 dst, i32 tag, std::span<const u8> data) {
-  eng.device().cpu(eng.costs().binding);
+  eng.device().cpu(LayerCosts::binding);
   eng.wait(eng.isend(comm.world_of(dst), comm.coll_ctx(), tag, data));
 }
 
 void Ctx::recv(u32 src, i32 tag, std::span<u8> buf) {
-  eng.device().cpu(eng.costs().binding);
+  eng.device().cpu(LayerCosts::binding);
   eng.wait(eng.irecv(static_cast<i32>(comm.world_of(src)), comm.coll_ctx(),
                      tag, buf));
 }
 
 void Ctx::sendrecv(u32 dst, std::span<const u8> sdata, u32 src,
                    std::span<u8> rbuf, i32 tag) {
-  eng.device().cpu(eng.costs().binding);
+  eng.device().cpu(LayerCosts::binding);
   Request rr =
       eng.irecv(static_cast<i32>(comm.world_of(src)), comm.coll_ctx(), tag, rbuf);
   Request sr = eng.isend(comm.world_of(dst), comm.coll_ctx(), tag, sdata);

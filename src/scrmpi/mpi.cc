@@ -57,7 +57,7 @@ std::vector<u32> Mpi::others(const Comm& comm) const {
 Request Mpi::isend(const void* buf, u32 count, Datatype dt, i32 dest, i32 tag,
                    const Comm& comm) {
   assert(dest >= 0 && static_cast<u32>(dest) < comm.size() && "bad dest rank");
-  engine_.device().cpu(engine_.costs().binding);
+  engine_.device().cpu(LayerCosts::binding);
   return engine_.isend(comm.world_of(static_cast<u32>(dest)), comm.p2p_ctx(), tag,
                        as_bytes(buf, count, dt));
 }
@@ -66,7 +66,7 @@ Request Mpi::irecv(void* buf, u32 count, Datatype dt, i32 src, i32 tag,
                    const Comm& comm) {
   assert((src == kAnySource || (src >= 0 && static_cast<u32>(src) < comm.size())) &&
          "bad source rank");
-  engine_.device().cpu(engine_.costs().binding);
+  engine_.device().cpu(LayerCosts::binding);
   const i32 world_src =
       src == kAnySource ? kAnySource : static_cast<i32>(comm.world_of(static_cast<u32>(src)));
   return engine_.irecv(world_src, comm.p2p_ctx(), tag, as_bytes(buf, count, dt));
@@ -267,7 +267,7 @@ void Mpi::bcast(void* buf, u32 count, Datatype dt, i32 root, const Comm& comm) {
   TRACE_SPAN(obs::Layer::kMpi, engine_.rank(), "mpi.bcast", engine_.device());
   TimedCall tc(*this);
   ++stats_.bcasts;
-  engine_.device().cpu(engine_.costs().binding);
+  engine_.device().cpu(LayerCosts::binding);
   const u32 bytes = coll_bytes(count, dt);
   u8* data = static_cast<u8*>(buf);
   const u32 vroot = static_cast<u32>(root);
@@ -295,7 +295,7 @@ void Mpi::barrier(const Comm& comm) {
   TRACE_SPAN(obs::Layer::kMpi, engine_.rank(), "mpi.barrier", engine_.device());
   TimedCall tc(*this);
   ++stats_.barriers;
-  engine_.device().cpu(engine_.costs().binding);
+  engine_.device().cpu(LayerCosts::binding);
   coll::Ctx cx(engine_, comm);
   switch (resolve_barrier(comm.size())) {
     case CollAlgo::kNativeMcast:
@@ -315,7 +315,7 @@ void Mpi::reduce(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
   TRACE_SPAN(obs::Layer::kMpi, engine_.rank(), "mpi.reduce", engine_.device());
   TimedCall tc(*this);
   ++stats_.reduces;
-  engine_.device().cpu(engine_.costs().binding);
+  engine_.device().cpu(LayerCosts::binding);
   const u32 size = comm.size();
   const u32 me = static_cast<u32>(rank(comm));
   const u32 vroot = static_cast<u32>(root);
@@ -355,7 +355,7 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
     return;
   }
   TimedCall tc(*this);
-  engine_.device().cpu(engine_.costs().binding);
+  engine_.device().cpu(LayerCosts::binding);
   if (bytes) std::memcpy(recvbuf, sendbuf, bytes);
   coll::Ctx cx(engine_, comm);
   switch (a) {
@@ -375,7 +375,7 @@ void Mpi::gather(const void* sendbuf, u32 count, Datatype dt, void* recvbuf,
                  i32 root, const Comm& comm) {
   TimedCall tc(*this);
   ++stats_.gathers;
-  engine_.device().cpu(engine_.costs().binding);
+  engine_.device().cpu(LayerCosts::binding);
   const u32 me = static_cast<u32>(rank(comm));
   const u32 bytes = coll_bytes(count, dt);
   coll::Ctx cx(engine_, comm);
@@ -395,7 +395,7 @@ void Mpi::scatter(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
                   i32 root, const Comm& comm) {
   TimedCall tc(*this);
   ++stats_.scatters;
-  engine_.device().cpu(engine_.costs().binding);
+  engine_.device().cpu(LayerCosts::binding);
   const u32 me = static_cast<u32>(rank(comm));
   const u32 bytes = coll_bytes(count, dt);
   coll::Ctx cx(engine_, comm);
@@ -424,7 +424,7 @@ void Mpi::allgather(const void* sendbuf, u32 count, Datatype dt, void* recvbuf,
         "scrmpi: allgather result overflows 32-bit byte count");
   if (resolve_allgather(comm.size(), block) == AllgatherAlgo::kRing) {
     TimedCall tc(*this);
-    engine_.device().cpu(engine_.costs().binding);
+    engine_.device().cpu(LayerCosts::binding);
     const u32 me = static_cast<u32>(rank(comm));
     u8* out = static_cast<u8*>(recvbuf);
     if (block)
@@ -441,7 +441,7 @@ void Mpi::allgather(const void* sendbuf, u32 count, Datatype dt, void* recvbuf,
 void Mpi::alltoall(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
                    const Comm& comm) {
   TimedCall tc(*this);
-  engine_.device().cpu(engine_.costs().binding);
+  engine_.device().cpu(LayerCosts::binding);
   const u32 me = static_cast<u32>(rank(comm));
   const u32 np = comm.size();
   const u32 bytes = coll_bytes(count, dt);

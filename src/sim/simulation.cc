@@ -13,6 +13,10 @@ namespace {
 /// Simulation is destroyed while the process is still blocked. User
 /// destructors on the process stack run normally.
 struct ProcessCancelled {};
+
+/// Usable stack bytes of every process fiber (page-rounded by StackPool,
+/// which maps a PROT_NONE guard page below each stack).
+constexpr usize kProcStackBytes = 256 * 1024;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -80,8 +84,7 @@ void Process::from_kernel_wait() {
 // Simulation
 // ---------------------------------------------------------------------------
 
-Simulation::Simulation(const SimConfig& cfg)
-    : sink_(&obs::Sink::current()), stacks_(cfg.proc_stack_bytes) {}
+Simulation::Simulation() : sink_(&obs::Sink::current()), stacks_(kProcStackBytes) {}
 
 Simulation::~Simulation() {
   // Unwind any process still blocked mid-body so its destructors run.

@@ -59,13 +59,6 @@ class ProcessError : public std::runtime_error {
   explicit ProcessError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Kernel tuning knobs (RingConfig-style: aggregate, all defaulted).
-struct SimConfig {
-  /// Usable stack bytes for each simulated process fiber, rounded up to
-  /// whole pages; a PROT_NONE guard page is mapped below every stack.
-  usize proc_stack_bytes = 256 * 1024;
-};
-
 /// A simulated process. Instances are owned by the Simulation; user code
 /// receives a reference in its body functor and must not retain it past
 /// process exit.
@@ -133,8 +126,7 @@ class Process {
 /// The simulation kernel.
 class Simulation {
  public:
-  Simulation() : Simulation(SimConfig{}) {}
-  explicit Simulation(const SimConfig& cfg);
+  Simulation();
   ~Simulation();
 
   Simulation(const Simulation&) = delete;
@@ -180,8 +172,6 @@ class Simulation {
 
   /// Fiber stack-pool counters (mmap'd vs recycled stacks).
   detail::StackPool::Stats stack_stats() const { return stacks_.stats(); }
-  /// Per-process usable stack bytes after page rounding.
-  usize proc_stack_bytes() const { return stacks_.stack_bytes(); }
 
   /// The observability sink this simulation records into (TRACE_* hooks,
   /// published counters). Captured from obs::Sink::current() at
@@ -240,16 +230,8 @@ class Signal {
   /// Park until notified or until `timeout` elapses; true if notified.
   bool wait_for(Process& p, SimTime timeout);
 
-  /// Wait until pred() holds, re-checking after every notification.
-  template <typename Pred>
-  void wait_until(Process& p, Pred pred) {
-    while (!pred()) wait(p);
-  }
-
   void notify_all();
   void notify_one();
-
-  usize waiters() const { return waiting_.size(); }
 
  private:
   Simulation& sim_;

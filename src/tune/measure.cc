@@ -40,7 +40,7 @@ void run_rounds(sim::Process& p, Mpi& mpi, const MeasureSpec& s,
                 RoundClock& clk) {
   const Comm& w = mpi.world();
   const u32 me = static_cast<u32>(mpi.rank(w));
-  const u32 rounds = s.warmup + s.iters;
+  const u32 rounds = MeasureSpec::warmup + MeasureSpec::iters;
 
   // Pin every selector so the measurement is independent of the decision
   // table (the tuner is *producing* the table): composite algorithms
@@ -135,7 +135,7 @@ std::vector<std::string> candidates(std::string_view device,
 }
 
 double measure_us(const MeasureSpec& spec) {
-  RoundClock clk(spec.warmup + spec.iters);
+  RoundClock clk(MeasureSpec::warmup + MeasureSpec::iters);
   const auto body = [&](sim::Process& p, Mpi& mpi) {
     run_rounds(p, mpi, spec, clk);
   };
@@ -149,7 +149,7 @@ double measure_us(const MeasureSpec& spec) {
   } else {
     throw std::invalid_argument("tune: unknown device '" + spec.device + "'");
   }
-  return clk.avg_us(spec.warmup);
+  return clk.avg_us(MeasureSpec::warmup);
 }
 
 }  // namespace scrnet::tune

@@ -29,8 +29,9 @@ struct MeasureSpec {
   std::string algo;    // algorithm name for the op (types.h *_algo_name)
   u32 nodes = 4;
   u32 bytes = 0;       // see the size-axis note above; ignored for barrier
-  u32 iters = 4;
-  u32 warmup = 1;
+
+  static constexpr u32 iters = 4;   // timed rounds per cell
+  static constexpr u32 warmup = 1;  // untimed rounds before them
 };
 
 /// Algorithm names the tuner races for (device, op). Native multicast is

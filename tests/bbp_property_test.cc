@@ -234,14 +234,14 @@ TEST(BbpProperty, SingleWriterDiscipline) {
   Layout layout(4096, 3, 8);
   sim.spawn("tx", [&](sim::Process& p) {
     SimHostPort port(ring, 0, p);
-    Endpoint ep(port, 3, 0, Config{.slots = 8, .cpu = {}});
+    Endpoint ep(port, 3, 0, Config{.slots = 8});
     for (int i = 0; i < 5; ++i)
       ASSERT_TRUE(ep.send(1, std::vector<u8>(16, 0xAB)).ok());
     ep.drain();
   });
   sim.spawn("rx", [&](sim::Process& p) {
     SimHostPort port(ring, 1, p);
-    Endpoint ep(port, 3, 1, Config{.slots = 8, .cpu = {}});
+    Endpoint ep(port, 3, 1, Config{.slots = 8});
     std::vector<u8> buf(16);
     for (int i = 0; i < 5; ++i) ASSERT_TRUE(ep.recv(0, buf).ok());
   });

@@ -94,16 +94,6 @@ TEST(Rng, UniformInUnitInterval) {
   }
 }
 
-TEST(Stats, WelfordMatchesClosedForm) {
-  RunningStats s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_EQ(s.count(), 100u);
-  EXPECT_DOUBLE_EQ(s.mean(), 50.5);
-  EXPECT_NEAR(s.variance(), 841.666, 0.01);
-  EXPECT_EQ(s.min(), 1.0);
-  EXPECT_EQ(s.max(), 100.0);
-}
-
 TEST(Stats, SamplesPercentiles) {
   Samples s;
   for (int i = 100; i >= 1; --i) s.add(i);  // unsorted insert

@@ -12,14 +12,13 @@ namespace {
 TEST(Dma, CpuTimeIsSetupPlusCompleteOnly) {
   sim::Simulation sim;
   Ring ring(sim, RingConfig{.nodes = 2, .bank_words = 1u << 14});
-  HostTimings t;
   sim.spawn("host", [&](sim::Process& p) {
-    SimHostPort port(ring, 0, p, t);
+    SimHostPort port(ring, 0, p);
     std::vector<u32> data(1000, 7);
     const SimTime t0 = p.now();
     port.dma_write(100, data);
     // The process was blocked only for setup + completion, not the burst.
-    EXPECT_EQ(p.now() - t0, t.dma_setup + t.dma_complete);
+    EXPECT_EQ(p.now() - t0, HostTimings::dma_setup + HostTimings::dma_complete);
   });
   sim.run();
   for (u32 i = 0; i < 1000; ++i) EXPECT_EQ(ring.host_read(1, 100 + i), 7u);

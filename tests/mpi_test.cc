@@ -438,6 +438,73 @@ TEST(MpiNative, MixedAlgosAgree) {
 }
 
 // ---------------------------------------------------------------------------
+// ch_bbp frame reception
+// ---------------------------------------------------------------------------
+
+/// Forwards every call to a SimHostPort, but every read of a sender's
+/// buffer descriptor announces `len` bytes, whatever the sender wrote.
+class OversizeDescPort final : public scramnet::MemPort {
+ public:
+  OversizeDescPort(scramnet::SimHostPort& p, const bbp::Layout& sender, u32 len)
+      : p_(p), lo_(sender.desc_addr(0, 0)), hi_(sender.desc_addr(0, sender.slots)),
+        len_(len) {}
+  u32 bank_words() const override { return p_.bank_words(); }
+  void write_u32(u32 a, u32 v) override { p_.write_u32(a, v); }
+  u32 read_u32(u32 a) override { return p_.read_u32(a); }
+  void write_block(u32 a, std::span<const u32> w) override { p_.write_block(a, w); }
+  void read_block(u32 a, std::span<u32> out) override {
+    p_.read_block(a, out);
+    if (a >= lo_ && a < hi_) out[2] = len_;  // descriptor: {seq, offset, len}
+  }
+  void dma_write(u32 a, std::span<const u32> w) override { p_.dma_write(a, w); }
+  SimTime now() const override { return p_.now(); }
+  u32 peek_u32(u32 a) override { return p_.peek_u32(a); }
+  void fence() override { p_.fence(); }
+  void poll_pause() override { p_.poll_pause(); }
+  void cpu_delay(SimTime dt) override { p_.cpu_delay(dt); }
+  void watch_range(u32 lo, u32 hi) override { p_.watch_range(lo, hi); }
+  void wait_write() override { p_.wait_write(); }
+
+ private:
+  scramnet::SimHostPort& p_;
+  u32 lo_, hi_, len_;
+};
+
+TEST(ChBbp, OversizeAnnouncedFrameIsDropped) {
+  // A descriptor that announces more bytes than any sender can post reads
+  // as truncated: poll_packet() drops the frame instead of returning it.
+  sim::Simulation sim;
+  scramnet::Ring ring(sim, scramnet::RingConfig{.nodes = 2, .bank_words = 4096});
+  std::optional<Packet> got;
+  u64 dropped = 0;
+  sim.spawn("tx", [&](sim::Process& p) {
+    scramnet::SimHostPort port(ring, 0, p);
+    bbp::Endpoint ep(port, 2, 0);
+    BbpChannel dev(ep);
+    std::vector<u8> payload(8);
+    fill_pattern(payload, 3);
+    PktHeader hdr;
+    hdr.len = static_cast<u32>(payload.size());
+    ASSERT_TRUE(dev.send_packet(1, hdr, payload).ok());
+    ASSERT_TRUE(ep.drain().ok());
+  });
+  sim.spawn("rx", [&](sim::Process& p) {
+    scramnet::SimHostPort sim_port(ring, 1, p);
+    const bbp::Layout layout(sim_port.bank_words(), 2, bbp::Config{}.slots);
+    const u32 oversize = kHeaderBytes + layout.max_message_bytes() + 4;
+    OversizeDescPort port(sim_port, layout, oversize);
+    bbp::Endpoint ep(port, 2, 1);
+    BbpChannel dev(ep);
+    p.delay(us(100));  // the frame has landed
+    got = dev.poll_packet();
+    dropped = dev.dropped_frames();
+  });
+  sim.run();
+  EXPECT_FALSE(got.has_value());
+  EXPECT_EQ(dropped, 1u);
+}
+
+// ---------------------------------------------------------------------------
 // Seeded adversarial timing (seeded_timing.h): the whole MPI stack over
 // ch_bbp must hold under every propagation timing.
 // ---------------------------------------------------------------------------

@@ -197,16 +197,15 @@ TEST(Ring, NonCoherenceDifferentNodesMayDisagreeTransiently) {
 TEST(SimHostPort, TimedWriteAndRead) {
   sim::Simulation sim;
   Ring ring(sim, small_ring());
-  HostTimings t;
   sim.spawn("host0", [&](sim::Process& p) {
-    SimHostPort port(ring, 0, p, t);
+    SimHostPort port(ring, 0, p);
     const SimTime t0 = p.now();
     port.write_u32(5, 77);
-    EXPECT_EQ(p.now() - t0, t.pio_write);
+    EXPECT_EQ(p.now() - t0, HostTimings::pio_write);
     const SimTime t1 = p.now();
     const u32 v = port.read_u32(5);
     EXPECT_EQ(v, 77u);
-    EXPECT_EQ(p.now() - t1, t.pio_read);
+    EXPECT_EQ(p.now() - t1, HostTimings::pio_read);
   });
   sim.run();
 }
@@ -214,17 +213,16 @@ TEST(SimHostPort, TimedWriteAndRead) {
 TEST(SimHostPort, BurstTimingsScaleWithLength) {
   sim::Simulation sim;
   Ring ring(sim, small_ring());
-  HostTimings t;
   sim.spawn("host0", [&](sim::Process& p) {
-    SimHostPort port(ring, 0, p, t);
+    SimHostPort port(ring, 0, p);
     std::vector<u32> data(10, 3);
     const SimTime t0 = p.now();
     port.write_block(200, data);
-    EXPECT_EQ(p.now() - t0, t.pio_write + 9 * t.burst_write_word);
+    EXPECT_EQ(p.now() - t0, HostTimings::pio_write + 9 * HostTimings::burst_write_word);
     const SimTime t1 = p.now();
     std::vector<u32> out(10);
     port.read_block(200, out);
-    EXPECT_EQ(p.now() - t1, t.pio_read + 9 * t.burst_read_word);
+    EXPECT_EQ(p.now() - t1, HostTimings::pio_read + 9 * HostTimings::burst_read_word);
     EXPECT_EQ(out, data);
   });
   sim.run();

@@ -178,12 +178,11 @@ TEST(SimProcess, StackPoolTracksConcurrentHighWater) {
 }
 
 TEST(SimProcess, StackSizeKnobIsPageRoundedAndUsable) {
-  SimConfig cfg;
-  cfg.proc_stack_bytes = 90 * 1024;  // not page-aligned on purpose
-  Simulation sim(cfg);
-  EXPECT_GE(sim.proc_stack_bytes(), 90u * 1024);
-  EXPECT_EQ(sim.proc_stack_bytes() % 4096, 0u);
-  // Burn most of the configured stack to prove it is really there.
+  detail::StackPool pool(90 * 1024);  // not page-aligned on purpose
+  EXPECT_GE(pool.stack_bytes(), 90u * 1024);
+  EXPECT_EQ(pool.stack_bytes() % 4096, 0u);
+  // Burn a deep frame on a default process stack to prove it is there.
+  Simulation sim;
   u64 sum = 0;
   sim.spawn("deep", [&](Process& p) {
     p.delay(ns(1));
