@@ -232,6 +232,22 @@ void BM_RingBlockWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_RingBlockWrite)->Arg(0)->Arg(1);
 
+/// Ring set-up and teardown with default 4 MiB banks: build a simulation
+/// and a ring, replicate one word, destroy both. The per-layer counterpart
+/// of perfbench's `scramnet.ring_ctor_ms`; the banks are lazily zeroed, so
+/// this grows with the pages touched, not with nodes x 4 MiB.
+void BM_RingSetup(benchmark::State& state) {
+  const u32 nodes = static_cast<u32>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulation sim;
+    scramnet::Ring ring(sim, scramnet::RingConfig{.nodes = nodes});
+    ring.host_write(0, 16, 1);
+    sim.run();
+    benchmark::DoNotOptimize(ring.host_read(nodes - 1, 16));
+  }
+}
+BENCHMARK(BM_RingSetup)->Arg(4)->Arg(256)->Unit(benchmark::kMicrosecond);
+
 /// End-to-end simulated BBP ping-pong per wall second.
 void BM_BbpPingPongSim(benchmark::State& state) {
   const u32 bytes = static_cast<u32>(state.range(0));

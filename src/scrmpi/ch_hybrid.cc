@@ -75,56 +75,6 @@ std::optional<Packet> HybridChannel::pop_ready(u32 src) {
   return pkt;
 }
 
-Result<RndvPlacement> HybridChannel::rndv_reserve(u32 src, u32 bytes,
-                                                  std::span<u8> dest) {
-  // Prefer the leg the payload would route to; fall back to the other if
-  // it lacks the capability or its window/registration is exhausted.
-  const u32 first = bytes > threshold_ ? 1u : 0u;
-  for (const u32 via : {first, 1u - first}) {
-    ChannelDevice& dev = leg(via);
-    if (!dev.supports_put()) continue;
-    Result<RndvPlacement> res = dev.rndv_reserve(src, bytes, dest);
-    if (res.ok()) {
-      RndvPlacement pl = res.value();
-      pl.via = via;
-      return pl;
-    }
-  }
-  return Status::NoSpace("ch_hybrid: no leg could reserve placement");
-}
-
-Status HybridChannel::rndv_put(u32 dst, const RndvPlacement& placement,
-                               std::span<const u8> payload,
-                               const PktHeader& fin_hdr,
-                               std::span<const u8> fin_payload) {
-  // The receiver unwraps every p2p packet, so the FIN must carry the
-  // hybrid preamble and consume a sequence number like any other packet --
-  // and it must travel on the *same leg* as the put (placement.via) so the
-  // leg's data-before-FIN guarantee survives the split across networks.
-  std::vector<u8> wrapped(kPreambleBytes + fin_payload.size());
-  const u32 seq = next_seq_[dst]++;
-  std::memcpy(wrapped.data(), &seq, 4);
-  u32 magic = kMagic;
-  std::memcpy(wrapped.data() + 4, &magic, 4);
-  if (!fin_payload.empty())
-    std::memcpy(wrapped.data() + kPreambleBytes, fin_payload.data(),
-                fin_payload.size());
-  PktHeader h = fin_hdr;
-  h.len = static_cast<u32>(wrapped.size());
-  Status st = leg(placement.via).rndv_put(dst, placement, payload, h, wrapped);
-  if (st.ok()) (placement.via == 0 ? low_pkts_ : high_pkts_) += 1;
-  return st;
-}
-
-Status HybridChannel::rndv_complete(const RndvPlacement& placement,
-                                    std::span<u8> buf, u32 len) {
-  return leg(placement.via).rndv_complete(placement, buf, len);
-}
-
-void HybridChannel::rndv_release(const RndvPlacement& placement) {
-  leg(placement.via).rndv_release(placement);
-}
-
 std::optional<Packet> HybridChannel::poll_packet() {
   // Release any stashed packet that became in-order first.
   for (u32 src = 0; src < size(); ++src) {

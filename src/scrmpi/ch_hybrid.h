@@ -74,22 +74,6 @@ class HybridChannel final : public ChannelDevice {
   u64 low_packets() const { return low_pkts_; }
   u64 high_packets() const { return high_pkts_; }
 
-  // Zero-copy rendezvous: delegate to whichever sub-device has the put
-  // capability, preferring the one the payload size would route to. The
-  // chosen leg is recorded in RndvPlacement::via (0 = low, 1 = high) so
-  // the sender's put and the receiver's completion use the same device.
-  bool supports_put() const override {
-    return low_.supports_put() || high_.supports_put();
-  }
-  Result<RndvPlacement> rndv_reserve(u32 src, u32 bytes,
-                                     std::span<u8> dest) override;
-  Status rndv_put(u32 dst, const RndvPlacement& placement,
-                  std::span<const u8> payload, const PktHeader& fin_hdr,
-                  std::span<const u8> fin_payload) override;
-  Status rndv_complete(const RndvPlacement& placement, std::span<u8> buf,
-                       u32 len) override;
-  void rndv_release(const RndvPlacement& placement) override;
-
  private:
   static constexpr u32 kPreambleBytes = 8;  // [seq, magic]
   static constexpr u32 kMagic = 0x48594252;  // "HYBR"
@@ -104,8 +88,6 @@ class HybridChannel final : public ChannelDevice {
 
   /// Release the next in-order packet from a source's stash, if present.
   std::optional<Packet> pop_ready(u32 src);
-
-  ChannelDevice& leg(u32 via) { return via == 0 ? low_ : high_; }
 
   ChannelDevice& low_;
   ChannelDevice& high_;

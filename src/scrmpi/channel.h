@@ -80,7 +80,8 @@ struct Packet {
 ///   addr  -- device-specific placement (billboard word address, RDMA VA)
 ///   bytes -- capacity granted (receiver clips to its posted buffer)
 ///   rkey  -- remote access key / registration handle (0 when unused)
-///   via   -- routing cookie for composite devices (hybrid: which leg)
+///   via   -- routing cookie for a composite device; no device sets it,
+///            but it stays on the wire: the CTS payload size is timing
 struct RndvPlacement {
   u64 addr = 0;
   u32 bytes = 0;

@@ -350,7 +350,10 @@ std::string Report::render(const Spec& spec) const {
   s += " p999=" + std::to_string(latency.percentile_permille(999));
   s += " max=" + std::to_string(latency.max());
   s += "\n  node_ops:";
-  for (u64 n : node_ops) s += " " + std::to_string(n);
+  for (u64 n : node_ops) {
+    s += ' ';
+    s += std::to_string(n);
+  }
   s += "\n  makespan_us=" + std::to_string(makespan / kMicrosecond);
   s += "\n  faults:";
   bool any = false;
@@ -359,7 +362,8 @@ std::string Report::render(const Spec& spec) const {
     any = true;
     s += " ";
     s += fault::kind_name(static_cast<fault::FaultKind>(k));
-    s += "=" + std::to_string(fault_fired[k]);
+    s += '=';
+    s += std::to_string(fault_fired[k]);
   }
   if (!any) s += " none";
   s += "\n";

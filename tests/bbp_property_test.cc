@@ -33,8 +33,11 @@ INSTANTIATE_TEST_SUITE_P(
                                          1000u, 1024u, 4096u),
                        ::testing::Values(1u, 2u, 8u, 32u)),
     [](const auto& ti) {
-      return "b" + std::to_string(std::get<0>(ti.param)) + "_s" +
-             std::to_string(std::get<1>(ti.param));
+      std::string name = "b";
+      name += std::to_string(std::get<0>(ti.param));
+      name += "_s";
+      name += std::to_string(std::get<1>(ti.param));
+      return name;
     });
 
 TEST_P(SizeSlotsTest, PayloadIntegrityAndReclamation) {
@@ -160,7 +163,7 @@ class ProcCountTest : public ::testing::TestWithParam<u32> {};
 
 INSTANTIATE_TEST_SUITE_P(Procs, ProcCountTest, ::testing::Values(2u, 3u, 5u, 8u),
                          [](const auto& ti) {
-                           return "n" + std::to_string(ti.param);
+                           return std::string("n").append(std::to_string(ti.param));
                          });
 
 TEST_P(ProcCountTest, RandomTrafficInOrderExactlyOnce) {

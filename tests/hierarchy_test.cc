@@ -211,7 +211,7 @@ TEST(Hierarchy, ShmBarrierAcrossRings) {
   std::vector<u32> arrived(kPhases, 0);
   bool ok = true;
   for (u32 id = 0; id < kN; ++id) {
-    sim.spawn("p" + std::to_string(id), [&, id](sim::Process& p) {
+    sim.spawn(std::string("p").append(std::to_string(id)), [&, id](sim::Process& p) {
       SimHostPort port(h, id, p);
       scrshm::Arena arena(0, 1024);
       scrshm::DisseminationBarrier bar(port, arena, kN, id);

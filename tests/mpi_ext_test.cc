@@ -120,8 +120,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2u, 3u, 4u, 5u, 8u),
                        ::testing::Values(1u, 7u, 64u)),
     [](const auto& ti) {
-      return "n" + std::to_string(std::get<0>(ti.param)) + "_c" +
-             std::to_string(std::get<1>(ti.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(ti.param));
+      name += "_c";
+      name += std::to_string(std::get<1>(ti.param));
+      return name;
     });
 
 TEST_P(AllreduceAlgoTest, RecursiveDoublingMatchesReduceBcast) {

@@ -22,7 +22,7 @@ TEST(SimProcess, StressSpawnThousandProcesses) {
   Signal barrier(sim);
   u32 arrived = 0;
   for (u32 i = 0; i < kProcs; ++i) {
-    sim.spawn("p" + std::to_string(i), [&, i](Process& p) {
+    sim.spawn(std::string("p").append(std::to_string(i)), [&, i](Process& p) {
       for (u32 k = 0; k < 5; ++k) p.delay(ns(10 + i % 7));
       ++total_hops;
       if (++arrived == kProcs) {
@@ -168,7 +168,8 @@ TEST(SimProcess, StackPoolTracksConcurrentHighWater) {
   Simulation sim;
   constexpr u32 kProcs = 16;
   for (u32 i = 0; i < kProcs; ++i) {
-    sim.spawn("c" + std::to_string(i), [](Process& p) { p.delay(us(1)); });
+    sim.spawn(std::string("c").append(std::to_string(i)),
+              [](Process& p) { p.delay(us(1)); });
   }
   sim.run();
   const auto st = sim.stack_stats();
@@ -188,7 +189,7 @@ TEST(SimProcess, StackSizeKnobIsPageRoundedAndUsable) {
     p.delay(ns(1));
     volatile u8 buf[64 * 1024];
     for (u32 i = 0; i < sizeof(buf); i += 512) buf[i] = static_cast<u8>(i);
-    sum += buf[0] + buf[sizeof(buf) - 512];
+    sum += u64{buf[0]} + buf[sizeof(buf) - 512];
   });
   sim.run();
   EXPECT_EQ(sim.live_processes(), 0u);

@@ -24,7 +24,7 @@ u64 run_fuzz(u64 seed, u32 procs, u32 hops) {
     digest = (digest ^ v) * 1099511628211ULL;
   };
   for (u32 i = 0; i < procs; ++i) {
-    sim.spawn("p" + std::to_string(i), [&, i](Process& p) {
+    sim.spawn(std::string("p").append(std::to_string(i)), [&, i](Process& p) {
       Rng rng(seed * 1000 + i);
       for (;;) {
         const u32 token = boxes[i]->pop(p);
@@ -75,7 +75,7 @@ TEST(SimStress, ManyProcessesAllFinish) {
   constexpr u32 kProcs = 64;
   u32 done = 0;
   for (u32 i = 0; i < kProcs; ++i) {
-    sim.spawn("p" + std::to_string(i), [&, i](Process& p) {
+    sim.spawn(std::string("p").append(std::to_string(i)), [&, i](Process& p) {
       for (u32 k = 0; k < 20; ++k) p.delay(ns(100 + i));
       ++done;
     });
@@ -97,7 +97,7 @@ TEST(SimStress, MailboxConservationUnderRandomTraffic) {
   u64 pushed = 0, popped = 0;
 
   for (u32 i = 0; i < kProcs; ++i) {
-    sim.spawn("p" + std::to_string(i), [&, i](Process& p) {
+    sim.spawn(std::string("p").append(std::to_string(i)), [&, i](Process& p) {
       Rng rng(99 + i);
       // Produce.
       for (u32 k = 0; k < kTokensPerProc; ++k) {

@@ -61,13 +61,13 @@ TEST(Simulation, TwoProcessesInterleaveDeterministically) {
   sim.spawn("a", [&](Process& p) {
     for (int i = 0; i < 3; ++i) {
       p.delay(us(10));
-      log.push_back("a" + std::to_string(i));
+      log.push_back(std::string("a").append(std::to_string(i)));
     }
   });
   sim.spawn("b", [&](Process& p) {
     for (int i = 0; i < 3; ++i) {
       p.delay(us(15));
-      log.push_back("b" + std::to_string(i));
+      log.push_back(std::string("b").append(std::to_string(i)));
     }
   });
   sim.run();
@@ -120,7 +120,7 @@ TEST(Simulation, SignalNotifyOneWakesExactlyOne) {
   Signal sig(sim);
   int woke = 0;
   for (int i = 0; i < 3; ++i) {
-    sim.spawn("w" + std::to_string(i), [&](Process& p) {
+    sim.spawn(std::string("w").append(std::to_string(i)), [&](Process& p) {
       sig.wait(p);
       ++woke;
     });
