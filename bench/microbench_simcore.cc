@@ -115,22 +115,28 @@ void BM_SimQueueFarFuture(benchmark::State& state) {
 }
 BENCHMARK(BM_SimQueueFarFuture)->Arg(10000)->Arg(100000);
 
-/// Process context-switch cost (delay -> kernel -> resume round trip).
+/// Cost of a delay. Args = {delays per process, processes}. One process
+/// has nothing to wait for, so every delay resumes in place; two start
+/// together and delay alike, so every resume ties with the other's and
+/// takes the delay -> kernel -> resume round trip with two fiber switches.
 void BM_SimProcessSwitch(benchmark::State& state) {
   const int hops = static_cast<int>(state.range(0));
-  u64 switches = 0;
+  const int procs = static_cast<int>(state.range(1));
+  u64 delays = 0;
   for (auto _ : state) {
     sim::Simulation sim;
-    sim.spawn("p", [&](sim::Process& p) {
-      for (int i = 0; i < hops; ++i) p.delay(ns(5));
-    });
+    for (int k = 0; k < procs; ++k) {
+      sim.spawn("p", [&](sim::Process& p) {
+        for (int i = 0; i < hops; ++i) p.delay(ns(5));
+      });
+    }
     sim.run();
-    switches += static_cast<u64>(hops);
+    delays += static_cast<u64>(hops) * static_cast<u64>(procs);
   }
-  state.counters["switch/s"] =
-      benchmark::Counter(static_cast<double>(switches), benchmark::Counter::kIsRate);
+  state.counters["delay/s"] =
+      benchmark::Counter(static_cast<double>(delays), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SimProcessSwitch)->Arg(1000);
+BENCHMARK(BM_SimProcessSwitch)->Args({1000, 1})->Args({1000, 2});
 
 /// Process spawn + run-to-exit + teardown cost. The bodies are empty, so
 /// lifetimes never overlap: the fiber scheduler must serve every process

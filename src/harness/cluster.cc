@@ -47,15 +47,17 @@ void publish_fabric(const netmodels::Fabric& fab, const sim::Simulation& sim) {
   c.add("net", "frames_dropped", fab.frames_dropped());
 }
 
+void publish_run(const sim::Simulation& sim) {
+  if (!obs::Counters::enabled()) return;
+  obs::Counters& c = sim.sink().counters();
+  c.add("sim", "events_executed", sim.events_executed());
+  c.add("sim", "resumes_in_place", sim.resumes_in_place());
+}
+
 void publish_run(const scramnet::Ring& ring, const sim::Simulation& sim) {
   if (!obs::Counters::enabled()) return;
   ring.publish_counters(sim.sink().counters(), "ring");
-  sim.sink().counters().add("sim", "events_executed", sim.events_executed());
-}
-
-void publish_run(const sim::Simulation& sim) {
-  if (!obs::Counters::enabled()) return;
-  sim.sink().counters().add("sim", "events_executed", sim.events_executed());
+  publish_run(sim);
 }
 }  // namespace
 

@@ -36,6 +36,7 @@ void TcpStack::absorb_frame(sim::Process& p) {
           static_cast<SimTime>(n) * (cfg_.per_byte_copy + cfg_.per_byte_csum));
   auto& s = streams_[f.src];
   s.insert(s.end(), f.payload.begin() + TcpConfig::header_bytes, f.payload.end());
+  ++frames_absorbed_;
 }
 
 usize TcpStack::try_absorb(sim::Process& p) {

@@ -89,6 +89,11 @@ class TcpStack {
   /// returns the number of frames absorbed.
   usize try_absorb(sim::Process& p);
 
+  /// Frames absorbed so far, by try_absorb() and recv() alike. Streams gain
+  /// bytes only here, so a poller that scanned them in vain need not scan
+  /// again until this moves.
+  u64 frames_absorbed() const { return frames_absorbed_; }
+
   /// Copy the first out.size() buffered bytes from `src` without consuming;
   /// false if not enough bytes are buffered.
   bool peek(u32 src, std::span<u8> out) const;
@@ -105,6 +110,7 @@ class TcpStack {
   u32 host_;
   TcpConfig cfg_;
   std::vector<std::deque<u8>> streams_;  // reassembled bytes per source
+  u64 frames_absorbed_ = 0;
 };
 
 }  // namespace scrnet::netmodels

@@ -350,7 +350,7 @@ void Engine::handle(Packet pkt) {
     }
     case PktKind::kCollData: {
       dev_.cpu(LayerCosts::coll_fast);
-      collq_[{h.ctx, h.src}].push_back(std::move(pkt.payload));
+      collq_[{h.ctx, h.src}].push_back({h.aux, std::move(pkt.payload)});
       return;
     }
     case PktKind::kCollBarrier: {
@@ -528,10 +528,14 @@ void Engine::coll_send(u32 dst, u16 ctx, PktKind kind, u32 aux,
   (void)dev_.send_packet(dst, h, data);
 }
 
-std::optional<std::vector<u8>> Engine::coll_wait_data(u16 ctx, u32 root) {
+std::optional<std::vector<u8>> Engine::coll_wait_data(u16 ctx, u32 root, u32 bcast) {
   auto& q = collq_[{ctx, root}];
-  if (!progress_until([&] { return !q.empty(); })) return std::nullopt;
-  std::vector<u8> data = std::move(q.front());
+  const auto ready = [&] {
+    for (; !q.empty() && q.front().bcast < bcast; q.pop_front()) ++stale_packets_;
+    return !q.empty() && q.front().bcast == bcast;
+  };
+  if (!progress_until(ready)) return std::nullopt;
+  std::vector<u8> data = std::move(q.front().data);
   q.pop_front();
   dev_.cpu(LayerCosts::coll_fast +
            scaled(dev_.unpack_cost(static_cast<u32>(data.size()))));

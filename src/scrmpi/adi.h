@@ -91,10 +91,12 @@ class Engine {
   /// Send a collective packet point-to-point (barrier arrival etc.).
   void coll_send(u32 dst, u16 ctx, PktKind kind, u32 aux,
                  std::span<const u8> data);
-  /// Block until the next kCollData packet from `root` on `ctx`; returns
-  /// its payload. Multiple broadcasts match in arrival (FIFO) order.
+  /// Block until the next kCollData packet of broadcast number `bcast`
+  /// from `root` on `ctx` (the root's count, carried in aux); returns its
+  /// payload. Chunks of an older broadcast, which arrived after their
+  /// receiver gave up on it, are dropped as stale; newer ones stay queued.
   /// nullopt when op_timeout expired first.
-  std::optional<std::vector<u8>> coll_wait_data(u16 ctx, u32 root);
+  std::optional<std::vector<u8>> coll_wait_data(u16 ctx, u32 root, u32 bcast);
   /// Block until `n` kCollBarrier packets with `epoch` arrived on `ctx`;
   /// false when op_timeout expired first.
   bool coll_wait_arrivals(u16 ctx, u32 epoch, u32 n);
@@ -107,7 +109,8 @@ class Engine {
   usize unexpected_depth() const { return unexpected_.size(); }
   /// Blocking waits that gave up at op_timeout.
   u64 op_timeouts() const { return timeouts_; }
-  /// Packets referencing a dead (timed-out) or mismatched request, dropped.
+  /// Packets referencing a dead (timed-out) or mismatched request, and
+  /// bcast chunks of a timed-out bcast, dropped.
   u64 stale_packets() const { return stale_packets_; }
   /// Undecodable packets (unknown kind / bad request index, or frames the
   /// device could not reassemble), dropped.
@@ -209,7 +212,11 @@ class Engine {
   std::deque<Unexpected> unexpected_;
 
   // Collective state.
-  std::map<std::pair<u16, u32>, std::deque<std::vector<u8>>> collq_;  // (ctx,root)
+  struct CollChunk {
+    u32 bcast;  // the root's broadcast count (header aux)
+    std::vector<u8> data;
+  };
+  std::map<std::pair<u16, u32>, std::deque<CollChunk>> collq_;        // (ctx,root)
   std::map<std::pair<u16, u32>, u32> barrier_count_;                  // (ctx,epoch)
   std::map<u16, u32> release_epoch_;                                  // ctx -> max
 

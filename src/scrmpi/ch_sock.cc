@@ -20,6 +20,10 @@ Status SockChannel::send_packet(u32 dst, const PktHeader& hdr,
 
 std::optional<Packet> SockChannel::poll_packet() {
   stack_.try_absorb(proc_);
+  // Only an absorbed frame adds stream bytes, and peek() costs no virtual
+  // time: a scan that found nothing finds nothing again until one lands.
+  const u64 absorbed = stack_.frames_absorbed();
+  if (absorbed == idle_at_) return std::nullopt;
   // Note: src == rank() is a valid stream too (MPI self-sends loop back
   // through the fabric).
   for (u32 src = 0; src < size_; ++src) {
@@ -42,6 +46,7 @@ std::optional<Packet> SockChannel::poll_packet() {
     want_[src] = 0;
     return pkt;
   }
+  idle_at_ = absorbed;
   return std::nullopt;
 }
 

@@ -5,7 +5,9 @@
 // Packets are framed on the per-source byte stream as
 // [20-byte envelope][payload]. poll_packet() absorbs whatever frames the
 // fabric has delivered and returns a packet once one source's stream holds
-// a complete frame.
+// a complete frame. An empty poll costs O(1): the streams are rescanned
+// only after a frame has been absorbed since the last scan that found
+// nothing.
 #pragma once
 
 #include "netmodels/tcp.h"
@@ -53,6 +55,9 @@ class SockChannel final : public ChannelDevice {
   // means we know the total frame size we are waiting for).
   std::vector<usize> want_;
   std::vector<PktHeader> want_hdr_ = std::vector<PktHeader>(size_);
+  // stack_.frames_absorbed() at the last scan that found no whole frame;
+  // 0 before any frame, when every stream is empty.
+  u64 idle_at_ = 0;
 };
 
 }  // namespace scrnet::scrmpi

@@ -161,26 +161,30 @@ void Mpi::bcast_native(void* buf, u32 bytes, i32 root, const Comm& comm) {
   // (the paper's non-synchronizing semantics), so receivers just
   // accumulate until the announced byte count is complete. A receiver
   // whose wait times out (op_timeout) returns with the bytes it has, as
-  // a timed-out receive in the tree algorithms does.
+  // a timed-out receive in the tree algorithms does. Every member counts
+  // the native bcasts per (communicator, root), and the root stamps its
+  // count on each chunk (aux), so chunks that arrive after their receiver
+  // timed out are dropped instead of feeding the next bcast.
   const u32 me = static_cast<u32>(rank(comm));
   const u32 cap = std::max<u32>(4, engine_.device().mcast_cap());
+  const u32 root_world = comm.world_of(static_cast<u32>(root));
+  const u32 count = ++bcast_count_[{comm.coll_ctx(), root_world}];
   if (me == static_cast<u32>(root)) {
     if (comm.size() == 1) return;
     const std::vector<u32> dsts = others(comm);
     u32 off = 0;
     do {
       const u32 n = std::min(bytes - off, cap);
-      engine_.coll_mcast(dsts, comm.coll_ctx(), PktKind::kCollData, 0,
+      engine_.coll_mcast(dsts, comm.coll_ctx(), PktKind::kCollData, count,
                          {static_cast<const u8*>(buf) + off, n});
       off += n;
     } while (off < bytes);
     return;
   }
-  const u32 root_world = comm.world_of(static_cast<u32>(root));
   u32 off = 0;
   do {
     const std::optional<std::vector<u8>> chunk =
-        engine_.coll_wait_data(comm.coll_ctx(), root_world);
+        engine_.coll_wait_data(comm.coll_ctx(), root_world, count);
     if (!chunk) return;
     const std::vector<u8>& data = *chunk;
     if (data.size() > bytes - off || (data.empty() && bytes != off))

@@ -185,6 +185,7 @@ class Mpi {
   CallStats stats_;
   u16 next_base_ctx_ = 1;
   std::map<u16, u32> barrier_epoch_;  // coll ctx -> last epoch used
+  std::map<std::pair<u16, u32>, u32> bcast_count_;  // (coll ctx, root) -> last native bcast
   CollAlgo bcast_algo_ = CollAlgo::kAuto;
   CollAlgo barrier_algo_ = CollAlgo::kAuto;
   AllreduceAlgo allreduce_algo_ = AllreduceAlgo::kAuto;

@@ -15,9 +15,12 @@
 //    migrate into buckets as the window advances. The bucket currently
 //    being drained is kept as a small binary heap so same-bucket events
 //    pop in exact (time, sequence) order. Every post goes into the
-//    calendar and every pop comes off that heap; there is no side path.
-//    The calendar itself stays because a plain heap measured slower on the
-//    event-bound workload (docs/simulator.md, "Event queue internals").
+//    calendar and every pop comes off that heap. The one side path is
+//    take_if_next(): a process resume due strictly before everything
+//    queued is counted but never stored (docs/simulator.md, "Process
+//    scheduling"). The calendar itself stays because a plain heap measured
+//    slower on the event-bound workload (docs/simulator.md, "Event queue
+//    internals").
 //
 // Ordering contract (identical to the priority_queue it replaced): events
 // execute in ascending time, ties broken by post order. This is what makes
@@ -108,6 +111,20 @@ class EventQueue {
     --calendar_live_;
     ++executed_;
     *out = Popped{e.t, e.node, e.node->invoke};
+    return true;
+  }
+
+  /// Account for an event at `t` that the caller runs itself instead of
+  /// posting: true when `t` is strictly earlier than every queued event,
+  /// so the pop after its push would return it at once. It takes its
+  /// sequence number and counts as posted and executed, and the calendar's
+  /// high-water mark sees it as a push would; the queue itself is
+  /// untouched. False when a queued event is due at or before `t`.
+  bool take_if_next(SimTime t) {
+    if (prime() && active_.front().t <= t) return false;
+    ++seq_;
+    ++executed_;
+    if (calendar_live_ + 1 > stats_.max_calendar) stats_.max_calendar = calendar_live_ + 1;
     return true;
   }
 

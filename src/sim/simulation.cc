@@ -1,6 +1,7 @@
 #include "sim/simulation.h"
 
 #include <cassert>
+#include <limits>
 #include <sstream>
 
 #include "obs/sink.h"
@@ -17,6 +18,16 @@ struct ProcessCancelled {};
 /// Usable stack bytes of every process fiber (page-rounded by StackPool,
 /// which maps a PROT_NONE guard page below each stack).
 constexpr usize kProcStackBytes = 256 * 1024;
+
+/// Lets in-place resumes reach `bound` while one run()/run_until() lasts;
+/// however the run ends, it leaves -1 behind, so none happen outside one.
+struct HorizonScope {
+  SimTime& horizon;
+  HorizonScope(SimTime& h, SimTime bound) : horizon(h) { horizon = bound; }
+  ~HorizonScope() { horizon = -1; }
+  HorizonScope(const HorizonScope&) = delete;
+  HorizonScope& operator=(const HorizonScope&) = delete;
+};
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -37,8 +48,10 @@ Process::Process(Simulation& sim, u32 id, std::string name,
 
 void Process::delay(SimTime dt) {
   assert(dt >= 0 && "negative delay");
+  const SimTime t = sim_.now_ + dt;
+  if (sim_.resume_in_place(t)) return;
   state_ = State::kReady;
-  sim_.schedule_resume(*this, sim_.now_ + dt);
+  sim_.schedule_resume(*this, t);
   to_kernel();
   from_kernel_wait();
 }
@@ -163,6 +176,7 @@ void Simulation::run() {
   // thread-current one routes every TRACE_* hook fired inside to it --
   // even when several simulations run concurrently on sibling threads.
   obs::Sink::Scope obs_scope(*sink_);
+  HorizonScope horizon(horizon_, std::numeric_limits<SimTime>::max());
   if (time_limit_ > 0) {
     while (step()) check_time_limit();
   } else {
@@ -175,6 +189,7 @@ void Simulation::run() {
 
 bool Simulation::run_until(SimTime t) {
   obs::Sink::Scope obs_scope(*sink_);
+  HorizonScope horizon(horizon_, t);
   while (!queue_.empty() && queue_.next_time() <= t) {
     step();
     check_time_limit();  // the safety valve guards bounded runs too

@@ -18,9 +18,14 @@
 // sweep::Runner runs independent simulations on worker threads.
 //
 // A process consumes virtual time with Process::delay() and blocks on
-// conditions with sim::Signal. If the event queue drains while processes
-// are still parked, the kernel reports a deadlock with the parked
-// process names (a real protocol bug surface, exercised by tests).
+// conditions with sim::Signal. A delay whose resume would be the very next
+// event the run loop executes -- nothing queued is due at or before it and
+// it lies within the run's bound -- advances the clock in place and
+// returns without a queue round trip or a context swap; it keeps its
+// sequence number and its count, so event order is unchanged. If the event
+// queue drains while processes are still parked, the kernel reports a
+// deadlock with the parked process names (a real protocol bug surface,
+// exercised by tests).
 #pragma once
 
 #include <cassert>
@@ -68,6 +73,9 @@ class Process {
   Process& operator=(const Process&) = delete;
 
   /// Consume `dt` of virtual time (models CPU work / bus transactions).
+  /// When no queued event is due at or before now() + dt and that time is
+  /// within the run's bound, the resume would run next anyway, so the
+  /// clock advances in place with no switch.
   void delay(SimTime dt);
 
   /// Reschedule at the current time, after already-queued events. Useful to
@@ -164,6 +172,9 @@ class Simulation {
   void set_time_limit(SimTime t) { time_limit_ = t; }
 
   u64 events_executed() const { return queue_.executed(); }
+  /// The process resumes among events_executed() that ran in place
+  /// (Process::delay), with no queue round trip and no fiber switch.
+  u64 resumes_in_place() const { return resumes_in_place_; }
   usize live_processes() const;
 
   /// Event-storage counters (pool growth, inline vs heap callables) -- the
@@ -186,6 +197,17 @@ class Simulation {
 
   /// Schedule process resume at absolute time t.
   void schedule_resume(Process& p, SimTime t);
+  /// Resume the running process at `t` without leaving it, when that
+  /// resume would be the run loop's next event: `t` is within the run's
+  /// bound and the time limit, and strictly before every queued event.
+  /// Advances the clock and returns true; false changes nothing.
+  bool resume_in_place(SimTime t) {
+    if (t > horizon_ || (time_limit_ > 0 && t > time_limit_) || !queue_.take_if_next(t))
+      return false;
+    now_ = t;
+    ++resumes_in_place_;
+    return true;
+  }
   /// Give control to process p and wait until it blocks or finishes.
   void dispatch(Process& p);
 
@@ -206,6 +228,10 @@ class Simulation {
   SimTime time_limit_ = 0;
   obs::Sink* sink_;  // never null; set in the constructor
   SimTime now_ = 0;
+  // Last time the current run()/run_until() executes events at; -1 outside
+  // them, so a delay during teardown always goes through the queue.
+  SimTime horizon_ = -1;
+  u64 resumes_in_place_ = 0;
   EventQueue queue_;
   detail::StackPool stacks_;
   detail::FiberContext kctx_;  // the context that called run()

@@ -514,11 +514,27 @@ TEST(Engine, TimeoutMidRendezvousReleasesPlacementAndReapsLateFin) {
 TEST(Engine, CollDataMatchedInFifoOrderPerRoot) {
   Pair p;
   const u32 dst[] = {1};
-  std::vector<u8> m1{1}, m2{2};
-  p.e0.coll_mcast(dst, 4, PktKind::kCollData, 0, m1);
-  p.e0.coll_mcast(dst, 4, PktKind::kCollData, 0, m2);
-  EXPECT_EQ(p.e1.coll_wait_data(4, 0)->at(0), 1);
-  EXPECT_EQ(p.e1.coll_wait_data(4, 0)->at(0), 2);
+  std::vector<u8> m1{1}, m2{2}, m3{3};
+  p.e0.coll_mcast(dst, 4, PktKind::kCollData, 1, m1);
+  p.e0.coll_mcast(dst, 4, PktKind::kCollData, 1, m2);
+  p.e0.coll_mcast(dst, 4, PktKind::kCollData, 2, m3);
+  EXPECT_EQ(p.e1.coll_wait_data(4, 0, 1)->at(0), 1);
+  EXPECT_EQ(p.e1.coll_wait_data(4, 0, 1)->at(0), 2);
+  EXPECT_EQ(p.e1.coll_wait_data(4, 0, 2)->at(0), 3);
+  EXPECT_EQ(p.e1.stale_packets(), 0u);
+}
+
+TEST(Engine, CollDataOfAnEarlierBcastIsDroppedAsStale) {
+  // Bcast 1's chunks arrive only once the receiver waits for bcast 2 (its
+  // wait for 1 timed out): they are dropped, and bcast 2 gets its own.
+  Pair p;
+  const u32 dst[] = {1};
+  std::vector<u8> late1{1}, late2{2}, next{3};
+  p.e0.coll_mcast(dst, 4, PktKind::kCollData, 1, late1);
+  p.e0.coll_mcast(dst, 4, PktKind::kCollData, 1, late2);
+  p.e0.coll_mcast(dst, 4, PktKind::kCollData, 2, next);
+  EXPECT_EQ(p.e1.coll_wait_data(4, 0, 2)->at(0), 3);
+  EXPECT_EQ(p.e1.stale_packets(), 2u);
 }
 
 }  // namespace

@@ -507,6 +507,38 @@ TEST(FaultPlan, NativeMcastBcastTimesOutWhenRootIsCutOff) {
   for (u32 r = 1; r < 4; ++r) EXPECT_GE(t[r], 1u) << "rank " << r;
 }
 
+TEST(FaultPlan, LateNativeBcastChunkIsNotTakenByTheNextBcast) {
+  // The root starts late: rank 1's first bcast times out with nothing, and
+  // the root's bcast(A) arrives while rank 1 waits in its second bcast.
+  // That bcast must drop A's chunk as stale and return B.
+  harness::ScramnetOptions opts;
+  opts.mpi.op_timeout = ms(1);
+  std::vector<u8> first(8, 0), second(8, 0);
+  u64 timeouts = 0, stale = 0;
+  harness::run_scramnet_mpi(
+      2,
+      [&](sim::Process& p, scrmpi::Mpi& mpi) {
+        mpi.set_bcast_algo(scrmpi::CollAlgo::kNativeMcast);
+        const scrmpi::Comm& w = mpi.world();
+        if (mpi.rank(w) == 0) {
+          p.delay(us(1500));  // after rank 1's first timeout, before its second
+          std::vector<u8> a(8, 0xA), b(8, 0xB);
+          mpi.bcast(a.data(), 8, scrmpi::Datatype::kByte, 0, w);
+          mpi.bcast(b.data(), 8, scrmpi::Datatype::kByte, 0, w);
+        } else {
+          mpi.bcast(first.data(), 8, scrmpi::Datatype::kByte, 0, w);
+          mpi.bcast(second.data(), 8, scrmpi::Datatype::kByte, 0, w);
+          timeouts = mpi.engine().op_timeouts();
+          stale = mpi.engine().stale_packets();
+        }
+      },
+      opts);
+  EXPECT_EQ(first, std::vector<u8>(8, 0));
+  EXPECT_EQ(second, std::vector<u8>(8, 0xB));
+  EXPECT_EQ(timeouts, 1u);
+  EXPECT_EQ(stale, 1u);
+}
+
 TEST(FaultPlan, NativeMcastBarrierTimesOutWhenReleaseIsLost) {
   // Rank 0 collects every arrival, but its release multicast is lost: the
   // three waiting ranks give up at op_timeout.

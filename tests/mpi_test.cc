@@ -6,6 +6,9 @@
 
 #include "common/bytes.h"
 #include "harness/cluster.h"
+#include "netmodels/ethernet.h"
+#include "netmodels/tcp.h"
+#include "scrmpi/ch_sock.h"
 #include "seeded_timing.h"
 
 namespace scrnet::scrmpi {
@@ -469,6 +472,52 @@ class OversizeDescPort final : public scramnet::MemPort {
   scramnet::SimHostPort& p_;
   u32 lo_, hi_, len_;
 };
+
+TEST(ChSock, FramePolledBetweenItsSegmentsArrivesWholeAndInOrder) {
+  // A 5000-byte payload spans four Fast Ethernet segments and a 16-byte
+  // one follows it. The receiver polls every 500 ns, so most polls find a
+  // partial frame or nothing new; both packets must still arrive whole,
+  // in order and once.
+  sim::Simulation sim;
+  sim.set_time_limit(ms(10));  // a lost packet fails instead of spinning
+  netmodels::EthernetFabric net(sim, 2);
+  std::vector<u8> big(5000), small(16);
+  fill_pattern(big, 3);
+  fill_pattern(small, 9);
+  sim.spawn("tx", [&](sim::Process& p) {
+    netmodels::TcpStack stack(net, 0, netmodels::TcpConfig::fast_ethernet());
+    SockChannel ch(stack, p, 2);
+    PktHeader h;
+    h.tag = 1;
+    h.len = static_cast<u32>(big.size());
+    EXPECT_TRUE(ch.send_packet(1, h, big).ok());
+    h.tag = 2;
+    h.len = static_cast<u32>(small.size());
+    EXPECT_TRUE(ch.send_packet(1, h, small).ok());
+  });
+  std::vector<Packet> got;
+  u32 partial_polls = 0;
+  sim.spawn("rx", [&](sim::Process& p) {
+    netmodels::TcpStack stack(net, 1, netmodels::TcpConfig::fast_ethernet());
+    SockChannel ch(stack, p, 2);
+    while (got.size() < 2) {
+      if (std::optional<Packet> pkt = ch.poll_packet()) {
+        got.push_back(std::move(*pkt));
+        continue;
+      }
+      if (stack.buffered(0) > 0) ++partial_polls;
+      ch.idle_pause();
+    }
+    EXPECT_FALSE(ch.poll_packet().has_value());
+  });
+  sim.run();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].hdr.tag, 1);
+  EXPECT_EQ(got[0].payload, big);
+  EXPECT_EQ(got[1].hdr.tag, 2);
+  EXPECT_EQ(got[1].payload, small);
+  EXPECT_GT(partial_polls, 0u);  // some polls fell between the segments
+}
 
 TEST(ChBbp, OversizeAnnouncedFrameIsDropped) {
   // A descriptor that announces more bytes than any sender can post reads

@@ -1,7 +1,7 @@
 // Tests for the fiber process scheduler: spawn/teardown at scale, exception
 // and cancellation unwinding, report-text stability, stack-pool recycling,
-// run-twice determinism, and teardown and run_until with several processes
-// live at once. Everything here must pass identically on both fiber switch
+// run-twice determinism, delays that resume in place, and teardown and
+// run_until with one or several processes live at once. Everything here must pass identically on both fiber switch
 // backends (asm and ucontext).
 #include <gtest/gtest.h>
 
@@ -244,47 +244,80 @@ TEST(SimProcess, RunTwiceDeterminism) {
   ASSERT_FALSE(a.empty());
 }
 
-// -- several processes live side by side ------------------------------------
+TEST(SimProcess, LoneProcessDelaysRunInPlaceWithTheirCounts) {
+  // Nothing else is queued, so every delay resumes in place. The spawn's
+  // first dispatch and each delay still post and execute one event each,
+  // exactly as when every resume went through the queue.
+  constexpr u64 kDelays = 100;
+  Simulation sim;
+  sim.spawn("lone", [](Process& p) {
+    for (u64 i = 0; i < kDelays; ++i) p.delay(ns(5));
+  });
+  sim.run();
+  EXPECT_EQ(sim.events_executed(), kDelays + 1);
+  EXPECT_EQ(sim.queue_stats().posted, kDelays + 1);
+  EXPECT_EQ(sim.queue_stats().max_calendar, 1u);
+  EXPECT_EQ(sim.resumes_in_place(), kDelays);
+  EXPECT_EQ(sim.now(), ns(5) * kDelays);
+}
+
+// -- one or several processes live side by side -----------------------------
+
+// Each case runs with four processes, whose resumes tie at every tick, so
+// every resume goes through the queue and a fiber switch, and with one,
+// whose every tick resumes in place (Process::delay).
 
 TEST(SimParallel, TeardownUnwindsFibersOnAllShards) {
-  // Destroy the simulation while four processes are still mid-flight; each
+  // Destroy the simulation while the processes are still mid-flight; each
   // fiber must unwind (destructors run) with no leaks or deadlocks.
   // `unwound` counts destructor executions on process stacks.
-  int unwound = 0;
   struct OnUnwind {
     int* n;
     ~OnUnwind() { ++*n; }
   };
-  {
-    Simulation sim;
-    for (u32 s = 0; s < 4; ++s) {
-      sim.spawn("sleeper" + std::to_string(s), [&unwound](Process& p) {
-        OnUnwind guard{&unwound};
-        for (;;) p.delay(us(1));  // never finishes on its own
-      });
+  for (const u32 procs : {4u, 1u}) {
+    SCOPED_TRACE(testing::Message() << procs << " process(es)");
+    int unwound = 0;
+    {
+      Simulation sim;
+      for (u32 s = 0; s < procs; ++s) {
+        sim.spawn("sleeper" + std::to_string(s), [&unwound](Process& p) {
+          OnUnwind guard{&unwound};
+          for (;;) p.delay(us(1));  // never finishes on its own
+        });
+      }
+      EXPECT_TRUE(sim.run_until(us(5)));  // all processes mid-flight
+      EXPECT_EQ(sim.now(), us(5));
+      EXPECT_EQ(sim.resumes_in_place(), procs == 1 ? 5u : 0u);
     }
-    EXPECT_TRUE(sim.run_until(us(5)));  // all processes mid-flight
-    EXPECT_EQ(sim.now(), us(5));
+    EXPECT_EQ(unwound, static_cast<int>(procs));
   }
-  EXPECT_EQ(unwound, 4);
 }
 
 TEST(SimParallel, RunUntilStopsAtBoundaryOnEveryShard) {
-  // Four independent tickers stop at the same run_until boundary: each has
-  // ticked exactly 100 us / 500 ns times, none more.
-  constexpr u32 kProcs = 4;
-  Simulation sim;
-  std::vector<u64> ticks(kProcs, 0);
-  for (u32 s = 0; s < kProcs; ++s) {
-    sim.spawn("ticker" + std::to_string(s), [&ticks, s](Process& p) {
-      for (int i = 0; i < 1000; ++i) {
-        p.delay(ns(500));
-        ++ticks[s];
-      }
-    });
+  // Independent tickers stop at the same run_until boundary: each has
+  // ticked exactly 100 us / 500 ns times, none more, and the tick that
+  // would pass the boundary waits in the queue for the next run.
+  for (const u32 procs : {4u, 1u}) {
+    SCOPED_TRACE(testing::Message() << procs << " process(es)");
+    Simulation sim;
+    std::vector<u64> ticks(procs, 0);
+    for (u32 s = 0; s < procs; ++s) {
+      sim.spawn("ticker" + std::to_string(s), [&ticks, s](Process& p) {
+        for (int i = 0; i < 1000; ++i) {
+          p.delay(ns(500));
+          ++ticks[s];
+        }
+      });
+    }
+    EXPECT_TRUE(sim.run_until(us(100)));
+    for (u32 s = 0; s < procs; ++s) EXPECT_EQ(ticks[s], 200u) << "ticker " << s;
+    EXPECT_EQ(sim.now(), us(100));
+    EXPECT_EQ(sim.resumes_in_place(), procs == 1 ? 200u : 0u);
+    sim.run();
+    for (u32 s = 0; s < procs; ++s) EXPECT_EQ(ticks[s], 1000u) << "ticker " << s;
+    EXPECT_EQ(sim.now(), us(500));
   }
-  EXPECT_TRUE(sim.run_until(us(100)));
-  for (u32 s = 0; s < kProcs; ++s) EXPECT_EQ(ticks[s], 200u) << "ticker " << s;
 }
 
 }  // namespace

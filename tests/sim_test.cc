@@ -1,6 +1,7 @@
 // Tests for the discrete-event simulation kernel.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/mailbox.h"
@@ -334,12 +335,43 @@ TEST(Mailbox, PopForRearmsAfterItemStolenMidWait) {
 }
 
 TEST(Simulation, TimeLimitAborts) {
+  // The resume at 60 us is the first event past the limit: it runs, and
+  // the run throws right after it, with the clock at its time.
   Simulation sim;
   sim.set_time_limit(us(50));
   sim.spawn("spinner", [&](Process& p) {
     for (;;) p.delay(us(10));
   });
   EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(sim.now(), us(60));
+}
+
+TEST(Simulation, DelayResumesAfterATieAndBeforeALaterEvent) {
+  // An event already queued for the resume's own time runs first (ties
+  // break by post order); one a picosecond later runs after the resume.
+  Simulation sim;
+  std::vector<std::string> log;
+  auto stamp = [&](const char* what) {
+    log.push_back(std::string(what) + "@" + std::to_string(sim.now()));
+  };
+  sim.spawn("p", [&](Process& p) {
+    sim.post(us(1), [&] { stamp("tie"); });
+    p.delay(us(1));
+    stamp("resume");
+    sim.post(us(1) + ps(1), [&] { stamp("later"); });
+    p.delay(us(1));
+    stamp("resume");
+  });
+  sim.run();
+  const std::vector<std::string> want = {
+      "tie@" + std::to_string(us(1)),
+      "resume@" + std::to_string(us(1)),
+      "resume@" + std::to_string(us(2)),
+      "later@" + std::to_string(us(2) + ps(1)),
+  };
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(sim.resumes_in_place(), 1u);  // the second delay only
+  EXPECT_EQ(sim.events_executed(), 5u);   // spawn, tie, 2 resumes, later
 }
 
 }  // namespace
