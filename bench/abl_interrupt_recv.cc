@@ -42,11 +42,10 @@ RecvResult polled(u32 gap_writes) {
   });
   sim.spawn("reader", [&](sim::Process& p) {
     scramnet::SimHostPort port(ring, 1, p);
-    while (port.read_u32(kFlagAddr) == 0) {
+    port.spin_until("abl.flag", 0, [&] {
       ++reads;
-      port.poll_pause();
-    }
-    ++reads;
+      return port.read_u32(kFlagAddr) != 0;
+    });
     (void)port.read_u32(kDataAddr);
     ++reads;
     got = p.now();

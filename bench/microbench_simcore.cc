@@ -329,6 +329,43 @@ void BM_RendezvousPingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_RendezvousPingPong)->Arg(256)->Arg(16384);
 
+/// One-way latency measurements end to end through the harness: one
+/// simulation of 24 ping-pong round trips of Arg bytes per iteration.
+/// Eager MPI over ch_bbp and over ch_sock time the ADI's wait through each
+/// device's spin hook; the sockets API times the TCP model alone.
+void BM_MpiScramnetOneway(benchmark::State& state) {
+  const u32 bytes = static_cast<u32>(state.range(0));
+  double oneway = 0;
+  for (auto _ : state) {
+    oneway = harness::mpi_scramnet_oneway_us(bytes);
+    benchmark::DoNotOptimize(oneway);
+  }
+  state.counters["oneway_us"] = oneway;
+}
+BENCHMARK(BM_MpiScramnetOneway)->Arg(4);
+
+void BM_MpiTcpOneway(benchmark::State& state) {
+  const u32 bytes = static_cast<u32>(state.range(0));
+  double oneway = 0;
+  for (auto _ : state) {
+    oneway = harness::mpi_tcp_oneway_us(harness::TcpFabricKind::kFastEthernet, bytes);
+    benchmark::DoNotOptimize(oneway);
+  }
+  state.counters["oneway_us"] = oneway;
+}
+BENCHMARK(BM_MpiTcpOneway)->Arg(4);
+
+void BM_TcpApiOneway(benchmark::State& state) {
+  const u32 bytes = static_cast<u32>(state.range(0));
+  double oneway = 0;
+  for (auto _ : state) {
+    oneway = harness::tcp_api_oneway_us(harness::TcpFabricKind::kFastEthernet, bytes);
+    benchmark::DoNotOptimize(oneway);
+  }
+  state.counters["oneway_us"] = oneway;
+}
+BENCHMARK(BM_TcpApiOneway)->Arg(4);
+
 /// RDMA NIC model put throughput at the fabric level: one registered
 /// region, back-to-back puts (chunked at the MTU), each awaited on its
 /// CQE the way ch_rdma's bounded wait does. Arg = bytes per put.
@@ -344,7 +381,8 @@ void BM_RdmaPut(benchmark::State& state) {
     sim.spawn("initiator", [&](sim::Process& p) {
       for (int i = 0; i < kPuts; ++i) {
         fab.rdma_put(0, rkey, 0, src, static_cast<u64>(i));
-        while (!fab.cq(0).try_pop().has_value()) p.delay(us(1));
+        p.spin_until("bench.cq", 0, [&] { return fab.cq(0).try_pop().has_value(); },
+                     [&] { p.delay(us(1)); });
       }
     });
     sim.run();

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "sim/fiber.h"
 #include "sweep/runner.h"
 
 #ifndef SCRNET_GOLDEN_DIR
@@ -40,13 +41,22 @@ using namespace scrnet;
 
 namespace {
 
-/// Committed reference wall-clock for the full suite (seconds), measured
-/// with --jobs 1 on a 4-core Xeon @ 2.1 GHz (Release build). The suite
-/// printing more than 1.5x this is a perf-regression canary: it warns
-/// (stdout only, exit status unchanged) so golden identity and timing
-/// drift stay separate signals. Quadratic overflow migration coming back
-/// alone would add ~13 s there and trip it.
-constexpr double kReferenceWallS = 15.4;
+/// Committed reference wall-clock for the full suite (seconds) on this
+/// build's fiber switch, each measured with --jobs 1 on a 4-core Xeon @
+/// 2.1 GHz (Release build, median of several runs). The portable ucontext
+/// switch makes a sigprocmask system call per switch, so its suite runs
+/// several times longer. The suite printing more than 1.5x its reference
+/// is a perf-regression canary: it warns (stdout only, exit status
+/// unchanged) so golden identity and timing drift stay separate signals.
+/// Quadratic overflow migration coming back alone would add ~13 s on the
+/// asm switch and trip it.
+#if defined(SCRNET_FIBER_BACKEND_ASM)
+constexpr double kReferenceWallS = 11.4;
+constexpr const char* kFiberBackend = "asm";
+#else
+constexpr double kReferenceWallS = 52.6;
+constexpr const char* kFiberBackend = "ucontext";
+#endif
 
 const std::vector<std::string> kSuite{
     "fig1_latency",      "fig2_api_networks",     "fig3_mpi_networks",
@@ -204,9 +214,9 @@ int main(int argc, char** argv) {
             << (compare ? " identical" : " completed") << "), suite wall-clock "
             << buf << "\n";
   if (total_s > 1.5 * kReferenceWallS) {
-    char ref[64];
-    std::snprintf(ref, sizeof ref, "%.2fs (1.5x reference %.1fs)",
-                  1.5 * kReferenceWallS, kReferenceWallS);
+    char ref[96];
+    std::snprintf(ref, sizeof ref, "%.2fs (1.5x the %s-fiber reference %.1fs)",
+                  1.5 * kReferenceWallS, kFiberBackend, kReferenceWallS);
     std::cout << "repro_all: WARN suite wall-clock " << buf
               << " exceeds budget " << ref
               << " -- investigate simulator perf regressions\n";

@@ -49,14 +49,17 @@ Endpoint::Endpoint(scramnet::MemPort& port, u32 procs, u32 me, Config cfg)
   }
 }
 
-void Endpoint::blocked_wait() {
+bool Endpoint::wait(const char* site, sim::FnRef<bool()> ready,
+                    sim::FnRef<void()> stall) {
+  const SimTime deadline = cfg_.poll_timeout > 0 ? port_.now() + cfg_.poll_timeout : 0;
   // A configured timeout needs time to advance even when the awaited write
   // never arrives; an interrupt sleep would park forever, so poll instead.
-  if (cfg_.recv_mode == RecvMode::kInterrupt && cfg_.poll_timeout == 0) {
-    port_.wait_write();
-  } else {
-    port_.poll_pause();
-  }
+  const auto backoff = cfg_.recv_mode == RecvMode::kInterrupt && deadline == 0
+                           ? scramnet::Backoff::kInterrupt
+                           : scramnet::Backoff::kPoll;
+  if (port_.spin_until(site, deadline, ready, backoff, stall)) return true;
+  ++stats_.timeouts;
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -68,10 +71,12 @@ Result<u32> Endpoint::alloc_slot(u32 len_bytes, bool block) {
   const u32 base = layout_.data_base(me_);
   const u32 end = data_end();
 
-  // Where can a `words`-sized payload go? Zero-length messages occupy no
-  // data space and record offset = base, so a stale cursor value can never
-  // leak into tail_ tracking when GC later walks past them.
+  // Where can a `words`-sized payload go, if a slot is free? Zero-length
+  // messages occupy no data space and record offset = base, so a stale
+  // cursor value can never leak into tail_ tracking when GC later walks
+  // past them.
   auto try_space = [&]() -> std::optional<u32> {
+    if (live_.size() >= cfg_.slots) return std::nullopt;
     if (words == 0) return base;
     if (data_empty_) {
       if (words <= layout_.data_words) return base;
@@ -102,29 +107,22 @@ Result<u32> Endpoint::alloc_slot(u32 len_bytes, bool block) {
     return id;
   };
 
+  // Each pass tries the current state, then reconciles ACKs (GC) and tries
+  // again; a non-blocking call ends after one pass.
+  std::optional<u32> off;
+  const auto ready = [&] {
+    return (off = try_space()) || (collect_garbage(), off = try_space()) || !block;
+  };
   bool stalled = false;
-  const SimTime deadline = wait_deadline();
-  for (;;) {
-    // First pass uses the current state; the second reconciles ACKs (GC)
-    // and retries before deciding to stall or fail.
-    for (int pass = 0; pass < 2; ++pass) {
-      if (pass == 1) collect_garbage();
-      if (live_.size() < cfg_.slots) {
-        if (auto off = try_space()) return accept(*off);
-      }
-    }
-    if (!block) return Status::NoSpace("billboard full");
-    if (deadline_passed(deadline)) {
-      ++stats_.timeouts;
-      return Status::TimedOut("bbp: send waited out poll_timeout for space");
-    }
-    if (!stalled) {
-      ++stats_.send_stalls;
-      TRACE_INSTANT(obs::Layer::kBbp, me_, "bbp.send_stall", port_);
-      stalled = true;
-    }
-    blocked_wait();
-  }
+  const bool done = wait("bbp.send", ready, [&] {
+    if (stalled) return;
+    ++stats_.send_stalls;
+    TRACE_INSTANT(obs::Layer::kBbp, me_, "bbp.send_stall", port_);
+    stalled = true;
+  });
+  if (!done) return Status::TimedOut("bbp: send waited out poll_timeout for space");
+  if (!off) return Status::NoSpace("billboard full");
+  return accept(*off);
 }
 
 void Endpoint::collect_garbage() {
@@ -292,7 +290,17 @@ bool Endpoint::poll_all() {
   return any;
 }
 
-Result<RecvInfo> Endpoint::deliver(Incoming msg, std::span<u8> buf) {
+std::optional<u32> Endpoint::first_queued() const {
+  for (u32 i = 0; i < layout_.procs; ++i) {
+    const u32 s = (rr_next_ + i) % layout_.procs;
+    if (!inq_[s].empty()) return s;
+  }
+  return std::nullopt;
+}
+
+Result<RecvInfo> Endpoint::deliver(u32 src, std::span<u8> buf) {
+  const Incoming msg = inq_[src].front();
+  inq_[src].pop_front();
   RecvInfo info;
   info.src = msg.src;
   info.len = msg.len_bytes;
@@ -319,50 +327,23 @@ Result<RecvInfo> Endpoint::deliver(Incoming msg, std::span<u8> buf) {
 Result<RecvInfo> Endpoint::recv(u32 src, std::span<u8> buf) {
   TRACE_SPAN(obs::Layer::kBbp, me_, "bbp.recv", port_);
   if (src >= layout_.procs) return Status::InvalidArg("bbp: bad src");
-  const SimTime deadline = wait_deadline();
-  while (inq_[src].empty()) {
-    if (!poll_sender(src)) {
-      if (deadline_passed(deadline)) {
-        ++stats_.timeouts;
-        return Status::TimedOut("bbp: recv waited out poll_timeout");
-      }
-      blocked_wait();
-    }
-  }
-  Incoming msg = inq_[src].front();
-  inq_[src].pop_front();
-  return deliver(msg, buf);
+  if (!wait("bbp.recv", [&] { return !inq_[src].empty() || poll_sender(src); }))
+    return Status::TimedOut("bbp: recv waited out poll_timeout");
+  return deliver(src, buf);
 }
 
 Result<RecvInfo> Endpoint::recv_any(std::span<u8> buf) {
   TRACE_SPAN(obs::Layer::kBbp, me_, "bbp.recv_any", port_);
-  const SimTime deadline = wait_deadline();
-  for (;;) {
-    for (u32 i = 0; i < layout_.procs; ++i) {
-      const u32 s = (rr_next_ + i) % layout_.procs;
-      if (!inq_[s].empty()) {
-        rr_next_ = (s + 1) % layout_.procs;
-        Incoming msg = inq_[s].front();
-        inq_[s].pop_front();
-        return deliver(msg, buf);
-      }
-    }
-    if (!poll_all()) {
-      if (deadline_passed(deadline)) {
-        ++stats_.timeouts;
-        return Status::TimedOut("bbp: recv_any waited out poll_timeout");
-      }
-      blocked_wait();
-    }
-  }
+  if (!wait("bbp.recv_any", [&] { return first_queued() || poll_all(); }))
+    return Status::TimedOut("bbp: recv_any waited out poll_timeout");
+  const u32 s = *first_queued();
+  rr_next_ = (s + 1) % layout_.procs;
+  return deliver(s, buf);
 }
 
 std::optional<u32> Endpoint::msg_avail() {
   port_.cpu_delay(CpuCosts::msg_avail);
-  for (u32 i = 0; i < layout_.procs; ++i) {
-    const u32 s = (rr_next_ + i) % layout_.procs;
-    if (!inq_[s].empty()) return s;
-  }
+  if (const auto s = first_queued()) return s;
   // Poll flag words round-robin and stop at the first sender with news --
   // an avail check does not need to sweep every sender.
   for (u32 i = 0; i < layout_.procs; ++i) {
@@ -389,18 +370,10 @@ std::optional<u32> Endpoint::peek_len(u32 src) {
 
 Status Endpoint::drain() {
   TRACE_SPAN(obs::Layer::kBbp, me_, "bbp.drain", port_);
-  const SimTime deadline = wait_deadline();
-  while (inflight() > 0) {
-    collect_garbage();
-    if (inflight() > 0) {
-      if (deadline_passed(deadline)) {
-        ++stats_.timeouts;
-        return Status::TimedOut("bbp: drain waited out poll_timeout");
-      }
-      blocked_wait();
-    }
-  }
-  return Status::Ok();
+  const bool done = wait("bbp.drain", [&] {
+    return inflight() == 0 || (collect_garbage(), inflight() == 0);
+  });
+  return done ? Status::Ok() : Status::TimedOut("bbp: drain waited out poll_timeout");
 }
 
 u32 Endpoint::inflight() const {

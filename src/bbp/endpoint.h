@@ -69,12 +69,11 @@ struct Config {
   // CPU during the transfer, which pipelines back-to-back sends; wire time
   // is unchanged. Default: disabled (the paper's BBP measurements are PIO).
   u32 dma_threshold_bytes = 0xFFFFFFFFu;
-  // Bounded wait for every blocking loop (send stalls, recv polling,
-  // drain): once a call has waited this much virtual time without the
-  // condition holding it returns kTimedOut instead of spinning forever --
+  // Bounded wait for each blocking call (send stalled for space, recv,
+  // recv_any, drain): past this much virtual time it returns kTimedOut --
   // the degraded-mode behavior fault scenarios rely on. 0 (the default)
-  // preserves the paper's semantics: block indefinitely (a permanently
-  // lost flag toggle then parks the fiber until deadlock detection).
+  // keeps the paper's semantics: block indefinitely; a lost flag toggle
+  // then ends the run in DeadlockError naming the wait ("bbp.recv").
   // With a timeout set, a blocked endpoint always advances virtual time
   // by polling, even in kInterrupt mode (an interrupt sleep has no
   // wake-up when the awaited write was lost on the ring).
@@ -230,20 +229,17 @@ class Endpoint {
   bool poll_sender(u32 s);
   /// One poll pass over all senders; true if anything was enqueued.
   bool poll_all();
-  Result<RecvInfo> deliver(Incoming msg, std::span<u8> buf);
+  /// The first sender, round-robin from rr_next_, with a queued message.
+  std::optional<u32> first_queued() const;
+  /// Deliver the head of sender `src`'s queue into `buf` and ACK it.
+  Result<RecvInfo> deliver(u32 src, std::span<u8> buf);
 
   u32 data_end() const { return layout_.data_base(me_) + layout_.data_words; }
 
-  /// Back off while blocked: poll_pause or interrupt sleep per
-  /// cfg_.recv_mode (always poll_pause when a poll_timeout is configured).
-  void blocked_wait();
-  /// Deadline for the blocking call starting now; 0 = none.
-  SimTime wait_deadline() const {
-    return cfg_.poll_timeout > 0 ? port_.now() + cfg_.poll_timeout : 0;
-  }
-  bool deadline_passed(SimTime deadline) const {
-    return deadline != 0 && port_.now() >= deadline;
-  }
+  /// Every blocking call's wait: spin on ready() for at most poll_timeout,
+  /// backing off per recv_mode; false, counting a timeout, once it expired.
+  bool wait(const char* site, sim::FnRef<bool()> ready,
+            sim::FnRef<void()> stall = {});
 
   scramnet::MemPort& port_;
   Layout layout_;

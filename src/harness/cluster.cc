@@ -52,6 +52,7 @@ void publish_run(const sim::Simulation& sim) {
   obs::Counters& c = sim.sink().counters();
   c.add("sim", "events_executed", sim.events_executed());
   c.add("sim", "resumes_in_place", sim.resumes_in_place());
+  c.add("sim", "spin_resumes", sim.spin_resumes());
 }
 
 void publish_run(const scramnet::Ring& ring, const sim::Simulation& sim) {

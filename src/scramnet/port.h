@@ -10,8 +10,15 @@
 
 #include "common/types.h"
 #include "common/units.h"
+#include "sim/fn_ref.h"
 
 namespace scrnet::scramnet {
+
+/// How a spin on replicated memory backs off between failed passes.
+enum class Backoff : u8 {
+  kPoll,       // one host poll gap: the loop around a PIO read
+  kInterrupt,  // wait_write(): sleep until a watched word is written
+};
 
 class MemPort {
  public:
@@ -46,8 +53,13 @@ class MemPort {
   /// RingHierarchy every node of every ring behind the bridges.
   virtual void fence() = 0;
 
-  /// Host-side backoff between polls of a flag word.
-  virtual void poll_pause() = 0;
+  /// The one way to wait on replicated memory: calls ready() until it holds
+  /// (true) or `deadline` (absolute; 0 = none) has passed (false), running
+  /// `stall` (when set) and one back-off between failed passes. `site`, a
+  /// string literal, names the loop to the kernel (sim::Process::spin_until).
+  virtual bool spin_until(const char* site, SimTime deadline, sim::FnRef<bool()> ready,
+                          Backoff backoff = Backoff::kPoll,
+                          sim::FnRef<void()> stall = {}) = 0;
   /// Account local CPU work (protocol bookkeeping).
   virtual void cpu_delay(SimTime dt) = 0;
 

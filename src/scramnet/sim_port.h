@@ -65,7 +65,15 @@ class SimHostPort final : public MemPort {
   }
 
   SimTime now() const override { return proc_.now(); }
-  void poll_pause() override { proc_.delay(cpu_t(HostTimings::poll_gap)); }
+  bool spin_until(const char* site, SimTime deadline, sim::FnRef<bool()> ready,
+                  Backoff backoff = Backoff::kPoll,
+                  sim::FnRef<void()> stall = {}) override {
+    return proc_.spin_until(site, deadline, ready, [&] {
+      if (stall) stall();
+      if (backoff == Backoff::kInterrupt) return wait_write();
+      proc_.delay(cpu_t(HostTimings::poll_gap));
+    });
+  }
   void cpu_delay(SimTime dt) override { proc_.delay(cpu_t(dt)); }
 
   u32 peek_u32(u32 word_addr) override { return ring_.host_read(node_, word_addr); }

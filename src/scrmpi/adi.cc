@@ -375,22 +375,17 @@ void Engine::handle(Packet pkt) {
 // ---------------------------------------------------------------------------
 
 template <typename Ready>
-bool Engine::block_until(Ready ready) {
+bool Engine::block_until(const char* site, Ready ready) {
   const SimTime deadline =
       costs_.op_timeout > 0 ? dev_.now() + costs_.op_timeout : 0;
-  while (!ready()) {
-    if (deadline != 0 && dev_.now() >= deadline) {
-      ++timeouts_;
-      return false;
-    }
-    dev_.idle_pause();
-  }
-  return true;
+  if (dev_.spin_until(site, deadline, ready)) return true;
+  ++timeouts_;
+  return false;
 }
 
 template <typename Done>
-bool Engine::progress_until(Done done) {
-  return block_until([&] {
+bool Engine::progress_until(const char* site, Done done) {
+  return block_until(site, [&] {
     while (!done())
       if (!progress()) return false;
     return true;
@@ -439,7 +434,8 @@ MpiStatus Engine::wait(Request req) {
   TRACE_SPAN(obs::Layer::kMpi, rank(), "adi.wait", dev_);
   assert(req.valid() && req.idx < reqs_.size());
   assert(reqs_[req.idx].state != Req::State::kFree && "wait on freed request");
-  if (!progress_until([&] { return reqs_[req.idx].state == Req::State::kDone; }))
+  if (!progress_until("adi.wait",
+                      [&] { return reqs_[req.idx].state == Req::State::kDone; }))
     return timeout_request(req.idx);
   const MpiStatus st = reqs_[req.idx].status;
   free_req(req.idx);
@@ -458,7 +454,7 @@ std::optional<MpiStatus> Engine::test(Request req) {
 std::pair<usize, MpiStatus> Engine::waitany(std::span<Request> rs) {
   assert(!rs.empty());
   std::pair<usize, MpiStatus> out{rs.size(), MpiStatus{}};
-  const bool done = block_until([&] {
+  const bool done = block_until("adi.waitany", [&] {
     bool any_valid = false;
     for (usize i = 0; i < rs.size(); ++i) {
       if (!rs[i].valid()) continue;
@@ -479,7 +475,8 @@ std::pair<usize, MpiStatus> Engine::waitany(std::span<Request> rs) {
 
 MpiStatus Engine::probe(i32 src, u16 ctx, i32 tag) {
   std::optional<MpiStatus> found;
-  if (progress_until([&] { return (found = iprobe(src, ctx, tag)).has_value(); }))
+  if (progress_until("adi.probe",
+                     [&] { return (found = iprobe(src, ctx, tag)).has_value(); }))
     return *found;
   MpiStatus st;
   st.err = StatusCode::kTimedOut;
@@ -534,7 +531,7 @@ std::optional<std::vector<u8>> Engine::coll_wait_data(u16 ctx, u32 root, u32 bca
     for (; !q.empty() && q.front().bcast < bcast; q.pop_front()) ++stale_packets_;
     return !q.empty() && q.front().bcast == bcast;
   };
-  if (!progress_until(ready)) return std::nullopt;
+  if (!progress_until("adi.coll_data", ready)) return std::nullopt;
   std::vector<u8> data = std::move(q.front().data);
   q.pop_front();
   dev_.cpu(LayerCosts::coll_fast +
@@ -544,13 +541,14 @@ std::optional<std::vector<u8>> Engine::coll_wait_data(u16 ctx, u32 root, u32 bca
 
 bool Engine::coll_wait_arrivals(u16 ctx, u32 epoch, u32 n) {
   const auto key = std::make_pair(ctx, epoch);
-  const bool done = progress_until([&] { return barrier_count_[key] >= n; });
+  const bool done =
+      progress_until("adi.coll_arrivals", [&] { return barrier_count_[key] >= n; });
   barrier_count_.erase(key);
   return done;
 }
 
 bool Engine::coll_wait_release(u16 ctx, u32 epoch) {
-  return progress_until([&] { return release_epoch_[ctx] >= epoch; });
+  return progress_until("adi.coll_release", [&] { return release_epoch_[ctx] >= epoch; });
 }
 
 }  // namespace scrnet::scrmpi

@@ -183,16 +183,13 @@ class Engine {
   /// placement as payload on success, empty for the copy path.
   void grant_rendezvous(u32 idx, const PktHeader& rts,
                         std::span<const u8> rts_payload);
-  /// The one blocking loop behind every wait: call ready() until it
-  /// reports the awaited event, idling one device poll period after each
-  /// false. Returns false, counting one op_timeouts(), once
-  /// costs_.op_timeout of virtual time passed first.
+  /// Every wait: spin on ready() through the device's hook at `site`;
+  /// progress_until's ready() drains the device until done(). False,
+  /// counting one op_timeouts(), once costs_.op_timeout passed first.
   template <typename Ready>
-  bool block_until(Ready ready);
-  /// block_until with the usual poll: drain the device until done(),
-  /// idling only when a drain finds no packet.
+  bool block_until(const char* site, Ready ready);
   template <typename Done>
-  bool progress_until(Done done);
+  bool progress_until(const char* site, Done done);
   /// Tear down a request whose wait timed out (unlink or zombie it) and
   /// build the kTimedOut status to hand the caller.
   MpiStatus timeout_request(u32 idx);

@@ -43,7 +43,9 @@ class BbpChannel final : public ChannelDevice {
 
   SimTime now() const override { return ep_.port().now(); }
   void cpu(SimTime dt) override { ep_.port().cpu_delay(dt); }
-  void idle_pause() override { ep_.port().poll_pause(); }
+  bool spin_until(const char* site, SimTime deadline, sim::FnRef<bool()> ready) override {
+    return ep_.port().spin_until(site, deadline, ready);
+  }
 
   /// Eager limit: keep single messages well under the data partition so
   /// several can be in flight; beyond this the ADI uses rendezvous.

@@ -64,7 +64,9 @@ class HybridChannel final : public ChannelDevice {
 
   SimTime now() const override { return low_.now(); }
   void cpu(SimTime dt) override { low_.cpu(dt); }
-  void idle_pause() override { low_.idle_pause(); }
+  bool spin_until(const char* site, SimTime deadline, sim::FnRef<bool()> ready) override {
+    return low_.spin_until(site, deadline, ready);
+  }
 
   /// Large sends should stay eager on the bulk network when possible.
   u32 eager_limit() const override {

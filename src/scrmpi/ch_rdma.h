@@ -40,7 +40,9 @@ class RdmaChannel final : public ChannelDevice {
 
   SimTime now() const override { return proc_.now(); }
   void cpu(SimTime dt) override { proc_.delay(dt); }
-  void idle_pause() override { proc_.delay(kPollGap); }
+  bool spin_until(const char* site, SimTime deadline, sim::FnRef<bool()> ready) override {
+    return proc_.spin_until(site, deadline, ready, [this] { proc_.delay(kPollGap); });
+  }
 
   /// One packet = one frame: envelope + payload must fit the wire MTU.
   u32 eager_limit() const override {

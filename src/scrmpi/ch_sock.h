@@ -39,7 +39,9 @@ class SockChannel final : public ChannelDevice {
 
   SimTime now() const override { return proc_.now(); }
   void cpu(SimTime dt) override { proc_.delay(dt); }
-  void idle_pause() override { proc_.delay(kPollGap); }
+  bool spin_until(const char* site, SimTime deadline, sim::FnRef<bool()> ready) override {
+    return proc_.spin_until(site, deadline, ready, [this] { proc_.delay(kPollGap); });
+  }
 
   /// TCP streams carry any size; cap eager at 64 KB so rendezvous is still
   /// exercised and huge sends don't monopolize socket buffers.

@@ -20,6 +20,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "common/units.h"
+#include "sim/fn_ref.h"
 
 namespace scrnet::scrmpi {
 
@@ -172,8 +173,11 @@ class ChannelDevice {
   /// mocks); used for statistics and bounded waits.
   virtual SimTime now() const { return 0; }
 
-  /// Back off when a blocking wait makes no progress.
-  virtual void idle_pause() = 0;
+  /// The one way the ADI waits: calls ready() until it holds (true) or
+  /// `deadline` (absolute; 0 = none) has passed (false), backing off one
+  /// device poll period between failed passes (sim::Process::spin_until).
+  virtual bool spin_until(const char* site, SimTime deadline,
+                          sim::FnRef<bool()> ready) = 0;
 
   /// Largest payload the device prefers to carry eagerly; above this the
   /// ADI switches to rendezvous.

@@ -32,7 +32,8 @@ class DisseminationBarrier {
       // Signal my round-r flag with the current epoch...
       port_.write_u32(flag_addr(me_, r), epoch_);
       // ...and wait until my predecessor reached this round of this epoch.
-      while (port_.read_u32(flag_addr(peer, r)) < epoch_) port_.poll_pause();
+      port_.spin_until("scrshm.barrier", 0,
+                       [&] { return port_.read_u32(flag_addr(peer, r)) >= epoch_; });
     }
   }
 

@@ -49,12 +49,12 @@ class BakeryMutex {
     // Wait for every earlier ticket (lexicographic (number, id) order).
     for (u32 j = 0; j < procs_; ++j) {
       if (j == me_) continue;
-      while (port_.read_u32(choosing_ + j) != 0) port_.poll_pause();
-      for (;;) {
+      port_.spin_until("scrshm.bakery.choosing", 0,
+                       [&] { return port_.read_u32(choosing_ + j) == 0; });
+      port_.spin_until("scrshm.bakery.ticket", 0, [&] {
         const u32 nj = port_.read_u32(number_ + j);
-        if (nj == 0 || nj > my_number_ || (nj == my_number_ && j > me_)) break;
-        port_.poll_pause();
-      }
+        return nj == 0 || nj > my_number_ || (nj == my_number_ && j > me_);
+      });
     }
   }
 

@@ -39,17 +39,14 @@ class SeqLock {
   /// nothing has ever been published. Spins through in-progress versions.
   u32 snapshot(std::span<u32> out) {
     assert(out.size() == words_);
-    for (;;) {
-      const u32 s1 = port_.read_u32(seq_addr_);
-      if (s1 & 1u) {
-        port_.poll_pause();
-        continue;
-      }
+    u32 s1 = 0;
+    port_.spin_until("scrshm.seqlock", 0, [&] {
+      s1 = port_.read_u32(seq_addr_);
+      if (s1 & 1u) return false;
       port_.read_block(data_addr_, out);
-      const u32 s2 = port_.read_u32(seq_addr_);
-      if (s1 == s2) return s1;
-      port_.poll_pause();
-    }
+      return port_.read_u32(seq_addr_) == s1;
+    });
+    return s1;
   }
 
   /// Latest version number visible locally (cheap freshness probe).

@@ -1,8 +1,9 @@
 #include "sim/simulation.h"
 
 #include <cassert>
+#include <cstdio>
 #include <limits>
-#include <sstream>
+#include <utility>
 
 #include "obs/sink.h"
 #include "obs/trace.h"
@@ -49,17 +50,40 @@ Process::Process(Simulation& sim, u32 id, std::string name,
 void Process::delay(SimTime dt) {
   assert(dt >= 0 && "negative delay");
   const SimTime t = sim_.now_ + dt;
-  if (sim_.resume_in_place(t)) return;
+  if (sim_.resume_in_place(t)) {
+    if (spin_) ++sim_.spin_resumes_;
+    return;
+  }
   state_ = State::kReady;
-  sim_.schedule_resume(*this, t);
+  if (spin_)
+    sim_.schedule_spin_resume(*this, t);
+  else
+    sim_.schedule_resume(*this, t);
   to_kernel();
   from_kernel_wait();
 }
 
 void Process::yield() { delay(0); }
 
+Process::Spin::Spin(Process& p, const char* site, bool timed)
+    : p_(p), site_(site), outer_(p.spin_) {
+  if (timed) {
+    // A pass that runs a timed spin can act on its timeout, so it is not
+    // quiet, and neither is this process while the timed spin lasts.
+    ++p_.timed_spins_;
+    p_.sim_.unmark_quiet(p_);
+  }
+  p_.spin_ = this;
+}
+
+Process::Spin::~Spin() {
+  p_.sim_.unmark_quiet(p_);
+  p_.spin_ = outer_;
+}
+
 void Process::park() {
   TRACE_SPAN(obs::Layer::kSim, id_, "sim.parked", *this);
+  sim_.unmark_quiet(*this);
   state_ = State::kParked;
   ++park_token_;
   to_kernel();
@@ -130,6 +154,15 @@ void Simulation::schedule_resume(Process& p, SimTime t) {
   queue_.push(t, [this, &p] { dispatch(p); });
 }
 
+void Simulation::schedule_spin_resume(Process& p, SimTime t) {
+  ++queued_spin_resumes_;
+  queue_.push(t, [this, &p] {
+    --queued_spin_resumes_;
+    ++spin_resumes_;
+    dispatch(p);
+  });
+}
+
 void Simulation::dispatch(Process& p) {
   if (p.state_ == Process::State::kFinished) return;  // stale resume after error
   assert(p.state_ == Process::State::kReady && "dispatching a non-ready process");
@@ -147,7 +180,52 @@ void Simulation::dispatch(Process& p) {
     if (!p.error_.empty()) {
       throw ProcessError("process '" + p.name_ + "' failed: " + p.error_);
     }
+  } else if (!livelock_.empty()) {
+    throw DeadlockError(std::exchange(livelock_, {}));
   }
+}
+
+void Simulation::note_quiet(Process& p) {
+  const u64 epoch = foreign_events();
+  if (quiet_epoch_ != epoch) {
+    quiet_epoch_ = epoch;
+    quiet_ = 0;
+  }
+  if (p.quiet_at_ != epoch + 1) {
+    p.quiet_at_ = epoch + 1;
+    ++quiet_;
+  }
+  // Every quiet process but p has exactly one resume queued, a spin
+  // resume, and only spin resumes are queued: so this holds when they are
+  // all quiet spinners' resumes. Within run_until the caller may still
+  // post events between calls, so only run() ends here.
+  if (horizon_ != std::numeric_limits<SimTime>::max() ||
+      quiet_ != queued_spin_resumes_ + 1)
+    return;
+  std::string spinning, parked;
+  usize nspinning = 0, nparked = 0;
+  for (const auto& up : procs_) {
+    if (up->state_ == Process::State::kParked)
+      append_name(parked, nparked, *up);
+    else if (up->state_ != Process::State::kFinished)
+      append_name(spinning, nspinning, *up);
+  }
+  char at[64];
+  std::snprintf(at, sizeof at, "simulation livelock at %.3f us: ", to_us(now_));
+  livelock_ = at + std::to_string(nspinning) +
+              " process(es) spinning on state that can no longer change: " + spinning;
+  if (nparked > 0) livelock_ += "; " + std::to_string(nparked) + " parked: " + parked;
+  // Hand control back for good: dispatch() throws the report out of run(),
+  // and teardown unwinds this fiber like any other parked one.
+  p.state_ = Process::State::kParked;
+  p.to_kernel();
+  p.from_kernel_wait();
+}
+
+void Simulation::append_name(std::string& list, usize& n, const Process& p) {
+  if (n++ > 0) list += ", ";
+  list += p.name();
+  if (p.spin_) list.append(" (").append(p.spin_->site()).append(")");
 }
 
 void Simulation::check_time_limit() const {
@@ -156,17 +234,13 @@ void Simulation::check_time_limit() const {
 }
 
 void Simulation::check_deadlock() const {
-  std::ostringstream parked;
+  std::string parked;
   usize nparked = 0;
-  for (const auto& up : procs_) {
-    if (up->state_ == Process::State::kParked) {
-      if (nparked++) parked << ", ";
-      parked << up->name();
-    }
-  }
+  for (const auto& up : procs_)
+    if (up->state_ == Process::State::kParked) append_name(parked, nparked, *up);
   if (nparked > 0) {
     throw DeadlockError("simulation deadlock: " + std::to_string(nparked) +
-                        " process(es) parked with no pending events: " + parked.str());
+                        " process(es) parked with no pending events: " + parked);
   }
 }
 

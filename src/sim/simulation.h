@@ -17,15 +17,17 @@
 // A Simulation is single-threaded. Parallelism lives across simulations:
 // sweep::Runner runs independent simulations on worker threads.
 //
-// A process consumes virtual time with Process::delay() and blocks on
-// conditions with sim::Signal. A delay whose resume would be the very next
-// event the run loop executes -- nothing queued is due at or before it and
-// it lies within the run's bound -- advances the clock in place and
-// returns without a queue round trip or a context swap; it keeps its
-// sequence number and its count, so event order is unchanged. If the event
-// queue drains while processes are still parked, the kernel reports a
-// deadlock with the parked process names (a real protocol bug surface,
-// exercised by tests).
+// A process consumes virtual time with Process::delay(), blocks on
+// conditions with sim::Signal and polls with Process::spin_until(). A delay
+// whose resume would be the very next event the run loop executes --
+// nothing queued is due at or before it and it lies within the run's
+// bound -- advances the clock in place and returns without a queue round
+// trip or a context swap; it keeps its sequence number and its count, so
+// event order is unchanged. If the event queue drains while processes are
+// still parked, the kernel reports a deadlock with the parked process
+// names; if only spinners' resumes are left and no spinner can see
+// anything change again, it reports the livelock the same way, naming
+// each spin site (docs/simulator.md, "Spinning").
 #pragma once
 
 #include <cassert>
@@ -52,7 +54,8 @@ class Simulation;
 class Process;
 
 /// Thrown by Simulation::run() when all events are exhausted but one or more
-/// processes are still parked on a Signal.
+/// processes are still parked on a Signal, or when every live process is
+/// parked or spinning on state that can no longer change.
 class DeadlockError : public std::runtime_error {
  public:
   explicit DeadlockError(const std::string& what) : std::runtime_error(what) {}
@@ -81,6 +84,18 @@ class Process {
   /// Reschedule at the current time, after already-queued events. Useful to
   /// model "check again immediately but let the world make progress".
   void yield();
+
+  /// The one way a process waits by polling. Calls ready(); while it
+  /// returns false and `deadline` (absolute; 0 = none) has not passed,
+  /// calls pause() and tries again. True once ready() held, false once the
+  /// deadline passed first. `site` (a string literal) names the loop;
+  /// spins may nest. A pass is one ready() call, and it must change
+  /// nothing but this process's clock and counters unless it sees
+  /// something new: run() then ends with DeadlockError, naming each site,
+  /// once no spinner can ever see anything change (docs/simulator.md,
+  /// "Spinning").
+  template <typename Ready, typename Pause>
+  bool spin_until(const char* site, SimTime deadline, Ready&& ready, Pause&& pause);
 
   /// Virtual now() shortcut.
   SimTime now() const;
@@ -112,6 +127,23 @@ class Process {
   /// Park on a signal: no resume event is scheduled; Signal::notify will.
   void park();
 
+  /// One active spin_until call, on this process's stack: entered by the
+  /// constructor, left by the destructor, also when ready() throws or
+  /// teardown unwinds the fiber.
+  class Spin {
+   public:
+    Spin(Process& p, const char* site, bool timed);
+    ~Spin();
+    Spin(const Spin&) = delete;
+    Spin& operator=(const Spin&) = delete;
+    const char* site() const { return site_; }
+
+   private:
+    Process& p_;
+    const char* site_;
+    Spin* outer_;  // the spin whose ready() entered this one, or nullptr
+  };
+
   static void fiber_entry(void* self);
   void fiber_main();
 
@@ -129,6 +161,10 @@ class Process {
   State state_ = State::kCreated;
   u64 park_token_ = 0;        // incremented on every park, guards stale wakeups
   std::string error_;         // exception text if the body threw
+  Spin* spin_ = nullptr;      // innermost active spin_until, nullptr if none
+  u64 timed_spins_ = 0;       // spin_until calls with a deadline entered
+  u64 quiet_at_ = 0;          // 1 + Simulation::foreign_events() at this
+                              // process's last quiet pass; 0 = none
 };
 
 /// The simulation kernel.
@@ -175,6 +211,10 @@ class Simulation {
   /// The process resumes among events_executed() that ran in place
   /// (Process::delay), with no queue round trip and no fiber switch.
   u64 resumes_in_place() const { return resumes_in_place_; }
+  /// The process resumes among events_executed(), in place or queued, of
+  /// delays taken inside Process::spin_until: the polling that idle-poll
+  /// elision could skip.
+  u64 spin_resumes() const { return spin_resumes_; }
   usize live_processes() const;
 
   /// Event-storage counters (pool growth, inline vs heap callables) -- the
@@ -197,6 +237,8 @@ class Simulation {
 
   /// Schedule process resume at absolute time t.
   void schedule_resume(Process& p, SimTime t);
+  /// The same for a delay inside spin_until: counted as a spin resume.
+  void schedule_spin_resume(Process& p, SimTime t);
   /// Resume the running process at `t` without leaving it, when that
   /// resume would be the run loop's next event: `t` is within the run's
   /// bound and the time limit, and strictly before every queued event.
@@ -225,6 +267,27 @@ class Simulation {
   void check_time_limit() const;
   void check_deadlock() const;
 
+  /// Events executed that were not a spinner's resume: device callbacks,
+  /// resumes of processes outside spin_until, notifications. Only these
+  /// can change what a spinner's ready() sees.
+  u64 foreign_events() const { return queue_.executed() - spin_resumes_; }
+  /// Nothing but spin resumes is queued. While a foreign event is queued,
+  /// a quiet pass proves nothing: that event runs before the rule could
+  /// fire, and every quiet pass before it goes stale.
+  bool only_spin_resumes_queued() const { return queue_.size() == queued_spin_resumes_; }
+  /// `p`, spinning with no deadline, just failed a pass during which no
+  /// foreign event ran, and only spin resumes are queued. Ends the run if
+  /// every queued resume belongs to a spinner that is just as quiet.
+  void note_quiet(Process& p);
+  /// Forget `p`'s quiet pass (it leaves a spin, parks or starts a timed one).
+  void unmark_quiet(Process& p) {
+    if (p.quiet_at_ == quiet_epoch_ + 1) --quiet_;
+    p.quiet_at_ = 0;
+  }
+  /// Append `p`'s name to the comma-separated `list` of `n` names, with
+  /// its innermost spin site in parentheses when it is inside spin_until.
+  static void append_name(std::string& list, usize& n, const Process& p);
+
   SimTime time_limit_ = 0;
   obs::Sink* sink_;  // never null; set in the constructor
   SimTime now_ = 0;
@@ -232,11 +295,34 @@ class Simulation {
   // them, so a delay during teardown always goes through the queue.
   SimTime horizon_ = -1;
   u64 resumes_in_place_ = 0;
+  u64 spin_resumes_ = 0;
+  usize queued_spin_resumes_ = 0;  // spin resumes now in the queue
+  u64 quiet_epoch_ = 0;  // foreign_events() value quiet_ counts passes at
+  usize quiet_ = 0;      // processes whose last pass was quiet at it
+  std::string livelock_;  // set when note_quiet ends the run: the report
   EventQueue queue_;
   detail::StackPool stacks_;
   detail::FiberContext kctx_;  // the context that called run()
   std::vector<std::unique_ptr<Process>> procs_;
 };
+
+template <typename Ready, typename Pause>
+bool Process::spin_until(const char* site, SimTime deadline, Ready&& ready,
+                         Pause&& pause) {
+  const Spin frame(*this, site, deadline != 0);
+  for (;;) {
+    const u64 foreign = sim_.foreign_events();
+    const u64 timed = timed_spins_;
+    if (ready()) return true;
+    if (deadline != 0) {
+      if (sim_.now() >= deadline) return false;
+    } else if (sim_.only_spin_resumes_queued() && timed == timed_spins_ &&
+               foreign == sim_.foreign_events()) {
+      sim_.note_quiet(*this);
+    }
+    pause();
+  }
+}
 
 /// Condition-variable analog for simulated processes.
 ///

@@ -16,8 +16,8 @@ namespace scrnet::scrmpi {
 namespace {
 
 /// A pair of loopback devices sharing in-memory queues. No timing, no sim:
-/// cpu() and idle_pause() are no-ops, and idle_pause asserts that progress
-/// is always possible (a spin here would otherwise hang the test).
+/// cpu() is a no-op and spin_until is a plain loop that fails the test
+/// after 1000 empty passes (a spin here would otherwise hang the test).
 class MockFabric {
  public:
   explicit MockFabric(u32 n) : queues_(n) {}
@@ -53,7 +53,15 @@ class MockDevice final : public ChannelDevice {
   SimTime pack_cost(u32 len) const override { return ns(1) * len; }
   SimTime unpack_cost(u32 len) const override { return ns(1) * len; }
   void cpu(SimTime) override {}
-  void idle_pause() override { ++stalls_; ASSERT_LT(stalls_, 1000) << "livelock"; }
+  bool spin_until(const char*, SimTime, sim::FnRef<bool()> ready) override {
+    while (!ready()) {
+      if (++stalls_ >= 1000) {
+        ADD_FAILURE() << "livelock";
+        return false;
+      }
+    }
+    return true;
+  }
   u32 eager_limit() const override { return 4096; }
 
   u64 sent_ = 0;
@@ -82,7 +90,8 @@ struct MockRegion {
 
 /// MockDevice plus the optional zero-copy capability: rndv_put is a direct
 /// memcpy into the receiver-reserved span followed by the FIN packet. Also
-/// keeps a crude clock (idle_pause advances 1 us) so op_timeout tests work.
+/// keeps a crude clock (each empty spin pass advances 1 us) so op_timeout
+/// tests work.
 class PutMockDevice final : public ChannelDevice {
  public:
   PutMockDevice(MockFabric& fab, std::vector<MockRegion>& regions, u32 rank,
@@ -114,7 +123,13 @@ class PutMockDevice final : public ChannelDevice {
   SimTime unpack_cost(u32 len) const override { return ns(1) * len; }
   SimTime now() const override { return now_; }
   void cpu(SimTime) override {}
-  void idle_pause() override { now_ += us(1); }
+  bool spin_until(const char*, SimTime deadline, sim::FnRef<bool()> ready) override {
+    while (!ready()) {
+      if (deadline != 0 && now_ >= deadline) return false;
+      now_ += us(1);
+    }
+    return true;
+  }
   u32 eager_limit() const override { return 4096; }
 
   bool supports_put() const override { return true; }

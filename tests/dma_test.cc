@@ -38,7 +38,7 @@ TEST(Dma, LaterPioWriteStaysOrderedBehindDma) {
   });
   sim.spawn("rx", [&](sim::Process& p) {
     SimHostPort port(ring, 1, p);
-    while (port.read_u32(50) == 0) port.poll_pause();
+    port.spin_until("test.flag", 0, [&] { return port.read_u32(50) != 0; });
     // Flag visible: every payload word must already be here.
     std::vector<u32> out(2000);
     port.read_block(100, out);

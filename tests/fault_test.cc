@@ -5,7 +5,9 @@
 // bounded MPI waits that must end in a timeout when a packet is lost.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -143,6 +145,59 @@ TEST(Fault, BbpStallsForeverWithoutRedundancy) {
     (void)ep.recv(0, buf);  // never completes
   });
   EXPECT_THROW(sim.run(), sim::DeadlockError);
+}
+
+/// The text of the DeadlockError that `run()` throws ("" if none).
+template <typename Run>
+std::string livelock_report(Run run) {
+  try {
+    run();
+  } catch (const sim::DeadlockError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// The virtual time a livelock report names, "simulation livelock at T us".
+SimTime livelock_at(const std::string& report) {
+  double t_us = -1;
+  std::sscanf(report.c_str(), "simulation livelock at %lf us", &t_us);
+  return static_cast<SimTime>(t_us * 1e6 + 0.5);
+}
+
+TEST(Fault, BbpPollingReceiverLivelocksWithoutRedundancy) {
+  // BbpStallsForeverWithoutRedundancy with the receiver polling, as the
+  // paper's BBP does: it spins on a flag word that no event can change any
+  // more, and the kernel ends the run instead of letting it spin forever.
+  sim::Simulation sim;
+  RingConfig cfg;
+  cfg.nodes = 2;
+  cfg.bank_words = 4096;
+  Ring ring(sim, cfg);
+  SimTime last_write = 0;
+  sim.spawn("tx", [&](sim::Process& p) {
+    SimHostPort port(ring, 0, p);
+    bbp::Endpoint ep(port, 2, 0);
+    p.delay(us(5));
+    ring.fail_link(0);
+    std::vector<u8> msg(16);
+    ASSERT_TRUE(ep.try_send(1, msg).ok());  // vanishes on the broken hop
+    last_write = p.now();
+  });
+  sim.spawn("rx", [&](sim::Process& p) {
+    SimHostPort port(ring, 1, p);
+    bbp::Endpoint ep(port, 2, 1);
+    std::vector<u8> buf(16);
+    (void)ep.recv(0, buf);  // never completes
+    ADD_FAILURE() << "the message was lost";
+  });
+  EXPECT_EQ(livelock_report([&] { sim.run(); }),
+            "simulation livelock at 9.300 us: 1 process(es) spinning on state that "
+            "can no longer change: rx (bbp.recv)");
+  // The last event is the lost flag write's injection, at last_write. rx
+  // finishes the poll that straddled it, pauses, and fails one more.
+  EXPECT_EQ(sim.now() - last_write, ns(1690));
+  EXPECT_LE(sim.now() - last_write, 2 * HostTimings::pio_read + HostTimings::poll_gap);
 }
 
 TEST(Fault, BadIndexReturnsErrorStatus) {
@@ -403,6 +458,102 @@ TEST(FaultPlan, BbpTimesOutInsteadOfHanging) {
   EXPECT_GE(ring.packets_lost(), 1u);
 }
 
+TEST(FaultPlan, BbpSendGivesUpOnBillboardSpaceAtPollTimeout) {
+  // Link 0 is down from t = 0, so the one slot's MESSAGE toggle never
+  // reaches node 1 and no ACK frees the slot: the second send stalls for
+  // billboard space once and gives up at poll_timeout.
+  sim::Simulation sim;
+  Ring ring(sim, RingConfig{.nodes = 2, .bank_words = 4096});
+  ASSERT_TRUE(ring.fail_link(0).ok());
+  Status st;
+  bbp::EndpointStats stats;
+  SimTime entered = 0, gave_up = 0;
+  sim.spawn("tx", [&](sim::Process& p) {
+    SimHostPort port(ring, 0, p);
+    bbp::Config c;
+    c.slots = 1;
+    c.poll_timeout = us(200);
+    bbp::Endpoint ep(port, 2, 0, c);
+    std::vector<u8> msg(16, 7);
+    ASSERT_TRUE(ep.send(1, msg).ok());  // vanishes on the broken hop
+    entered = p.now();
+    st = ep.send(1, msg);
+    gave_up = p.now();
+    stats = ep.stats();
+  });
+  sim.run();
+  EXPECT_EQ(st.code(), StatusCode::kTimedOut);
+  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.send_stalls, 1u);
+  EXPECT_GE(ring.packets_lost(), 1u);
+  EXPECT_GE(gave_up - entered, us(200));
+  EXPECT_EQ(gave_up, ns(203550));  // the first failed pass at or past the deadline
+}
+
+TEST(FaultPlan, BbpRecvAnyGivesUpAtPollTimeout) {
+  // Node 0's message is lost on link 0 (down from t = 0): node 1's
+  // recv_any polls every sender until poll_timeout and gives up.
+  sim::Simulation sim;
+  Ring ring(sim, RingConfig{.nodes = 2, .bank_words = 4096});
+  ASSERT_TRUE(ring.fail_link(0).ok());
+  Status st;
+  u64 timeouts = 0;
+  SimTime gave_up = 0;
+  sim.spawn("tx", [&](sim::Process& p) {
+    SimHostPort port(ring, 0, p);
+    bbp::Endpoint ep(port, 2, 0);
+    std::vector<u8> msg(16, 7);
+    ASSERT_TRUE(ep.send(1, msg).ok());  // vanishes on the broken hop
+  });
+  sim.spawn("rx", [&](sim::Process& p) {
+    SimHostPort port(ring, 1, p);
+    bbp::Config c;
+    c.poll_timeout = us(200);
+    bbp::Endpoint ep(port, 2, 1, c);
+    std::vector<u8> buf(16);
+    st = ep.recv_any(buf).status();
+    gave_up = p.now();
+    timeouts = ep.stats().timeouts;
+  });
+  sim.run();
+  EXPECT_EQ(st.code(), StatusCode::kTimedOut);
+  EXPECT_EQ(timeouts, 1u);
+  EXPECT_GE(ring.packets_lost(), 1u);
+  EXPECT_EQ(gave_up, ns(201300));
+}
+
+TEST(FaultPlan, ProbeGivesUpAtOpTimeoutWhenMessageIsLost) {
+  // Rank 0's message is lost on link 0 (down from t = 0): rank 1's probe
+  // drains an empty device until op_timeout and returns kTimedOut.
+  fault::FaultPlan plan;
+  plan.link_down(0, 0);
+  harness::ScramnetOptions opts;
+  opts.faults = &plan;
+  opts.mpi.op_timeout = ms(1);
+  scrmpi::MpiStatus st;
+  u64 timeouts = 0;
+  SimTime entered = 0, gave_up = 0;
+  harness::run_scramnet_mpi(
+      2,
+      [&](sim::Process& p, scrmpi::Mpi& mpi) {
+        const scrmpi::Comm& w = mpi.world();
+        std::vector<u8> msg(16, 7);
+        if (mpi.rank(w) == 0) {
+          mpi.send(msg.data(), 16, scrmpi::Datatype::kByte, 1, 0, w);
+          return;
+        }
+        entered = p.now();
+        st = mpi.probe(0, 0, w);
+        gave_up = p.now();
+        timeouts = mpi.engine().op_timeouts();
+      },
+      opts);
+  EXPECT_EQ(st.err, StatusCode::kTimedOut);
+  EXPECT_EQ(timeouts, 1u);
+  EXPECT_GE(gave_up - entered, ms(1));
+  EXPECT_EQ(gave_up, ns(1000100));
+}
+
 TEST(FaultPlan, HierarchyNodesHonorHostDials) {
   // Host-level faults apply to the two-level ring hierarchy through the
   // same PortDials mechanism as the flat ring (arm_hosts + set_dials).
@@ -423,7 +574,7 @@ TEST(FaultPlan, HierarchyNodesHonorHostDials) {
       pr.delay(us(1));  // let the dial events at t=0 take effect
       for (u32 i = 0; i < 16; ++i) {
         port.write_u32(100 + i, i + 1);
-        port.poll_pause();
+        port.cpu_delay(HostTimings::poll_gap);
       }
       done = pr.now();
     });
@@ -547,6 +698,99 @@ TEST(FaultPlan, NativeMcastBarrierTimesOutWhenReleaseIsLost) {
     mpi.barrier(mpi.world());
   });
   for (u32 r = 1; r < 4; ++r) EXPECT_GE(t[r], 1u) << "rank " << r;
+}
+
+/// Rank 0 sends 16 bytes to rank 1 on `device`, but the message is lost
+/// (a ring link or a partition, down from t = 0) and rank 1 waits for it
+/// with op_timeout 0, the paper's blocking semantics. Returns the text of
+/// the DeadlockError that ends the run, and in `sent` the time rank 0's
+/// send returned: the last event before rank 1 spins alone.
+std::string lost_message_report(const std::string& device, SimTime* sent) {
+  fault::FaultPlan plan;
+  const auto body = [&](sim::Process& p, scrmpi::Mpi& mpi) {
+    const scrmpi::Comm& w = mpi.world();
+    std::vector<u8> buf(16, 7);
+    if (mpi.rank(w) == 0) {
+      mpi.send(buf.data(), 16, scrmpi::Datatype::kByte, 1, 0, w);
+      *sent = p.now();
+    } else {
+      mpi.recv(buf.data(), 16, scrmpi::Datatype::kByte, 0, 0, w);
+      ADD_FAILURE() << device << ": the message was lost";
+    }
+  };
+  harness::ScramnetOptions sopts;
+  harness::TcpOptions topts;
+  harness::RdmaOptions ropts;
+  sopts.faults = topts.faults = ropts.faults = &plan;
+  if (device == "bbp" || device == "hybrid")
+    plan.link_down(0, 0);
+  else
+    plan.partition(0, 0, fault::FaultPlan::kAnyNode);
+  return livelock_report([&] {
+    if (device == "bbp") harness::run_scramnet_mpi(2, body, sopts);
+    if (device == "sock")
+      harness::run_tcp_mpi(2, harness::TcpFabricKind::kFastEthernet, body, topts);
+    if (device == "rdma") harness::run_rdma_mpi(2, body, ropts);
+    if (device == "hybrid")
+      harness::run_hybrid_mpi(2, harness::TcpFabricKind::kMyrinet, 1024, body, sopts,
+                              topts);
+  });
+}
+
+TEST(FaultPlan, LostMessageWithoutOpTimeoutLivelocksOnEveryDevice) {
+  // Each device's receiver spins in the ADI's wait until the kernel sees
+  // that nothing can reach it any more, one full poll after the last event.
+  struct Case {
+    const char* device;
+    const char* rank;
+    SimTime delay;  // from the last event to the end of the run
+  };
+  for (const Case& c : {Case{"bbp", "mpi-rank1", ns(2770)},
+                        Case{"sock", "mpi-FastEthernet-rank1", ns(80)},
+                        Case{"rdma", "rdma-rank1", ns(440)},
+                        Case{"hybrid", "hybrid-rank1", ns(2290)}}) {
+    SCOPED_TRACE(c.device);
+    SimTime sent = 0;
+    const std::string report = lost_message_report(c.device, &sent);
+    EXPECT_EQ(report.substr(report.find(':')),
+              std::string(": 1 process(es) spinning on state that can no longer "
+                          "change: ") +
+                  c.rank + " (adi.wait)");
+    EXPECT_EQ(livelock_at(report) - sent, c.delay) << report;
+  }
+}
+
+TEST(FaultPlan, AdiPassStalledInABbpSendIsReportedAtTheSend) {
+  // Link 1 (node 1 -> node 0) is down from t = 0, and each rank has one
+  // billboard slot. Rank 1's eager send never reaches rank 0, so its slot
+  // is never acknowledged. Rank 0 then starts a rendezvous: rank 1's wait
+  // handles the RTS and answers with a CTS, whose send stalls for the slot
+  // inside the wait's pass. The report names the innermost spin there.
+  fault::FaultPlan plan;
+  plan.link_down(0, 1);
+  harness::ScramnetOptions opts;
+  opts.faults = &plan;
+  opts.bbp.slots = 1;
+  opts.mpi.eager_cap = 64;
+  const std::string report = livelock_report([&] {
+    harness::run_scramnet_mpi(
+        2,
+        [&](sim::Process&, scrmpi::Mpi& mpi) {
+          const scrmpi::Comm& w = mpi.world();
+          std::vector<u8> small(16, 1), big(256, 2);
+          if (mpi.rank(w) == 1) {
+            mpi.send(small.data(), 16, scrmpi::Datatype::kByte, 0, 0, w);
+            mpi.recv(big.data(), 256, scrmpi::Datatype::kByte, 0, 1, w);
+          } else {
+            mpi.send(big.data(), 256, scrmpi::Datatype::kByte, 1, 1, w);
+          }
+          ADD_FAILURE() << "rank " << mpi.rank(w) << " finished";
+        },
+        opts);
+  });
+  EXPECT_EQ(report.substr(report.find(':')),
+            ": 2 process(es) spinning on state that can no longer change: "
+            "mpi-rank0 (adi.wait), mpi-rank1 (bbp.send)");
 }
 
 TEST(FaultPlan, WaitanyTimesOutWhenMessageIsLost) {

@@ -463,7 +463,10 @@ class OversizeDescPort final : public scramnet::MemPort {
   SimTime now() const override { return p_.now(); }
   u32 peek_u32(u32 a) override { return p_.peek_u32(a); }
   void fence() override { p_.fence(); }
-  void poll_pause() override { p_.poll_pause(); }
+  bool spin_until(const char* site, SimTime deadline, sim::FnRef<bool()> ready,
+                  scramnet::Backoff backoff, sim::FnRef<void()> stall) override {
+    return p_.spin_until(site, deadline, ready, backoff, stall);
+  }
   void cpu_delay(SimTime dt) override { p_.cpu_delay(dt); }
   void watch_range(u32 lo, u32 hi) override { p_.watch_range(lo, hi); }
   void wait_write() override { p_.wait_write(); }
@@ -500,14 +503,14 @@ TEST(ChSock, FramePolledBetweenItsSegmentsArrivesWholeAndInOrder) {
   sim.spawn("rx", [&](sim::Process& p) {
     netmodels::TcpStack stack(net, 1, netmodels::TcpConfig::fast_ethernet());
     SockChannel ch(stack, p, 2);
-    while (got.size() < 2) {
-      if (std::optional<Packet> pkt = ch.poll_packet()) {
+    ch.spin_until("test.poll", 0, [&] {
+      while (std::optional<Packet> pkt = ch.poll_packet()) {
         got.push_back(std::move(*pkt));
-        continue;
+        if (got.size() == 2) return true;
       }
       if (stack.buffered(0) > 0) ++partial_polls;
-      ch.idle_pause();
-    }
+      return false;
+    });
     EXPECT_FALSE(ch.poll_packet().has_value());
   });
   sim.run();

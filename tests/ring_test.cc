@@ -369,7 +369,7 @@ TEST(SimHostPort, CrossNodeMessage) {
   });
   sim.spawn("poller", [&](sim::Process& p) {
     SimHostPort port(ring, 3, p);
-    while (port.read_u32(301) == 0) port.poll_pause();
+    port.spin_until("test.flag", 0, [&] { return port.read_u32(301) != 0; });
     EXPECT_EQ(port.read_u32(300), 123u);
     got = true;
   });

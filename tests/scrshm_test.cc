@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "scramnet/ring.h"
 #include "scramnet/sim_port.h"
@@ -47,7 +48,10 @@ class NoFencePort final : public MemPort {
   SimTime now() const override { return p_.now(); }
   u32 peek_u32(u32 a) override { return p_.peek_u32(a); }
   void fence() override {}
-  void poll_pause() override { p_.poll_pause(); }
+  bool spin_until(const char* site, SimTime deadline, sim::FnRef<bool()> ready,
+                  scramnet::Backoff backoff, sim::FnRef<void()> stall) override {
+    return p_.spin_until(site, deadline, ready, backoff, stall);
+  }
   void cpu_delay(SimTime dt) override { p_.cpu_delay(dt); }
   void watch_range(u32 lo, u32 hi) override { p_.watch_range(lo, hi); }
   void wait_write() override { p_.wait_write(); }
@@ -103,6 +107,36 @@ TEST(Bakery, OverlapWouldHappenWithoutFences) {
   // Control experiment: the same lock with both doorway fences skipped
   // must lose mutual exclusion, so the seeded case above can catch it.
   EXPECT_FALSE(bakery_excludes(1, 3, /*fenced=*/false));
+}
+
+TEST(Bakery, HolderThatExitsLockedLivelocksTheWaiter) {
+  // p0 takes the lock and exits without unlocking. p1's doorway finds p0's
+  // ticket, and p1 spins on it with nothing left that could change it:
+  // the run ends as soon as p1 has failed one pass after the last event.
+  sim::Simulation sim;
+  Ring ring(sim, RingConfig{.nodes = 2, .bank_words = 4096});
+  for (u32 id = 0; id < 2; ++id) {
+    sim.spawn("p" + std::to_string(id), [&, id](sim::Process& p) {
+      SimHostPort port(ring, id, p);
+      Arena arena(0, 64);
+      BakeryMutex mu(port, arena, 2, id);
+      if (id == 1) p.delay(us(20));  // p0 holds the lock by now
+      mu.lock();
+      if (id == 1) ADD_FAILURE() << "p1 entered a held lock";
+    });
+  }
+  std::string what;
+  try {
+    sim.run();
+  } catch (const sim::DeadlockError& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(what, "simulation livelock at 25.799 us: 1 process(es) spinning on state "
+                  "that can no longer change: p1 (scrshm.bakery.ticket)");
+  // The last event is p1's doorway fence returning once its writes settled;
+  // then one read of choosing[0] passes and one of number[0] fails.
+  const SimTime last_event = std::max(ring.settled_at(0), ring.settled_at(1));
+  EXPECT_EQ(sim.now() - last_event, 2 * scramnet::HostTimings::pio_read);
 }
 
 TEST(Bakery, HandoffIsFifoByTicket) {

@@ -320,5 +320,148 @@ TEST(SimParallel, RunUntilStopsAtBoundaryOnEveryShard) {
   }
 }
 
+// -- spin_until: the one polling primitive and its livelock rule -------------
+
+/// One pass samples `flag`, then spends 300 ns on the rest of its work;
+/// the pause between passes is 200 ns, so pass k starts at k * 500 ns.
+bool spin_on(Process& p, const bool& flag, SimTime deadline = 0,
+             const char* site = "test.flag") {
+  return p.spin_until(
+      site, deadline,
+      [&] {
+        const bool seen = flag;
+        p.delay(ns(300));
+        return seen;
+      },
+      [&] { p.delay(ns(200)); });
+}
+
+/// The text of the DeadlockError that `sim.run()` throws ("" if none).
+std::string livelock_report(Simulation& sim) {
+  try {
+    sim.run();
+  } catch (const DeadlockError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SimSpin, LoneSpinnerIsALivelockAfterOneQuietPass) {
+  // The spawn is the last event that is not a spin resume; the first pass
+  // begins after it and fails, and nothing is queued: run() ends there.
+  Simulation sim;
+  const bool never = false;
+  sim.spawn("spinner", [&](Process& p) {
+    spin_on(p, never);
+    ADD_FAILURE() << "the spin cannot end";
+  });
+  EXPECT_EQ(livelock_report(sim),
+            "simulation livelock at 0.300 us: 1 process(es) spinning on state "
+            "that can no longer change: spinner (test.flag)");
+  EXPECT_EQ(sim.now(), ns(300));
+  EXPECT_EQ(sim.spin_resumes(), 1u);
+}
+
+TEST(SimSpin, SpinnerWokenByTheLastQueuedEventFinishes) {
+  // Every pass before 9.9 us fails quietly, but the event that sets the
+  // flag is still queued, so none of them ends the run. The flag lands
+  // during the pause after the pass at 9.5 us; the pass at 10 us sees it.
+  Simulation sim;
+  bool flag = false;
+  sim.post(ns(9900), [&] { flag = true; });
+  SimTime done = 0;
+  sim.spawn("spinner", [&](Process& p) {
+    EXPECT_TRUE(spin_on(p, flag));
+    done = p.now();
+  });
+  sim.run();
+  EXPECT_EQ(done, ns(10300));
+  EXPECT_EQ(sim.spin_resumes(), 21u + 20u);  // 21 passes, 20 pauses
+}
+
+TEST(SimSpin, PassThatStraddledTheWakingEventIsNotQuiet) {
+  // The flag lands at 10.05 us, inside the pass that sampled it at 10 us.
+  // That pass fails after the last queued event ran, but it began before
+  // it, so it proves nothing: the next pass sees the flag.
+  Simulation sim;
+  bool flag = false;
+  sim.post(ns(10050), [&] { flag = true; });
+  SimTime done = 0;
+  sim.spawn("spinner", [&](Process& p) {
+    EXPECT_TRUE(spin_on(p, flag));
+    done = p.now();
+  });
+  sim.run();
+  EXPECT_EQ(done, ns(10800));
+}
+
+TEST(SimSpin, EverySpinnerNeedsAQuietPassAfterTheLastOtherEvent) {
+  // a's passes from 0 us are quiet, but b's first resume at 1 us is an
+  // event of its own: the run ends only when both have failed a pass that
+  // began after it, at 1.3 us.
+  Simulation sim;
+  const bool never = false;
+  sim.spawn("a", [&](Process& p) { spin_on(p, never); });
+  sim.spawn("b", [&](Process& p) {
+    p.delay(us(1));
+    spin_on(p, never);
+  });
+  EXPECT_EQ(livelock_report(sim),
+            "simulation livelock at 1.300 us: 2 process(es) spinning on state "
+            "that can no longer change: a (test.flag), b (test.flag)");
+}
+
+TEST(SimSpin, ParkedAndSpinningProcessesAreNamedTogether) {
+  Simulation sim;
+  Signal sig(sim);
+  const bool never = false;
+  sim.spawn("waiter", [&](Process& p) { sig.wait(p); });
+  sim.spawn("spinner", [&](Process& p) { spin_on(p, never); });
+  EXPECT_EQ(livelock_report(sim),
+            "simulation livelock at 0.300 us: 1 process(es) spinning on state "
+            "that can no longer change: spinner (test.flag); 1 parked: waiter");
+}
+
+TEST(SimSpin, NestedSpinIsReportedAtItsInnermostSite) {
+  // The outer spin has a deadline, but the inner one never returns to it.
+  Simulation sim;
+  const bool never = false;
+  sim.spawn("nest", [&](Process& p) {
+    p.spin_until(
+        "test.outer", us(50), [&] { return spin_on(p, never, 0, "test.inner"); },
+        [&] { p.delay(ns(200)); });
+  });
+  EXPECT_EQ(livelock_report(sim),
+            "simulation livelock at 0.300 us: 1 process(es) spinning on state "
+            "that can no longer change: nest (test.inner)");
+}
+
+TEST(SimSpin, SpinWithADeadlineGivesUpInsteadOfLivelocking) {
+  // Passes end at k * 500 + 300 ns; the first to end at or past 5 us
+  // gives up.
+  Simulation sim;
+  const bool never = false;
+  SimTime gave_up = 0;
+  sim.spawn("timed", [&](Process& p) {
+    EXPECT_FALSE(spin_on(p, never, us(5)));
+    gave_up = p.now();
+  });
+  sim.run();
+  EXPECT_EQ(gave_up, ns(5300));
+}
+
+TEST(SimSpin, RunUntilLeavesTheLivelockToRun) {
+  // A bounded run returns at its bound (its caller may still post events);
+  // run() then ends at the first pass that completes quietly.
+  Simulation sim;
+  const bool never = false;
+  sim.spawn("spinner", [&](Process& p) { spin_on(p, never); });
+  EXPECT_TRUE(sim.run_until(us(5)));
+  EXPECT_EQ(sim.now(), us(5));
+  EXPECT_EQ(livelock_report(sim),
+            "simulation livelock at 5.300 us: 1 process(es) spinning on state "
+            "that can no longer change: spinner (test.flag)");
+}
+
 }  // namespace
 }  // namespace scrnet::sim
