@@ -366,6 +366,21 @@ void BM_TcpApiOneway(benchmark::State& state) {
 }
 BENCHMARK(BM_TcpApiOneway)->Arg(4);
 
+/// A 4-node MPI_Bcast of range(0) bytes over ch_bbp: native multicast
+/// (range(1) = 1, the paper's single BBP multicast) or the binomial tree
+/// of point-to-point sends (range(1) = 0).
+void BM_MpiScramnetBcast(benchmark::State& state) {
+  const u32 bytes = static_cast<u32>(state.range(0));
+  const auto algo = state.range(1) ? scrmpi::CollAlgo::kNativeMcast : scrmpi::CollAlgo::kBinomial;
+  double bcast = 0;
+  for (auto _ : state) {
+    bcast = harness::mpi_scramnet_bcast_us(bytes, algo);
+    benchmark::DoNotOptimize(bcast);
+  }
+  state.counters["bcast_us"] = bcast;
+}
+BENCHMARK(BM_MpiScramnetBcast)->Args({64, 1})->Args({64, 0});
+
 /// RDMA NIC model put throughput at the fabric level: one registered
 /// region, back-to-back puts (chunked at the MTU), each awaited on its
 /// CQE the way ch_rdma's bounded wait does. Arg = bytes per put.

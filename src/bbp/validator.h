@@ -16,7 +16,7 @@
 //     increasing and strictly newer than the last delivered message.
 //
 // The class is always compiled so tests can call check() directly (and
-// prove it fires via Endpoint::corrupt_for_test). Building with
+// prove each check fires by corrupting an endpoint). Building with
 // -DSCRNET_BBP_VALIDATE=ON additionally runs it after every post, garbage
 // collection and delivery.
 #pragma once

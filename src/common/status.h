@@ -60,12 +60,8 @@ class Status {
   const std::string& message() const { return msg_; }
 
   std::string to_string() const {
-    std::string s{scrnet::to_string(code_)};
-    if (!msg_.empty()) {
-      s += ": ";
-      s += msg_;
-    }
-    return s;
+    std::string name(scrnet::to_string(code_));
+    return msg_.empty() ? name : name.append(": ").append(msg_);
   }
 
   friend bool operator==(const Status& a, const Status& b) { return a.code_ == b.code_; }

@@ -21,11 +21,8 @@ bool is_dial_kind(FaultKind k) {
 }
 
 std::string bad_node(std::string_view what, u32 node) {
-  std::string s = "fault: ";
-  s += what;
-  s += " targets nonexistent node ";
-  s += std::to_string(node);
-  return s;
+  return std::string("fault: ").append(what).append(" targets nonexistent node ").append(
+      std::to_string(node));
 }
 
 }  // namespace

@@ -164,9 +164,9 @@ void Engine::grant_rendezvous(u32 idx, const PktHeader& rts,
   std::span<const u8> cts_payload{};
   const u32 want =
       static_cast<u32>(std::min<usize>(msg_len, r.buf.size()));
-  if (dev_.supports_put() && want > 0) {
-    Result<RndvPlacement> res =
-        dev_.rndv_reserve(rts.src, want, r.buf.first(want));
+  RndvPut* put = dev_.put();
+  if (put && want > 0) {
+    Result<RndvPlacement> res = put->rndv_reserve(rts.src, want, r.buf.first(want));
     if (res.ok()) {
       r.placement = res.value();
       r.state = Req::State::kRecvWaitFin;
@@ -179,7 +179,7 @@ void Engine::grant_rendezvous(u32 idx, const PktHeader& rts,
   ++rndv_cts_;
   if (const Status st = dev_.send_packet(rts.src, cts, cts_payload);
       !st.ok()) {
-    if (r.state == Req::State::kRecvWaitFin) dev_.rndv_release(r.placement);
+    if (r.state == Req::State::kRecvWaitFin) put->rndv_release(r.placement);
     r.state = Req::State::kDone;
     r.status.err = st.code();
   }
@@ -255,7 +255,8 @@ void Engine::handle(Packet pkt) {
         ++stale_packets_;
         return;
       }
-      if (pkt.payload.size() == kPlacementBytes) {
+      RndvPut* put = dev_.put();
+      if (put && pkt.payload.size() == kPlacementBytes) {
         // Zero-copy grant: put the payload straight from the user buffer
         // into the receiver's placement, FIN rides behind it. No channel
         // packetization, no per-byte pack charge -- that is the win; the
@@ -269,7 +270,7 @@ void Engine::handle(Packet pkt) {
         fin.aux = static_cast<u32>(h.tag);  // receiver's request id
         const std::span<const u8> data = r.send_view.first(
             std::min<usize>(r.send_view.size(), pl.bytes));
-        const Status st = dev_.rndv_put(r.dst, pl, data, fin, {});
+        const Status st = put->rndv_put(r.dst, pl, data, fin, {});
         ++rndv_put_;
         zero_copy_bytes_ += data.size();
         r.send_view = {};
@@ -340,8 +341,9 @@ void Engine::handle(Packet pkt) {
           std::min<usize>(r.status.count_bytes, r.buf.size()),
           r.placement.bytes));
       dev_.cpu(LayerCosts::complete);
-      const Status st = dev_.rndv_complete(r.placement, r.buf, n);
-      dev_.rndv_release(r.placement);
+      RndvPut* put = dev_.put();  // kRecvWaitFin: the grant came from it
+      const Status st = put->rndv_complete(r.placement, r.buf, n);
+      put->rndv_release(r.placement);
       ++rndv_fin_;
       r.status.truncated = r.status.count_bytes > n;
       r.state = Req::State::kDone;
@@ -396,37 +398,31 @@ MpiStatus Engine::timeout_request(u32 idx) {
   Req& r = reqs_[idx];
   MpiStatus st = r.status;
   st.err = StatusCode::kTimedOut;
-  switch (r.state) {
-    case Req::State::kRecvPosted: {
-      // Never matched: nothing in flight names this request, so the id can
-      // be recycled once it leaves the posted queue.
-      auto it = std::find(posted_.begin(), posted_.end(), idx);
-      if (it != posted_.end()) posted_.erase(it);
-      free_req(idx);
-      break;
-    }
-    case Req::State::kRecvWaitFin:
-      // Mid-rendezvous with a placement outstanding: give the window space
-      // back before parking (a late FIN is then reaped without touching
-      // the dead buffer). A put already in flight lands in released window
-      // memory -- harmless, it is never read.
-      dev_.rndv_release(r.placement);
-      r.placement = {};
-      [[fallthrough]];
-    case Req::State::kSendWaitCts:
-    case Req::State::kRecvWaitData:
-      // A late CTS/Data/FIN carrying this id may still arrive: park as
-      // zombie (handle() reaps it) so the id is never recycled onto a live
-      // request. The caller's buffer must be dropped now -- it dies with
-      // this call.
-      r.state = Req::State::kZombie;
-      r.send_view = {};
-      r.buf = {};
-      break;
-    default:
-      free_req(idx);
-      break;
+  if (r.state == Req::State::kRecvPosted) {
+    // Never matched: nothing in flight names this request, so the id can
+    // be recycled once it leaves the posted queue.
+    auto it = std::find(posted_.begin(), posted_.end(), idx);
+    if (it != posted_.end()) posted_.erase(it);
+    free_req(idx);
+    return st;
   }
+  // Mid-rendezvous (kSendWaitCts, kRecvWaitData or kRecvWaitFin): a late
+  // CTS/Data/FIN carrying this id may still arrive, so park it as zombie
+  // (handle() reaps it) and the id is never recycled onto a live request.
+  assert(r.state == Req::State::kSendWaitCts || r.state == Req::State::kRecvWaitData ||
+         r.state == Req::State::kRecvWaitFin);
+  if (r.state == Req::State::kRecvWaitFin) {
+    // A placement is outstanding: give the window space back before
+    // parking (a late FIN is then reaped without touching the dead
+    // buffer). A put already in flight lands in released window memory --
+    // harmless, it is never read.
+    dev_.put()->rndv_release(r.placement);
+    r.placement = {};
+  }
+  // The caller's buffer must be dropped now -- it dies with this call.
+  r.state = Req::State::kZombie;
+  r.send_view = {};
+  r.buf = {};
   return st;
 }
 

@@ -84,7 +84,6 @@ class Engine {
   bool progress();
 
   // -- native-multicast collective transport -------------------------------
-  bool has_native_mcast() const { return dev_.has_native_mcast(); }
   /// Single-step multicast of a collective packet to world ranks `dsts`.
   void coll_mcast(std::span<const u32> dsts, u16 ctx, PktKind kind, u32 aux,
                   std::span<const u8> data);

@@ -11,7 +11,7 @@
 
 namespace scrnet::scrmpi {
 
-class BbpChannel final : public ChannelDevice {
+class BbpChannel final : public ChannelDevice, public RndvPut {
  public:
   /// `ep` must outlive the channel. Ranks are BBP ranks.
   explicit BbpChannel(bbp::Endpoint& ep) : ep_(ep) {}
@@ -25,14 +25,13 @@ class BbpChannel final : public ChannelDevice {
   std::optional<Packet> poll_packet() override;
   u64 dropped_frames() const override { return dropped_frames_; }
 
-  bool has_native_mcast() const override { return true; }
   Status mcast_packet(std::span<const u32> dsts, const PktHeader& hdr,
                       std::span<const u8> payload) override;
   /// One framed post must fit the sender's billboard data partition
   /// (bank/procs); past this Endpoint::post rejects the message outright.
+  /// bbp::Layout keeps that partition above 64 bytes, so the cap is never 0.
   u32 mcast_cap() const override {
-    const u32 room = ep_.layout().max_message_bytes();
-    return room > kHeaderBytes ? (room - kHeaderBytes) & ~3u : 0;
+    return (ep_.layout().max_message_bytes() - kHeaderBytes) & ~3u;
   }
 
   /// The channel-interface copy is a real extra pass over the payload on
@@ -57,9 +56,7 @@ class BbpChannel final : public ChannelDevice {
   // receiver-granted window extent (Layout::rndv_base) is a put target.
   // The ring's per-sender write ordering makes the FIN (a regular BBP
   // message from the same sender) arrive after the payload words.
-  bool supports_put() const override {
-    return ep_.layout().rndv_words > 0;
-  }
+  RndvPut* put() override { return ep_.layout().rndv_words > 0 ? this : nullptr; }
   Result<RndvPlacement> rndv_reserve(u32 src, u32 bytes,
                                      std::span<u8> dest) override;
   Status rndv_put(u32 dst, const RndvPlacement& placement,

@@ -53,12 +53,12 @@ Status HybridChannel::send_packet(u32 dst, const PktHeader& hdr,
 }
 
 u32 HybridChannel::unwrap(Packet& pkt) {
-  if (pkt.payload.size() < kPreambleBytes)
-    throw std::runtime_error("ch_hybrid: runt p2p packet");
   u32 seq = 0, magic = 0;
-  std::memcpy(&seq, pkt.payload.data(), 4);
-  std::memcpy(&magic, pkt.payload.data() + 4, 4);
-  if (magic != kMagic) throw std::runtime_error("ch_hybrid: bad preamble");
+  if (pkt.payload.size() >= kPreambleBytes) {
+    std::memcpy(&seq, pkt.payload.data(), 4);
+    std::memcpy(&magic, pkt.payload.data() + 4, 4);
+  }
+  if (magic != kMagic) throw std::runtime_error("ch_hybrid: runt or bad preamble");
   pkt.payload.erase(pkt.payload.begin(),
                     pkt.payload.begin() + kPreambleBytes);
   pkt.hdr.len -= kPreambleBytes;

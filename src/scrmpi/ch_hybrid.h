@@ -47,7 +47,6 @@ class HybridChannel final : public ChannelDevice {
     return low_.dropped_frames() + high_.dropped_frames();
   }
 
-  bool has_native_mcast() const override { return low_.has_native_mcast(); }
   Status mcast_packet(std::span<const u32> dsts, const PktHeader& hdr,
                       std::span<const u8> payload) override {
     return low_.mcast_packet(dsts, hdr, payload);  // collectives stay on SCRAMNet

@@ -17,7 +17,7 @@
 
 namespace scrnet::scrmpi {
 
-class RdmaChannel final : public ChannelDevice {
+class RdmaChannel final : public ChannelDevice, public RndvPut {
  public:
   /// One channel per rank; `proc` is the simulated process running the
   /// rank and the channel's world rank equals its fabric host id.
@@ -51,7 +51,7 @@ class RdmaChannel final : public ChannelDevice {
 
   // Zero-copy rendezvous: registration-based placement, NIC-executed put,
   // FIN sent only after the sender's CQE (data provably delivered).
-  bool supports_put() const override { return true; }
+  RndvPut* put() override { return this; }
   Result<RndvPlacement> rndv_reserve(u32 src, u32 bytes,
                                      std::span<u8> dest) override;
   Status rndv_put(u32 dst, const RndvPlacement& placement,

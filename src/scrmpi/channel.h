@@ -109,6 +109,43 @@ inline RndvPlacement decode_placement(std::span<const u8> in) {
   return p;
 }
 
+/// Optional zero-copy put capability (the MPICH2-over-InfiniBand RDMA
+/// extension of the channel interface). A device with remote-write hardware
+/// hands one out through ChannelDevice::put(); without it the ADI takes the
+/// copy-based kRndvData path.
+class RndvPut {
+ public:
+  virtual ~RndvPut() = default;
+
+  /// Receiver side: reserve placement for up to `bytes` from world rank
+  /// `src`, targeting the posted user buffer `dest`. On success the
+  /// placement travels back to the sender inside the CTS payload. Failure
+  /// (window full, registration failed) is not an error -- the ADI falls
+  /// back to the copy path for this message.
+  virtual Result<RndvPlacement> rndv_reserve(u32 src, u32 bytes,
+                                             std::span<u8> dest) = 0;
+
+  /// Sender side: remote-write `payload` into `placement` on `dst`, then
+  /// deliver the FIN packet. The device guarantees FIN arrives after the
+  /// data is visible at the placement (ring ordering on BBP, CQE-gated send
+  /// on RDMA), so the receiver may complete on FIN alone.
+  virtual Status rndv_put(u32 dst, const RndvPlacement& placement,
+                          std::span<const u8> payload, const PktHeader& fin_hdr,
+                          std::span<const u8> fin_payload) = 0;
+
+  /// Receiver side, on FIN: make the first `len` placement bytes visible in
+  /// `buf`. Devices that staged the payload in replicated memory pay the
+  /// host read here (the data still has to reach host memory); true RDMA
+  /// devices already landed it in `buf` and only poll their CQ.
+  virtual Status rndv_complete(const RndvPlacement& placement,
+                               std::span<u8> buf, u32 len) = 0;
+
+  /// Receiver side: release a reservation (after completion, or on timeout
+  /// when the sender died mid-rendezvous). Must be safe to call for any
+  /// placement previously returned by rndv_reserve on this device.
+  virtual void rndv_release(const RndvPlacement& placement) = 0;
+};
+
 /// A channel device: one per MPI process.
 class ChannelDevice {
  public:
@@ -118,8 +155,8 @@ class ChannelDevice {
   virtual u32 size() const = 0;
 
   /// Short device-family name ("bbp", "sock", "hybrid", "rdma") keying the
-  /// collective decision table (src/tune/). Mocks keep the default.
-  virtual std::string_view kind() const { return "generic"; }
+  /// collective decision table (src/tune/).
+  virtual std::string_view kind() const = 0;
 
   /// MPID_SendControl (+ MPID_SendChannel fused): transmit one packet.
   /// Degraded-mode devices surface bounded-wait expiry as kTimedOut (the
@@ -136,17 +173,14 @@ class ChannelDevice {
   /// (torn or truncated under fault injection); counted and dropped.
   virtual u64 dropped_frames() const { return 0; }
 
-  /// True when the device can multicast a packet in a single network step
-  /// (SCRAMNet's hardware replication; the hook MPICH reserves for devices
-  /// with extra functionality).
-  virtual bool has_native_mcast() const { return false; }
-
-  /// Largest single payload mcast_packet can carry. For BBP this is the
-  /// sender's billboard data partition (bank/procs scaled): a larger post
-  /// would be rejected -- and since collective transport is
+  /// Largest payload one native multicast carries; 0 when the device has
+  /// no single-step multicast (SCRAMNet's hardware replication is the hook
+  /// MPICH reserves for devices with extra functionality). For BBP this is
+  /// the sender's billboard data partition (bank/procs scaled): a larger
+  /// post would be rejected -- and since collective transport is
   /// fire-and-forget, silently dropped, deadlocking the receivers. The
   /// native bcast chunks payloads above this cap.
-  virtual u32 mcast_cap() const { return 0xFFFFFFFFu; }
+  virtual u32 mcast_cap() const { return 0; }
 
   /// Multicast a packet; default loops over send_packet and stops at the
   /// first failure.
@@ -169,9 +203,8 @@ class ChannelDevice {
   /// Account CPU time spent in the MPI software layers above the device.
   virtual void cpu(SimTime dt) = 0;
 
-  /// Current virtual time (0 when the device has no clock, e.g. test
-  /// mocks); used for statistics and bounded waits.
-  virtual SimTime now() const { return 0; }
+  /// Current virtual time; used for statistics and bounded waits.
+  virtual SimTime now() const = 0;
 
   /// The one way the ADI waits: calls ready() until it holds (true) or
   /// `deadline` (absolute; 0 = none) has passed (false), backing off one
@@ -183,60 +216,8 @@ class ChannelDevice {
   /// ADI switches to rendezvous.
   virtual u32 eager_limit() const = 0;
 
-  // -------------------------------------------------------------------------
-  // Optional zero-copy put capability (MPICH2/InfiniBand-style RDMA channel
-  // extensions). Devices without remote-write hardware keep the defaults and
-  // the ADI falls back to the copy-based kRndvData path per message.
-  // -------------------------------------------------------------------------
-
-  /// True when the device can land rendezvous payloads directly in a
-  /// receiver-granted placement (billboard window, registered RDMA buffer).
-  virtual bool supports_put() const { return false; }
-
-  /// Receiver side: reserve placement for up to `bytes` from world rank
-  /// `src`, targeting the posted user buffer `dest`. On success the
-  /// placement travels back to the sender inside the CTS payload. Failure
-  /// (window full, registration failed) is not an error -- the ADI falls
-  /// back to the copy path for this message.
-  virtual Result<RndvPlacement> rndv_reserve(u32 src, u32 bytes,
-                                             std::span<u8> dest) {
-    (void)src;
-    (void)bytes;
-    (void)dest;
-    return Status::Unavailable("device has no put capability");
-  }
-
-  /// Sender side: remote-write `payload` into `placement` on `dst`, then
-  /// deliver the FIN packet. The device guarantees FIN arrives after the
-  /// data is visible at the placement (ring ordering on BBP, CQE-gated send
-  /// on RDMA), so the receiver may complete on FIN alone.
-  virtual Status rndv_put(u32 dst, const RndvPlacement& placement,
-                          std::span<const u8> payload, const PktHeader& fin_hdr,
-                          std::span<const u8> fin_payload) {
-    (void)dst;
-    (void)placement;
-    (void)payload;
-    (void)fin_hdr;
-    (void)fin_payload;
-    return Status::Unavailable("device has no put capability");
-  }
-
-  /// Receiver side, on FIN: make the first `len` placement bytes visible in
-  /// `buf`. Devices that staged the payload in replicated memory pay the
-  /// host read here (the data still has to reach host memory); true RDMA
-  /// devices already landed it in `buf` and only poll their CQ.
-  virtual Status rndv_complete(const RndvPlacement& placement,
-                               std::span<u8> buf, u32 len) {
-    (void)placement;
-    (void)buf;
-    (void)len;
-    return Status::Unavailable("device has no put capability");
-  }
-
-  /// Receiver side: release a reservation (after completion, or on timeout
-  /// when the sender died mid-rendezvous). Must be safe to call for any
-  /// placement previously returned by rndv_reserve on this device.
-  virtual void rndv_release(const RndvPlacement& placement) { (void)placement; }
+  /// The zero-copy put capability, or null when the device has none.
+  virtual RndvPut* put() { return nullptr; }
 };
 
 }  // namespace scrnet::scrmpi

@@ -97,13 +97,6 @@ MpiStatus Mpi::wait(Request r, const Comm& comm) {
   return st;
 }
 
-std::optional<MpiStatus> Mpi::test(Request r, const Comm& comm) {
-  auto st = engine_.test(r);
-  if (st && st->source != kAnySource)
-    st->source = comm.rank_of_world(static_cast<u32>(st->source));
-  return st;
-}
-
 void Mpi::waitall(std::span<Request> rs, const Comm& comm) {
   for (Request& r : rs) wait(r, comm);
 }
@@ -174,10 +167,10 @@ void Mpi::bcast_native(void* buf, u32 bytes, i32 root, const Comm& comm) {
     const std::vector<u32> dsts = others(comm);
     u32 off = 0;
     do {
-      const u32 n = std::min(bytes - off, cap);
-      engine_.coll_mcast(dsts, comm.coll_ctx(), PktKind::kCollData, count,
-                         {static_cast<const u8*>(buf) + off, n});
-      off += n;
+      const std::span<const u8> chunk{static_cast<const u8*>(buf) + off,
+                                      std::min(bytes - off, cap)};
+      engine_.coll_mcast(dsts, comm.coll_ctx(), PktKind::kCollData, count, chunk);
+      off += static_cast<u32>(chunk.size());
     } while (off < bytes);
     return;
   }
@@ -230,7 +223,7 @@ CollAlgo Mpi::resolve_bcast(u32 nodes, u32 bytes) {
   if (a == CollAlgo::kAuto)
     a = coll::coll_algo_from_name(table_pick("bcast", nodes, bytes),
                                   CollAlgo::kBinomial);
-  if (a == CollAlgo::kNativeMcast && !engine_.has_native_mcast())
+  if (a == CollAlgo::kNativeMcast && engine_.device().mcast_cap() == 0)
     a = CollAlgo::kBinomial;
   return a;
 }
@@ -240,7 +233,7 @@ CollAlgo Mpi::resolve_barrier(u32 nodes) {
   if (a == CollAlgo::kAuto)
     a = coll::coll_algo_from_name(table_pick("barrier", nodes, 0),
                                   CollAlgo::kPointToPoint);
-  if (a == CollAlgo::kNativeMcast && !engine_.has_native_mcast())
+  if (a == CollAlgo::kNativeMcast && engine_.device().mcast_cap() == 0)
     a = CollAlgo::kPointToPoint;
   return a;
 }

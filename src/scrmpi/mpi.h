@@ -109,7 +109,6 @@ class Mpi {
   Request irecv(void* buf, u32 count, Datatype dt, i32 src, i32 tag,
                 const Comm& comm);
   MpiStatus wait(Request r, const Comm& comm);
-  std::optional<MpiStatus> test(Request r, const Comm& comm);
   void waitall(std::span<Request> rs, const Comm& comm);
   /// Waits for any request to complete; returns its index in `rs` and its
   /// status. Completed entries are invalidated (like MPI_Waitany). When

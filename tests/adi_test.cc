@@ -16,8 +16,10 @@ namespace scrnet::scrmpi {
 namespace {
 
 /// A pair of loopback devices sharing in-memory queues. No timing, no sim:
-/// cpu() is a no-op and spin_until is a plain loop that fails the test
-/// after 1000 empty passes (a spin here would otherwise hang the test).
+/// the clock stays at 0, cpu() is a no-op and spin_until is a plain loop
+/// that fails the test after 1000 empty passes (a spin here would
+/// otherwise hang the test). Tests push stray packets straight into a
+/// rank's queue.
 class MockFabric {
  public:
   explicit MockFabric(u32 n) : queues_(n) {}
@@ -29,11 +31,15 @@ class MockDevice final : public ChannelDevice {
   MockDevice(MockFabric& fab, u32 rank, u32 size)
       : fab_(fab), rank_(rank), size_(size) {}
 
+  std::string_view kind() const override { return "mock"; }
   u32 rank() const override { return rank_; }
   u32 size() const override { return size_; }
 
+  /// A send fails with kTimedOut (the device's bounded wait expired) while
+  /// fail_sends_ is set; nothing reaches the queue.
   Status send_packet(u32 dst, const PktHeader& hdr,
                      std::span<const u8> payload) override {
+    if (fail_sends_) return Status::TimedOut("mock: send gave up");
     Packet p;
     p.hdr = hdr;
     p.payload.assign(payload.begin(), payload.end());
@@ -52,6 +58,7 @@ class MockDevice final : public ChannelDevice {
 
   SimTime pack_cost(u32 len) const override { return ns(1) * len; }
   SimTime unpack_cost(u32 len) const override { return ns(1) * len; }
+  SimTime now() const override { return 0; }
   void cpu(SimTime) override {}
   bool spin_until(const char*, SimTime, sim::FnRef<bool()> ready) override {
     while (!ready()) {
@@ -66,6 +73,7 @@ class MockDevice final : public ChannelDevice {
 
   u64 sent_ = 0;
   int stalls_ = 0;
+  bool fail_sends_ = false;
 
  private:
   MockFabric& fab_;
@@ -92,17 +100,19 @@ struct MockRegion {
 /// memcpy into the receiver-reserved span followed by the FIN packet. Also
 /// keeps a crude clock (each empty spin pass advances 1 us) so op_timeout
 /// tests work.
-class PutMockDevice final : public ChannelDevice {
+class PutMockDevice final : public ChannelDevice, public RndvPut {
  public:
   PutMockDevice(MockFabric& fab, std::vector<MockRegion>& regions, u32 rank,
                 u32 size)
       : fab_(fab), regions_(regions), rank_(rank), size_(size) {}
 
+  std::string_view kind() const override { return "mock"; }
   u32 rank() const override { return rank_; }
   u32 size() const override { return size_; }
 
   Status send_packet(u32 dst, const PktHeader& hdr,
                      std::span<const u8> payload) override {
+    if (fail_sends_) return Status::TimedOut("mock: send gave up");
     Packet p;
     p.hdr = hdr;
     p.payload.assign(payload.begin(), payload.end());
@@ -132,7 +142,7 @@ class PutMockDevice final : public ChannelDevice {
   }
   u32 eager_limit() const override { return 4096; }
 
-  bool supports_put() const override { return true; }
+  RndvPut* put() override { return this; }
 
   Result<RndvPlacement> rndv_reserve(u32 /*src*/, u32 bytes,
                                      std::span<u8> dest) override {
@@ -169,6 +179,7 @@ class PutMockDevice final : public ChannelDevice {
   u64 puts_ = 0;
   u64 dead_puts_ = 0;
   bool reserve_fail_ = false;
+  bool fail_sends_ = false;
 
  private:
   MockFabric& fab_;
@@ -550,6 +561,108 @@ TEST(Engine, CollDataOfAnEarlierBcastIsDroppedAsStale) {
   p.e0.coll_mcast(dst, 4, PktKind::kCollData, 2, next);
   EXPECT_EQ(p.e1.coll_wait_data(4, 0, 2)->at(0), 3);
   EXPECT_EQ(p.e1.stale_packets(), 2u);
+}
+
+Packet stray_packet(PktKind kind, u32 aux, std::vector<u8> payload = {}) {
+  Packet p;
+  p.hdr.kind = kind;
+  p.hdr.ctx = 1;
+  p.hdr.len = static_cast<u32>(payload.size());
+  p.hdr.aux = aux;
+  p.payload = std::move(payload);
+  return p;
+}
+
+TEST(Engine, StrayRendezvousPacketsAreCountedAndDropped) {
+  // Under fault injection a CTS, DATA or FIN can name a request id that
+  // does not exist, or a live request in another state, and a corrupted
+  // frame can decode to an unknown kind. Each is counted and dropped
+  // without touching any request.
+  Pair p;
+  auto& q1 = p.fab.queues_[1];
+  for (PktKind k : {PktKind::kRndvCts, PktKind::kRndvData, PktKind::kRndvFin})
+    q1.push_back(stray_packet(k, 7));  // e1 has no request 7
+  q1.push_back(stray_packet(static_cast<PktKind>(0xEE), 0));
+  p.e1.progress();
+  EXPECT_EQ(p.e1.malformed_packets(), 4u);
+  EXPECT_EQ(p.e1.stale_packets(), 0u);
+
+  std::vector<u8> buf(4);
+  Request rr = p.e1.irecv(0, 1, 0, buf);  // posted: waits for a short packet
+  for (PktKind k : {PktKind::kRndvCts, PktKind::kRndvData, PktKind::kRndvFin})
+    q1.push_back(stray_packet(k, rr.idx, {9, 9, 9, 9}));
+  p.e1.progress();
+  EXPECT_EQ(p.e1.stale_packets(), 3u);
+  EXPECT_EQ(p.e1.malformed_packets(), 4u);
+  EXPECT_EQ(buf, std::vector<u8>(4, 0));
+
+  // The posted receive is untouched: the real message still completes it.
+  std::vector<u8> msg{1, 2, 3, 4};
+  p.e0.wait(p.e0.isend(1, 1, 0, msg));
+  EXPECT_EQ(p.e1.wait(rr).count_bytes, 4u);
+  EXPECT_EQ(buf, msg);
+}
+
+TEST(Engine, LateCtsAndDataReapTheirTimedOutRequests) {
+  // Both sides of a copy-path rendezvous time out after the CTS is lost:
+  // each parks its request id as a zombie. The late CTS and DATA naming
+  // those ids are reaped -- counted stale, ids freed for reuse, no DATA
+  // shipped for the dead send and the dead receive buffer untouched.
+  MockFabric fab(2);
+  std::vector<MockRegion> regions;
+  PutMockDevice d0(fab, regions, 0, 2), d1(fab, regions, 1, 2);
+  d1.reserve_fail_ = true;  // copy path: the receiver waits for DATA
+  LayerCosts tc;
+  tc.op_timeout = us(100);
+  Engine e0(d0, tc), e1(d1, tc);
+  std::vector<u8> big(8192, 1);
+  Request sr = e0.isend(1, 1, 0, big);
+  std::vector<u8> buf(8192, 0);
+  Request rr = e1.irecv(0, 1, 0, buf);
+  e1.progress();  // RTS -> empty CTS: the receiver now waits for DATA
+  ASSERT_EQ(fab.queues_[0].size(), 1u);
+  const Packet cts = fab.queues_[0].front();
+  fab.queues_[0].clear();
+  EXPECT_EQ(e0.wait(sr).err, StatusCode::kTimedOut);
+  EXPECT_EQ(e1.wait(rr).err, StatusCode::kTimedOut);
+
+  fab.queues_[0].push_back(cts);
+  e0.progress();
+  EXPECT_EQ(e0.stale_packets(), 1u);
+  EXPECT_TRUE(fab.queues_[1].empty());
+  fab.queues_[1].push_back(stray_packet(PktKind::kRndvData, rr.idx, {9, 9, 9, 9}));
+  e1.progress();
+  EXPECT_EQ(e1.stale_packets(), 1u);
+  EXPECT_EQ(buf, std::vector<u8>(8192, 0));
+
+  std::vector<u8> small{5};
+  EXPECT_EQ(e0.isend(1, 1, 1, small).idx, sr.idx);
+  EXPECT_EQ(e1.irecv(0, 1, 1, small).idx, rr.idx);
+}
+
+TEST(Engine, FailedRtsOrCtsSendCompletesTheRequestWithItsError) {
+  // A device send that gives up (its bounded wait expired) completes the
+  // rendezvous request with that error instead of leaving it waiting; a
+  // failed CTS also returns its placement to the window.
+  PutPair p;
+  std::vector<u8> big(8192, 1);
+  p.d0.fail_sends_ = true;
+  Request sr = p.e0.isend(1, 1, 0, big);
+  EXPECT_TRUE(p.fab.queues_[1].empty());
+  EXPECT_EQ(p.e0.wait(sr).err, StatusCode::kTimedOut);
+
+  p.d0.fail_sends_ = false;
+  Request sr2 = p.e0.isend(1, 1, 1, big);
+  p.e1.progress();  // the RTS lands unexpected
+  p.d1.fail_sends_ = true;
+  std::vector<u8> buf(8192);
+  Request rr = p.e1.irecv(0, 1, 1, buf);
+  ASSERT_EQ(p.regions.size(), 1u);
+  EXPECT_FALSE(p.regions[0].live);
+  EXPECT_TRUE(p.fab.queues_[0].empty());
+  EXPECT_EQ(p.e1.wait(rr).err, StatusCode::kTimedOut);
+  EXPECT_EQ(p.e1.op_timeouts(), 0u);
+  (void)sr2;  // its CTS never comes; the sender is abandoned here
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "bbp/api.h"
@@ -421,6 +422,7 @@ TEST(Bbp, PaperApiVeneer) {
   sim.spawn("rank1", [&](sim::Process& p) {
     SimHostPort port(ring, 1, p);
     Bbp bbp;
+    EXPECT_EQ(bbp.init(port, 2, 2).code(), StatusCode::kInvalidArg);  // rank >= nprocs
     ASSERT_TRUE(bbp.init(port, 2, 1).ok());
     p.delay(us(30));
     EXPECT_TRUE(bbp.MsgAvail());
@@ -437,6 +439,79 @@ TEST(Bbp, UninitializedApiReturnsUnavailable) {
   std::vector<u8> buf(4);
   EXPECT_EQ(bbp.Send(0, buf).code(), StatusCode::kUnavailable);
   EXPECT_FALSE(bbp.MsgAvail());
+}
+
+TEST(Bbp, LayoutRejectsABankTooSmallForItsControlPartition) {
+  // 4 procs x 32 slots need 104 control words per 256-word region, which
+  // leaves fewer than the 16 data words a region must keep.
+  EXPECT_THROW(Layout(256, 4, 32), std::invalid_argument);
+  EXPECT_NO_THROW(Layout(1024, 4, 32));
+}
+
+TEST(Bbp, RendezvousWindowIsFirstFitAndRejectsWhatDoesNotFit) {
+  // A 1 KiB window: three 256 B extents, then a release in the middle;
+  // the next 256 B reservation takes the hole, the one after is refused
+  // once only 256 B are left at the end and 512 B are asked for.
+  Config cfg;
+  cfg.rndv_window_bytes = 1024;
+  SimSession s(2, cfg, RingConfig{.bank_words = 8192});
+  s.rank(0, [](sim::Process&, Endpoint& ep) {
+    std::vector<u32> at;
+    for (int i = 0; i < 3; ++i) {
+      const Result<u32> r = ep.rndv_reserve(256);
+      ASSERT_TRUE(r.ok());
+      at.push_back(r.value());
+    }
+    EXPECT_EQ(at[1], at[0] + 64);
+    ep.rndv_release(at[1], 256);
+    const Result<u32> hole = ep.rndv_reserve(256);
+    ASSERT_TRUE(hole.ok());
+    EXPECT_EQ(hole.value(), at[1]);
+    EXPECT_EQ(ep.rndv_reserve(512).status().code(), StatusCode::kNoSpace);
+    EXPECT_EQ(ep.rndv_reserve(2048).status().code(), StatusCode::kNoSpace);
+    EXPECT_EQ(ep.rndv_reserved_bytes(), 768u);
+    EXPECT_EQ(ep.stats().rndv_reserves, 4u);
+    EXPECT_EQ(ep.stats().rndv_rejects, 2u);
+  });
+  s.run();
+}
+
+TEST(Bbp, EndpointWithoutAWindowRefusesEveryReservation) {
+  SimSession s(2);
+  s.rank(0, [](sim::Process&, Endpoint& ep) {
+    EXPECT_EQ(ep.rndv_reserve(4).status().code(), StatusCode::kNoSpace);
+  });
+  s.run();
+}
+
+TEST(Bbp, RendezvousPutAboveTheDmaThresholdGoesOutByDma) {
+  // Rank 1 reserves an extent in its window; rank 0 puts 4 KiB there
+  // through the DMA engine, then sends a plain message as the FIN. The
+  // ring's per-sender order lands the payload before the FIN.
+  Config cfg;
+  cfg.rndv_window_bytes = 8192;
+  cfg.dma_threshold_bytes = 1024;
+  SimSession s(2, cfg);
+  u32 at = 0;
+  s.rank(1, [&](sim::Process& p, Endpoint& ep) {
+    const Result<u32> r = ep.rndv_reserve(4096);
+    ASSERT_TRUE(r.ok());
+    at = r.value();
+    std::vector<u8> fin(4);
+    ASSERT_TRUE(ep.recv(0, fin).ok());
+    std::vector<u8> buf(4096);
+    ASSERT_TRUE(ep.rndv_read(at, buf, 4096).ok());
+    EXPECT_TRUE(check_pattern(buf, 11));
+    (void)p;
+  });
+  s.rank(0, [&](sim::Process& p, Endpoint& ep) {
+    p.delay(us(5));  // after rank 1 reserved
+    ep.rndv_put(at, make_msg(4096, 11));
+    EXPECT_EQ(ep.stats().dma_sends, 1u);
+    EXPECT_EQ(ep.stats().rndv_put_bytes, 4096u);
+    ASSERT_TRUE(ep.send(1, std::vector<u8>(4)).ok());
+  });
+  s.run();
 }
 
 // ---------------------------------------------------------------------------

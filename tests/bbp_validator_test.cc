@@ -1,9 +1,12 @@
 // Tests for bbp::Validator: a clean session satisfies every protocol
-// invariant, and each deliberately injected corruption (via
-// Endpoint::corrupt_for_test) makes the corresponding check fire.
+// invariant, and each deliberately injected corruption (through
+// EndpointCorrupter, which Endpoint befriends) makes its check fire.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bbp/endpoint.h"
@@ -76,41 +79,94 @@ TEST(BbpValidator, CleanReceiverPassesWithQueuedMessages) {
   sim.run();
 }
 
-void expect_corruption_detected(Endpoint::Corrupt what, u32 live_sends) {
-  run_rank0(live_sends, [&](sim::Process&, Endpoint& ep) {
-    if (live_sends > 0) {
-      ASSERT_TRUE(ep.send(1, std::vector<u8>(32, 7)).ok());
-      ep.drain();  // settle: no in-flight state besides what we corrupt
-    }
+}  // namespace
+
+/// Breaks one invariant of a settled endpoint at a time.
+struct EndpointCorrupter {
+  Endpoint& ep;
+  u32 base() const { return ep.layout_.data_base(ep.me_); }
+
+  void tail_into_live_extent() {  // tail_ points into the oldest extent
+    ep.tail_ += 1;
+    ep.data_empty_ = false;
+  }
+  void flip_data_empty() { ep.data_empty_ = !ep.data_empty_; }
+  void flag_mirror() { ep.sent_flag_mirror_[1] ^= 1u; }
+  void ack_mirror() { ep.ack_out_mirror_[1] ^= 1u; }
+  void repeated_seq() {  // two queued messages with one sequence number
+    const Endpoint::Incoming fake{0, 0, 42, base(), 0};
+    ep.inq_[0].push_back(fake);
+    ep.inq_[0].push_back(fake);
+  }
+  void in_use_outside_live() { ep.slot_[5].in_use = true; }
+  void empty_with_head_off_base() { ep.head_ = base() + 4; }
+  void head_past_data_end() { ep.head_ = ep.data_end() + 1; }
+  void live_out_of_order() { std::swap(ep.live_[0], ep.live_[1]); }
+  void second_extent_wraps_onto_first() { ep.slot_[ep.live_[1]].offset_words = base(); }
+  void head_past_last_extent() { ep.head_ += 1; }
+  void ack_for_slot_never_sent() { ep.ack_base_[1] ^= 1u << 7; }
+};
+
+namespace {
+
+/// Rank 0 posts `live` 32-byte messages rank 1 never receives (their slots
+/// stay live), checks clean, applies `corrupt` and expects the check whose
+/// message contains `want` to fire.
+void expect_check_fires(u32 live, void (EndpointCorrupter::*corrupt)(),
+                        std::string_view want) {
+  run_rank0(0, [&](sim::Process&, Endpoint& ep) {
+    for (u32 i = 0; i < live; ++i) ASSERT_TRUE(ep.send(1, std::vector<u8>(32, 7)).ok());
     Validator::check(ep, "pre-corruption");  // sanity: clean before
-    ep.corrupt_for_test(what);
-    EXPECT_THROW(Validator::check(ep, "post-corruption"), ValidationError);
+    EndpointCorrupter c{ep};
+    (c.*corrupt)();
+    try {
+      Validator::check(ep, "post-corruption");
+      FAIL() << "no check fired; expected: " << want;
+    } catch (const ValidationError& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+    }
   });
 }
 
 TEST(BbpValidator, DetectsTailCorruption) {
-  expect_corruption_detected(Endpoint::Corrupt::kTail, 1);
+  expect_check_fires(1, &EndpointCorrupter::tail_into_live_extent, "wrapped extents reach tail_");
 }
 
 TEST(BbpValidator, DetectsDataEmptyCorruption) {
-  expect_corruption_detected(Endpoint::Corrupt::kDataEmpty, 1);
+  expect_check_fires(1, &EndpointCorrupter::flip_data_empty, "data_empty_ is true");
 }
 
 TEST(BbpValidator, DetectsFlagMirrorDesync) {
-  expect_corruption_detected(Endpoint::Corrupt::kFlagMirror, 1);
+  expect_check_fires(1, &EndpointCorrupter::flag_mirror, "disagrees with sent_flag_mirror_");
 }
 
 TEST(BbpValidator, DetectsAckMirrorDesync) {
-  expect_corruption_detected(Endpoint::Corrupt::kAckMirror, 1);
+  expect_check_fires(1, &EndpointCorrupter::ack_mirror, "disagrees with ack_out_mirror_");
 }
 
 TEST(BbpValidator, DetectsSequenceRegression) {
-  expect_corruption_detected(Endpoint::Corrupt::kSeq, 1);
+  expect_check_fires(1, &EndpointCorrupter::repeated_seq, "not after 42");
+}
+
+TEST(BbpValidator, DetectsAllocatorStateCorruption) {
+  expect_check_fires(1, &EndpointCorrupter::in_use_outside_live, "in_use slot 5 missing from live_");
+  expect_check_fires(0, &EndpointCorrupter::empty_with_head_off_base,
+                     "empty data partition but head_/tail_ not at base");
+  expect_check_fires(1, &EndpointCorrupter::head_past_data_end, "outside the data partition");
+  expect_check_fires(2, &EndpointCorrupter::live_out_of_order, "does not follow cursor");
+  expect_check_fires(2, &EndpointCorrupter::second_extent_wraps_onto_first,
+                     "wrapped extents reach tail_");
+  expect_check_fires(1, &EndpointCorrupter::head_past_last_extent, "extent walk ends at");
+}
+
+TEST(BbpValidator, DetectsAckForASlotNeverSent) {
+  expect_check_fires(1, &EndpointCorrupter::ack_for_slot_never_sent,
+                     "acked slot 7 which is not pending");
 }
 
 TEST(BbpValidator, ErrorNamesTheFailingCheckSite) {
   run_rank0(0, [](sim::Process&, Endpoint& ep) {
-    ep.corrupt_for_test(Endpoint::Corrupt::kDataEmpty);
+    EndpointCorrupter{ep}.flip_data_empty();
     try {
       Validator::check(ep, "unit-test-site");
       FAIL() << "validator did not fire";

@@ -18,6 +18,7 @@
 #include "harness/cluster.h"
 #include "scrmpi/coll.h"
 #include "scrmpi/mpi.h"
+#include "tune/measure.h"
 #include "tune/table.h"
 
 namespace {
@@ -389,6 +390,17 @@ TEST(DecisionTableTest, SerializeFormat) {
             "* allreduce * 256 recursive_doubling\n"
             "* allreduce * * ring\n"
             "* allgather * * ring\n");
+}
+
+TEST(DecisionTableTest, MeasureRejectsUnknownOpsAndDevices) {
+  scrnet::tune::MeasureSpec spec;
+  spec.device = "bbp";
+  spec.op = "scan";
+  spec.algo = "binomial";
+  EXPECT_THROW(scrnet::tune::measure_us(spec), scrnet::sim::ProcessError);  // thrown in a rank
+  spec.op = "bcast";
+  spec.device = "carrier_pigeon";
+  EXPECT_THROW(scrnet::tune::measure_us(spec), std::invalid_argument);
 }
 
 TEST(DecisionTableTest, BuiltinCoversAllOps) {

@@ -48,6 +48,22 @@ TEST(Status, CodesAndMessages) {
   EXPECT_EQ(Status::Truncated(), Status::Truncated("other msg"));  // code equality
 }
 
+TEST(Status, EveryCodeHasAName) {
+  const std::pair<StatusCode, std::string_view> names[] = {
+      {StatusCode::kOk, "OK"},
+      {StatusCode::kNoSpace, "NO_SPACE"},
+      {StatusCode::kTruncated, "TRUNCATED"},
+      {StatusCode::kNotFound, "NOT_FOUND"},
+      {StatusCode::kInvalidArg, "INVALID_ARG"},
+      {StatusCode::kUnavailable, "UNAVAILABLE"},
+      {StatusCode::kInternal, "INTERNAL"},
+      {StatusCode::kTimedOut, "TIMED_OUT"},
+  };
+  for (const auto& [code, name] : names) EXPECT_EQ(to_string(code), name);
+  EXPECT_EQ(to_string(static_cast<StatusCode>(99)), "UNKNOWN");
+  EXPECT_EQ(Status::TimedOut().to_string(), "TIMED_OUT");
+}
+
 TEST(Result, ValueAndError) {
   Result<int> ok(42);
   ASSERT_TRUE(ok.ok());

@@ -1,6 +1,13 @@
 // Tests for the extended MPI surface: waitany, alltoall and call stats.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <stdexcept>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
 #include "common/bytes.h"
 #include "harness/cluster.h"
 
@@ -157,6 +164,78 @@ TEST(MpiExt, RecursiveDoublingMaxOnNonPowerOfTwo) {
     mpi.allreduce(&mine, &out, 1, Datatype::kDouble, ReduceOp::kMax, w);
     EXPECT_DOUBLE_EQ(out, 15.0);
   });
+}
+
+/// apply_reduce over {3, 0} (accumulator) and {5, 2} (input) for every op;
+/// BAND and BOR are integer-only and throw on floating types.
+template <typename T>
+void expect_reduce_table(Datatype dt) {
+  const std::pair<ReduceOp, std::array<T, 2>> cases[] = {
+      {ReduceOp::kSum, {8, 2}},  {ReduceOp::kProd, {15, 0}}, {ReduceOp::kMax, {5, 2}},
+      {ReduceOp::kMin, {3, 0}},  {ReduceOp::kLand, {1, 0}},  {ReduceOp::kLor, {1, 1}},
+      {ReduceOp::kBand, {1, 0}}, {ReduceOp::kBor, {7, 2}},
+  };
+  for (const auto& [op, want] : cases) {
+    std::array<T, 2> acc = {3, 0};
+    const std::array<T, 2> in = {5, 2};
+    if (!std::is_integral_v<T> && (op == ReduceOp::kBand || op == ReduceOp::kBor)) {
+      EXPECT_THROW(apply_reduce(dt, op, acc.data(), in.data(), 2), std::runtime_error);
+      continue;
+    }
+    apply_reduce(dt, op, acc.data(), in.data(), 2);
+    EXPECT_EQ(acc, want) << datatype_name(dt) << " op " << static_cast<int>(op);
+  }
+}
+
+TEST(Reduce, EveryDatatypeTimesEveryOp) {
+  expect_reduce_table<u8>(Datatype::kByte);
+  expect_reduce_table<u8>(Datatype::kChar);
+  expect_reduce_table<i32>(Datatype::kInt32);
+  expect_reduce_table<u32>(Datatype::kUint32);
+  expect_reduce_table<i64>(Datatype::kInt64);
+  expect_reduce_table<float>(Datatype::kFloat);
+  expect_reduce_table<double>(Datatype::kDouble);
+  u8 a = 1, b = 2;
+  EXPECT_THROW(apply_reduce(static_cast<Datatype>(0xEE), ReduceOp::kSum, &a, &b, 1),
+               std::runtime_error);
+}
+
+TEST(Types, EveryDatatypeAndAlgorithmHasAName) {
+  const std::pair<Datatype, std::string_view> types[] = {
+      {Datatype::kByte, "BYTE"},     {Datatype::kChar, "CHAR"},
+      {Datatype::kInt32, "INT32"},   {Datatype::kUint32, "UINT32"},
+      {Datatype::kInt64, "INT64"},   {Datatype::kFloat, "FLOAT"},
+      {Datatype::kDouble, "DOUBLE"},
+  };
+  for (const auto& [dt, name] : types) EXPECT_EQ(datatype_name(dt), name);
+  EXPECT_EQ(datatype_name(static_cast<Datatype>(0xEE)), "?");
+  EXPECT_EQ(coll_algo_name(CollAlgo::kAuto), "auto");
+  EXPECT_EQ(coll_algo_name(static_cast<CollAlgo>(99)), "?");
+  EXPECT_EQ(allreduce_algo_name(AllreduceAlgo::kAuto), "auto");
+  EXPECT_EQ(allreduce_algo_name(static_cast<AllreduceAlgo>(99)), "?");
+  EXPECT_EQ(allgather_algo_name(AllgatherAlgo::kAuto), "auto");
+  EXPECT_EQ(allgather_algo_name(static_cast<AllgatherAlgo>(99)), "?");
+}
+
+TEST(MpiExt, NativeBcastSizeMismatchAcrossRanksThrows) {
+  // The root broadcasts 16 bytes while rank 1 expects 8: rank 1 must fail
+  // loudly instead of overrunning its buffer.
+  EXPECT_THROW(run_scramnet_mpi(2,
+                                [](sim::Process&, Mpi& mpi) {
+                                  mpi.set_bcast_algo(CollAlgo::kNativeMcast);
+                                  std::vector<u8> buf(16, 1);
+                                  const u32 n = mpi.rank(mpi.world()) == 0 ? 16 : 8;
+                                  mpi.bcast(buf.data(), n, Datatype::kByte, 0, mpi.world());
+                                }),
+               std::exception);
+}
+
+TEST(MpiExt, UnknownTcpFabricKindHasNoFabric) {
+  const auto bogus = static_cast<harness::TcpFabricKind>(7);
+  EXPECT_EQ(harness::to_string(bogus), "?");
+  EXPECT_EQ(harness::default_stack(bogus).send_fixed, netmodels::TcpConfig{}.send_fixed);
+  sim::Simulation sim;
+  EXPECT_EQ(harness::make_fabric(sim, 2, bogus, {}), nullptr);
 }
 
 }  // namespace

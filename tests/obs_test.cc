@@ -3,12 +3,18 @@
 // simulated result.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "bbp/endpoint.h"
 #include "common/bytes.h"
+#include "fault/plan.h"
+#include "harness/cluster.h"
 #include "obs/counters.h"
+#include "obs/sink.h"
 #include "obs/trace.h"
 #include "scramnet/ring.h"
 #include "scramnet/sim_port.h"
@@ -76,6 +82,66 @@ TEST_F(ObsTest, LayerNamesCoverAllLayers) {
   EXPECT_STREQ(layer_name(Layer::kRing), "scramnet");
   EXPECT_STREQ(layer_name(Layer::kBbp), "bbp");
   EXPECT_STREQ(layer_name(Layer::kMpi), "scrmpi");
+  EXPECT_STREQ(layer_name(static_cast<Layer>(9)), "?");
+}
+
+TEST_F(ObsTest, UnwritablePathsFailWithoutThrowing) {
+  const std::string bad = ::testing::TempDir() + "no_such_dir/out.json";
+  Counters::global().add("g", "n", 1);
+  EXPECT_FALSE(Counters::global().write_json_file(bad));
+  Tracer::global().enable(true);
+  FakeClock clk;
+  { TRACE_SPAN(Layer::kBbp, 0, "x", clk); }
+  EXPECT_FALSE(Tracer::global().write_json_file(bad));
+}
+
+/// Every harness entry point publishes its ranks', fabric's, fault plan's
+/// and kernel's counters into the simulation's sink once counters are
+/// enabled; the sink writes them as one JSON document.
+TEST_F(ObsTest, HarnessRunsPublishCountersIntoTheirSink) {
+  Counters::global().enable(true);
+  Sink sink("harness");
+  {
+    Sink::Scope scope(sink);
+    auto mpi_body = [](sim::Process&, scrmpi::Mpi& mpi) {
+      const scrmpi::Comm& w = mpi.world();
+      std::vector<u8> msg(16, 1);
+      if (mpi.rank(w) == 0) mpi.send(msg.data(), 16, scrmpi::Datatype::kByte, 1, 0, w);
+      if (mpi.rank(w) == 1) mpi.recv(msg.data(), 16, scrmpi::Datatype::kByte, 0, 0, w);
+    };
+    fault::FaultPlan plan;
+    plan.slow_node(us(1), 0, 2.0);
+    harness::ScramnetOptions sopts;
+    sopts.faults = &plan;
+    harness::run_scramnet_mpi(2, mpi_body, sopts);
+    harness::run_scramnet_bbp(2, [](sim::Process&, bbp::Endpoint& ep) {
+      std::vector<u8> buf(8);
+      if (ep.rank() == 0) ASSERT_TRUE(ep.send(1, buf).ok());
+      else ASSERT_TRUE(ep.recv(0, buf).ok());
+    });
+    harness::run_tcp_mpi(2, harness::TcpFabricKind::kAtm, mpi_body);
+    harness::run_rdma_mpi(2, mpi_body);
+    harness::run_hybrid_mpi(2, harness::TcpFabricKind::kMyrinet, 8, mpi_body);
+  }
+  const Counters& c = sink.counters();
+  EXPECT_EQ(c.get("mpi.rank0", "sends"), 4u);
+  EXPECT_EQ(c.get("mpi.rank1", "recvs"), 4u);
+  EXPECT_EQ(c.get("mpi.rank1", "packets_handled"), 4u);
+  EXPECT_EQ(c.get("bbp.rank0", "sends"), 2u);  // ch_bbp and run_scramnet_bbp
+  EXPECT_EQ(c.get("bbp.rank0", "recvs"), 0u);  // hybrid sent 16 B on its bulk leg
+  EXPECT_EQ(c.get("bbp.rank1", "stale_descs"), 0u);
+  EXPECT_EQ(c.get("fault", "host_cpu"), 1u);
+  EXPECT_GT(c.get("net", "frames_delivered"), 0u);
+  EXPECT_GT(c.get("net", "bytes_delivered"), 0u);
+  EXPECT_GT(c.get("ring", "packets_sent"), 0u);
+  EXPECT_GT(c.get("sim", "events_executed"), 0u);
+
+  const std::string base = ::testing::TempDir() + "obs_counters.json";
+  ASSERT_TRUE(sink.flush_counters_to(base));
+  std::ifstream in(base + ".harness");
+  const std::string json((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_NE(json.find("\"mpi.rank0\":{"), std::string::npos);
+  EXPECT_FALSE(Sink().flush_counters_to(base));  // nothing recorded
 }
 
 TEST_F(ObsTest, CountersAccumulateAndDump) {

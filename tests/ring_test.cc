@@ -3,6 +3,8 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -280,6 +282,22 @@ TEST(Ring, NextRingOfTheSameSizeFindsZeroedBanks) {
   }
 }
 
+TEST(Ring, MappingsPastTheFreeListAreUnmappedAndLaterRingsReadZero) {
+  // The free list keeps 16 mappings; the 17th and 18th rings torn down at
+  // once are unmapped instead. Written words must not leak into any later
+  // ring, recycled or freshly mapped. A size no other test builds keeps
+  // this test's mappings to itself.
+  for (int round = 0; round < 2; ++round) {
+    sim::Simulation sim;
+    std::vector<std::unique_ptr<Ring>> rings;
+    for (int i = 0; i < 18; ++i) {
+      rings.push_back(std::make_unique<Ring>(sim, RingConfig{.nodes = 3, .bank_words = 12288}));
+      EXPECT_EQ(rings.back()->host_read(0, 4097), 0u);
+      rings.back()->host_write(0, 4097, 0xC0DE);
+    }
+  }
+}
+
 TEST(Ring, NextRingOfTheSameSizeTakesNoPageFaults) {
   // The second ring reuses the first one's mapping, whose written pages
   // stay resident: one word written into each of 128 granules faults
@@ -315,8 +333,9 @@ TEST(RingDeathTest, FailedMappingThrowsSystemErrorNamingTheSize) {
         try {
           Ring ring(sim, RingConfig{.nodes = 256});
         } catch (const std::system_error& e) {
+          // exit, not _exit: a --coverage build records the child's lines.
           const std::string what = e.what();
-          _exit(what.find("1073741824 bytes") != std::string::npos ? 0 : 3);
+          std::exit(what.find("1073741824 bytes") != std::string::npos ? 0 : 3);
         }
         _exit(1);
       },

@@ -72,6 +72,17 @@ TEST(SimProcess, ExceptionFromDeepFrameUnwindsAndPropagates) {
 // Destroying a Simulation while a process is parked must unwind that
 // process's stack so RAII cleanup in the body runs (the fiber backend
 // injects the same cancellation exception the thread backend uses).
+TEST(SimProcess, NonStandardExceptionFailsTheRunAsUnknown) {
+  Simulation sim;
+  sim.spawn("thrower", [](Process&) { throw 42; });
+  try {
+    sim.run();
+    FAIL() << "run() returned";
+  } catch (const ProcessError& e) {
+    EXPECT_STREQ(e.what(), "process 'thrower' failed: unknown exception");
+  }
+}
+
 TEST(SimProcess, TeardownUnwindsParkedProcessStacks) {
   bool cleaned_up = false;
   {

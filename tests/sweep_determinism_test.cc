@@ -37,6 +37,16 @@ std::vector<double> oneway_sweep(Runner& r, const std::vector<u32>& sizes,
 // Elements are claimed last first, yet results come back in element
 // (submission) order. At jobs 1 the caller alone claims, so the claim
 // order is exactly reversed; at jobs 4 every element is claimed once.
+TEST(Runner, ParseJobsTakesBothFlagForms) {
+  char prog[] = "bench", jobs[] = "--jobs", three[] = "3", eq[] = "--jobs=5";
+  char* split[] = {prog, jobs, three};
+  char* joined[] = {prog, eq};
+  char* none[] = {prog};
+  EXPECT_EQ(sweep::parse_jobs(3, split), 3u);
+  EXPECT_EQ(sweep::parse_jobs(2, joined), 5u);
+  EXPECT_EQ(sweep::parse_jobs(1, none), 0u);
+}
+
 TEST(Runner, ResultsArriveInSubmissionOrder) {
   std::vector<int> xs(32);
   std::iota(xs.begin(), xs.end(), 0);

@@ -68,6 +68,13 @@ std::vector<std::string> render_all(u32 jobs) {
   return out;
 }
 
+TEST(Workload, PatternAndDeviceNamesFallBackForUnknownValues) {
+  EXPECT_EQ(to_string(Pattern::kAllToAll), "alltoall");
+  EXPECT_EQ(to_string(static_cast<Pattern>(99)), "?");
+  EXPECT_EQ(to_string(Device::kHybrid), "hybrid");
+  EXPECT_EQ(to_string(static_cast<Device>(99)), "?");
+}
+
 TEST(Workload, ReportsAreByteIdenticalAcrossJobCounts) {
   // Same seed, --jobs 1 vs 2 vs 8: the rendered p50/p99/p999 reports must
   // match byte for byte (each run owns a private simulation; nothing may
@@ -152,6 +159,44 @@ TEST(Workload, RetriesAreCountedAndBounded) {
   EXPECT_GT(r.retried, 0u);
   // Every retry follows a failed send; retries never exceed the budget.
   EXPECT_LE(r.retried, (r.ops_timeout + r.ops_error) * 2);
+}
+
+TEST(Workload, RpcClientRetriesASendStalledForBillboardSpace) {
+  // Link 0 (node 0 -> 1) is down from the start: client 0's request and
+  // server 3's ACK to client 1 are lost, so neither client's first request
+  // is ever ACKed. With one slot each client's next request stalls for
+  // space until the timeout, is retried once, and the client gives up
+  // after two failed calls in a row.
+  Spec s;
+  s.name = "t_rpc_retry";
+  s.pattern = Pattern::kRpc;
+  s.device = Device::kBbp;
+  s.nodes = 4;
+  s.ops = 6;
+  s.bbp_slots = 1;
+  s.op_timeout = us(500);
+  s.retries = 1;
+  s.faults.link_down(0, 0);
+  const Report r = run(s);
+  EXPECT_EQ(r.retried, 2u);
+  EXPECT_EQ(r.ops_ok, 0u);
+  EXPECT_GT(r.aborted, 0u);
+}
+
+TEST(Workload, RpcCrashedClientAndServerAbandonTheirRemainingCalls) {
+  Spec s;
+  s.name = "t_rpc_crash";
+  s.pattern = Pattern::kRpc;
+  s.device = Device::kBbp;
+  s.nodes = 4;
+  s.ops = 6;
+  s.op_timeout = us(500);
+  s.faults.crash_node(us(150), 0);  // client 0
+  s.faults.crash_node(us(150), 3);  // client 1's server
+  const Report r = run(s);
+  EXPECT_GT(r.aborted, 0u);
+  EXPECT_LT(r.ops_ok, u64{2} * 6);
+  EXPECT_EQ(r.fault_fired[static_cast<u32>(fault::FaultKind::kCrash)], 2u);
 }
 
 TEST(Workload, PausedNodeCatchesUpCrashedNodeDoesNot) {
