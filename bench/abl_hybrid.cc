@@ -17,29 +17,6 @@ namespace {
 
 constexpr u32 kThreshold = 512;  // near the SCRAMNet/Myrinet latency crossover
 
-double hybrid_oneway_us(u32 bytes, u32 iters = 20, u32 warmup = 4) {
-  SimTime t_start = 0, t_end = 0;
-  run_hybrid_mpi(2, TcpFabricKind::kMyrinet, kThreshold,
-                 [&](sim::Process& p, scrmpi::Mpi& mpi) {
-                   const scrmpi::Comm& w = mpi.world();
-                   const i32 me = mpi.rank(w);
-                   std::vector<u8> buf(std::max<u32>(bytes, 1));
-                   const i32 peer = 1 - me;
-                   for (u32 i = 0; i < warmup + iters; ++i) {
-                     if (me == 0) {
-                       if (i == warmup) t_start = p.now();
-                       mpi.send(buf.data(), bytes, scrmpi::Datatype::kByte, peer, 0, w);
-                       mpi.recv(buf.data(), bytes, scrmpi::Datatype::kByte, peer, 0, w);
-                       if (i == warmup + iters - 1) t_end = p.now();
-                     } else {
-                       mpi.recv(buf.data(), bytes, scrmpi::Datatype::kByte, peer, 0, w);
-                       mpi.send(buf.data(), bytes, scrmpi::Datatype::kByte, peer, 0, w);
-                     }
-                   }
-                 });
-  return to_us(t_end - t_start) / (2.0 * iters);
-}
-
 }  // namespace
 
 int main() {
@@ -53,7 +30,7 @@ int main() {
   for (u32 s : sizes) {
     scr.us.push_back(mpi_scramnet_oneway_us(s, 2));
     myr.us.push_back(mpi_tcp_oneway_us(TcpFabricKind::kMyrinet, s));
-    hyb.us.push_back(hybrid_oneway_us(s));
+    hyb.us.push_back(mpi_hybrid_oneway_us(s, kThreshold));
   }
   print_series(sizes, {scr, myr, hyb});
 

@@ -139,8 +139,8 @@ void BM_SimProcessSwitch(benchmark::State& state) {
 BENCHMARK(BM_SimProcessSwitch)->Args({1000, 1})->Args({1000, 2});
 
 /// Process spawn + run-to-exit + teardown cost. The bodies are empty, so
-/// lifetimes never overlap: the fiber scheduler must serve every process
-/// after the first from its recycled stack pool (one mmap total).
+/// lifetimes never overlap: every process takes the one stack the thread's
+/// cache holds (no mmap after the first iteration).
 void BM_SimSpawnTeardown(benchmark::State& state) {
   const int procs = static_cast<int>(state.range(0));
   u64 spawned = 0;
@@ -253,6 +253,24 @@ void BM_RingSetup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RingSetup)->Arg(4)->Arg(256)->Unit(benchmark::kMicrosecond);
+
+/// Set-up and teardown of a simulation shaped like perfbench's
+/// `paper_figs` ones: a fresh Simulation, a ring of N nodes with default
+/// 4 MiB banks, and one process per node that takes one delay. Its banks
+/// and stacks come from the thread's region cache after the first
+/// iteration.
+void BM_SimSetup(benchmark::State& state) {
+  const u32 nodes = static_cast<u32>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulation sim;
+    scramnet::Ring ring(sim, scramnet::RingConfig{.nodes = nodes});
+    for (u32 n = 0; n < nodes; ++n)
+      sim.spawn("rank", [](sim::Process& p) { p.delay(ns(100)); });
+    sim.run();
+    benchmark::DoNotOptimize(sim.now());
+  }
+}
+BENCHMARK(BM_SimSetup)->Arg(4)->Unit(benchmark::kMicrosecond);
 
 /// End-to-end simulated BBP ping-pong per wall second.
 void BM_BbpPingPongSim(benchmark::State& state) {

@@ -96,6 +96,14 @@ double mpi_tcp_oneway_us(TcpFabricKind kind, u32 bytes, u32 iters, u32 warmup,
       bytes, iters, warmup);
 }
 
+double mpi_hybrid_oneway_us(u32 bytes, u32 threshold) {
+  return mpi_pingpong(
+      [&](const std::function<void(sim::Process&, scrmpi::Mpi&)>& body) {
+        return run_hybrid_mpi(2, TcpFabricKind::kMyrinet, threshold, body);
+      },
+      bytes, /*iters=*/20, /*warmup=*/4);
+}
+
 double tcp_api_oneway_us(TcpFabricKind kind, u32 bytes, u32 iters, u32 warmup,
                          TcpOptions opts) {
   PingPongClock clk;
@@ -155,27 +163,10 @@ double myrinet_api_oneway_us(u32 bytes, u32 iters, u32 warmup) {
 // Broadcast latency: root send -> last receiver done
 // ---------------------------------------------------------------------------
 
-namespace {
-struct BcastClock {
-  std::vector<SimTime> root_start;
-  std::vector<SimTime> last_done;
-  explicit BcastClock(u32 rounds) : root_start(rounds, 0), last_done(rounds, 0) {}
-  double avg_us(u32 warmup) const {
-    double sum = 0;
-    for (usize i = warmup; i < root_start.size(); ++i)
-      sum += to_us(last_done[i] - root_start[i]);
-    return sum / static_cast<double>(root_start.size() - warmup);
-  }
-  void record_done(u32 round, SimTime t) {
-    last_done[round] = std::max(last_done[round], t);
-  }
-};
-}  // namespace
-
 double bbp_bcast_us(u32 bytes, u32 nodes, u32 iters, u32 warmup,
                     ScramnetOptions opts) {
   const u32 rounds = warmup + iters;
-  BcastClock clk(rounds);
+  RoundClock clk(rounds);
   run_scramnet_bbp(
       nodes,
       [&](sim::Process& p, bbp::Endpoint& ep) {
@@ -185,7 +176,7 @@ double bbp_bcast_us(u32 bytes, u32 nodes, u32 iters, u32 warmup,
         for (u32 r = 1; r < nodes; ++r) dests.push_back(r);
         for (u32 i = 0; i < rounds; ++i) {
           if (ep.rank() == 0) {
-            clk.root_start[i] = p.now();
+            clk.start[i] = p.now();
             (void)ep.mcast(dests, msg);
             // Resynchronize: collect a 0-byte ack from every receiver
             // (outside the measured interval).
@@ -208,7 +199,7 @@ double mpi_bcast_measure(
         run,
     u32 bytes, scrmpi::CollAlgo algo, u32 nodes, u32 iters, u32 warmup) {
   const u32 rounds = warmup + iters;
-  BcastClock clk(rounds);
+  RoundClock clk(rounds);
   run([&](sim::Process& p, scrmpi::Mpi& mpi) {
     mpi.set_bcast_algo(algo);
     const scrmpi::Comm& w = mpi.world();
@@ -217,7 +208,7 @@ double mpi_bcast_measure(
     u8 token = 0;
     for (u32 i = 0; i < rounds; ++i) {
       if (me == 0) {
-        clk.root_start[i] = p.now();
+        clk.start[i] = p.now();
         mpi.bcast(buf.data(), bytes, scrmpi::Datatype::kByte, 0, w);
         for (u32 r = 1; r < nodes; ++r)
           mpi.recv(&token, 1, scrmpi::Datatype::kByte, static_cast<i32>(r), 99, w);

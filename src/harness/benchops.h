@@ -8,9 +8,27 @@
 // any --jobs value.
 #pragma once
 
+#include <algorithm>
+
 #include "harness/cluster.h"
 
 namespace scrnet::harness {
+
+/// Per-round clock: start stamped by rank 0, done max-accumulated across
+/// ranks (all ranks are fibers of one simulation, so no data races).
+struct RoundClock {
+  std::vector<SimTime> start, done;
+  explicit RoundClock(u32 rounds) : start(rounds, 0), done(rounds, 0) {}
+  void record_done(u32 round, SimTime t) {
+    done[round] = std::max(done[round], t);
+  }
+  double avg_us(u32 warmup) const {
+    double sum = 0;
+    for (usize i = warmup; i < start.size(); ++i)
+      sum += to_us(done[i] - start[i]);
+    return sum / static_cast<double>(start.size() - warmup);
+  }
+};
 
 /// Average one-way latency (us) of `bytes`-sized messages at the BBP API
 /// level between ranks 0 and 1 of an `nodes`-node SCRAMNet cluster,
@@ -32,6 +50,10 @@ double myrinet_api_oneway_us(u32 bytes, u32 iters = 20, u32 warmup = 4);
 /// One-way latency (us) at the MPI layer over ch_sock on a fabric.
 double mpi_tcp_oneway_us(TcpFabricKind kind, u32 bytes, u32 iters = 20,
                          u32 warmup = 4, TcpOptions opts = {});
+
+/// One-way latency (us) at the MPI layer over ch_hybrid between the two
+/// nodes of a SCRAMNet + Myrinet cluster split at `threshold` bytes.
+double mpi_hybrid_oneway_us(u32 bytes, u32 threshold);
 
 /// BBP-level broadcast latency (us): time from the root's send until the
 /// *last* of the `nodes-1` receivers has the payload; averaged over iters

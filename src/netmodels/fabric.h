@@ -95,11 +95,10 @@ class Fabric {
       }
       t += v.extra_delay;
     }
-    auto fp = std::make_shared<Frame>(std::move(f));
-    sim_.post_at(t, [this, fp] {
+    sim_.post_at(t, [this, f = std::move(f)]() mutable {
       delivered_.inc();
-      bytes_.inc(fp->payload.size());
-      rx_[fp->dst]->push(std::move(*fp));
+      bytes_.inc(f.payload.size());
+      rx_[f.dst]->push(std::move(f));
     });
   }
 

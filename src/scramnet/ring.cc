@@ -1,19 +1,15 @@
 #include "scramnet/ring.h"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cerrno>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <system_error>
 
 #include "obs/counters.h"
 #include "obs/trace.h"
+#include "sim/mapping.h"
 
 namespace scrnet::scramnet {
 
@@ -21,57 +17,6 @@ namespace {
 
 usize mapping_bytes(const RingConfig& cfg) {
   return usize{cfg.nodes} * cfg.bank_words * sizeof(u32);
-}
-
-/// Mappings of finished rings, every written granule zeroed again, kept for
-/// the next ring of the same size. Without them every simulation maps its
-/// banks afresh and faults its pages in one by one, and the kernel's cost
-/// for that swings with whatever else the host is doing.
-class FreeMappings {
- public:
-  static constexpr usize kMaxBytes = usize{64} << 20;  // 16 nodes x 4 MiB
-  static constexpr usize kMaxMappings = 16;
-
-  /// A kept mapping of exactly `bytes`, or nullptr.
-  void* take(usize bytes) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (usize i = 0; i < n_; ++i) {
-      if (free_[i].bytes == bytes) {
-        void* mem = free_[i].mem;
-        free_[i] = free_[--n_];
-        return mem;
-      }
-    }
-    return nullptr;
-  }
-
-  /// Keep `mem` (all zero) if there is room, else unmap it.
-  void give(void* mem, usize bytes) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (n_ < kMaxMappings) {
-        free_[n_++] = {mem, bytes};
-        return;
-      }
-    }
-    munmap(mem, bytes);
-  }
-
- private:
-  struct Mapping {
-    void* mem;
-    usize bytes;
-  };
-  std::mutex mu_;
-  Mapping free_[kMaxMappings] = {};
-  usize n_ = 0;
-};
-
-/// Never destroyed, so a Ring that outlives static destruction still has
-/// somewhere to go; the process's exit unmaps what it holds.
-FreeMappings& free_mappings() {
-  static FreeMappings* const f = new FreeMappings;
-  return *f;
 }
 
 }  // namespace
@@ -88,37 +33,24 @@ Ring::Ring(sim::Simulation& sim, RingConfig cfg) : sim_(sim), cfg_(cfg) {
   // Mapped last, so nothing after it can throw and leak the mapping. A kept
   // mapping is all zero, and the kernel hands out zeroed pages on first
   // touch; nothing is filled here.
-  void* mem = free_mappings().take(bytes);
-  if (mem == nullptr)
-    mem = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-               MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-  if (mem == MAP_FAILED) {
-    std::string what = "ring: cannot map ";
-    what += std::to_string(cfg_.nodes);
-    what += " banks (";
-    what += std::to_string(bytes);
-    what += " bytes)";
-    throw std::system_error(errno, std::generic_category(), what);
-  }
-  mem_ = static_cast<u32*>(mem);
+  mem_ = static_cast<u32*>(sim::take_region(bytes, /*guard=*/false).base);
 }
 
 Ring::~Ring() {
   const usize bytes = mapping_bytes(cfg_);
-  if (bytes > FreeMappings::kMaxBytes) {
-    munmap(mem_, bytes);
-    return;
-  }
   // Zero what the banks' writes touched, so the next ring finds the
-  // mapping as mmap would hand it out.
-  const usize words = bytes / sizeof(u32);
-  for (usize i = 0; i < written_.size(); ++i) {
-    for (u64 bits = written_[i]; bits != 0; bits &= bits - 1) {
-      const usize w = (i * 64 + static_cast<usize>(std::countr_zero(bits))) * kGranuleWords;
-      std::memset(mem_ + w, 0, std::min(kGranuleWords, words - w) * sizeof(u32));
+  // mapping as mmap would hand it out; one too large to keep is unmapped
+  // as it is.
+  if (bytes <= sim::kMaxCachedBytes) {
+    const usize words = bytes / sizeof(u32);
+    for (usize i = 0; i < written_.size(); ++i) {
+      for (u64 bits = written_[i]; bits != 0; bits &= bits - 1) {
+        const usize w = (i * 64 + static_cast<usize>(std::countr_zero(bits))) * kGranuleWords;
+        std::memset(mem_ + w, 0, std::min(kGranuleWords, words - w) * sizeof(u32));
+      }
     }
   }
-  free_mappings().give(mem_, bytes);
+  sim::give_region(mem_, bytes, /*guard=*/false);
 }
 
 void Ring::mark_written(u32 node, u32 word_addr, usize nwords) {

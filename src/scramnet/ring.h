@@ -25,9 +25,8 @@
 // k * bank_words. Pages nobody has written read as the kernel's shared
 // zero page, so set-up time and resident memory grow with the pages the
 // protocol touches, not with nodes x bank size. A finished ring zeroes the
-// 4 KiB granules it wrote and leaves its mapping (up to 64 MiB) to the next
-// ring of the same size, which then needs no system call and no page fault
-// for its banks.
+// 4 KiB granules it wrote and leaves its mapping (up to 64 MiB) in the
+// thread's cache (sim/mapping.h) for the next ring of the same size.
 #pragma once
 
 #include <deque>
@@ -52,8 +51,8 @@ namespace scrnet::scramnet {
 class Ring {
  public:
   /// Throws std::invalid_argument for an invalid `cfg`, and
-  /// std::system_error (naming the node count and byte size) when the
-  /// banks cannot be mapped.
+  /// std::system_error (naming the byte size) when the banks cannot be
+  /// mapped.
   Ring(sim::Simulation& sim, RingConfig cfg);
   ~Ring();
   Ring(const Ring&) = delete;
@@ -221,7 +220,7 @@ class Ring {
 
   sim::Simulation& sim_;
   RingConfig cfg_;
-  u32* mem_ = nullptr;                      // nodes x bank_words, mmap'd
+  u32* mem_ = nullptr;                      // nodes x bank_words, mapped
   std::vector<u64> written_;                // one bit per granule of mem_
   std::vector<SimTime> tx_free_;            // per-node insertion engine
   SimTime ring_free_ = 0;                   // shared medium

@@ -1,13 +1,11 @@
 #include "sim/fiber.h"
 
-#include <sys/mman.h>
-#include <unistd.h>
-
 #include <cassert>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <new>
+
+#include "sim/mapping.h"
 
 #if defined(SCRNET_FIBER_ASAN)
 #include <sanitizer/asan_interface.h>
@@ -23,41 +21,16 @@ namespace scrnet::sim::detail {
 // StackPool
 // ---------------------------------------------------------------------------
 
-StackPool::StackPool(usize usable_bytes) {
-  page_bytes_ = static_cast<usize>(sysconf(_SC_PAGESIZE));
-  if (usable_bytes < page_bytes_) usable_bytes = page_bytes_;
-  stack_bytes_ = (usable_bytes + page_bytes_ - 1) & ~(page_bytes_ - 1);
-}
-
-StackPool::~StackPool() {
-  // Stacks still marked live belong to fibers the Simulation cancelled (or
-  // leaked pathologically); their mappings die with the pool either way.
-  for (const FiberStack& s : free_) munmap(s.base, s.map_bytes);
-}
-
 FiberStack StackPool::acquire() {
-  ++stats_.live;
-  if (!free_.empty()) {
-    FiberStack s = free_.back();
-    free_.pop_back();
-    --stats_.pooled;
-    ++stats_.reused;
-    return s;
-  }
   FiberStack s;
-  s.guard_bytes = page_bytes_;
-  s.map_bytes = stack_bytes_ + s.guard_bytes;
-  void* mem = mmap(nullptr, s.map_bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-  if (mem == MAP_FAILED) throw std::bad_alloc();
-  if (mprotect(mem, s.guard_bytes, PROT_NONE) != 0) {
-    munmap(mem, s.map_bytes);
-    throw std::bad_alloc();
-  }
-  s.base = mem;
-  ++stats_.mapped;
+  s.guard_bytes = page_bytes();
+  s.map_bytes = kProcStackBytes + s.guard_bytes;
+  const Region r = take_region(s.map_bytes, /*guard=*/true);
+  s.base = r.base;
+  ++(r.fresh ? stats_.mapped : stats_.reused);
+  ++stats_.live;
 #if defined(SCRNET_FIBER_ASAN)
-  // The mmap may land where a previously-unmapped allocation left stale
+  // A fresh mapping may land where an unmapped allocation left stale
   // shadow; start from a clean slate.
   __asan_unpoison_memory_region(s.limit(), s.usable_bytes());
 #endif
@@ -69,13 +42,12 @@ void StackPool::release(const FiberStack& s) {
 #if defined(SCRNET_FIBER_ASAN)
   // The dead fiber's last frames (fiber entry/exit) never returned, so
   // their shadow poison is still on the stack; scrub it before the next
-  // fiber -- or, after munmap, an unrelated allocation -- lands here.
+  // fiber -- or, once unmapped, an unrelated allocation -- lands here.
   __asan_unpoison_memory_region(s.limit(), s.usable_bytes());
 #endif
   assert(stats_.live > 0);
   --stats_.live;
-  ++stats_.pooled;
-  free_.push_back(s);
+  give_region(s.base, s.map_bytes, /*guard=*/true);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Stackful fibers for the simulation kernel.
 //
-// A simulated Process runs on a user-level fiber: a private mmap'd stack
-// (PROT_NONE guard page below, pooled/recycled across spawn/exit) plus a
+// A simulated Process runs on a user-level fiber: a private stack (a
+// guarded region from sim/mapping.h, recycled across spawn/exit) plus a
 // saved CPU context. Handing control between the kernel and a process is
 // one cooperative context swap on the kernel thread -- no mutex, no
 // condvar, no kernel scheduling -- which is what makes Process::delay()
@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "common/types.h"
 
@@ -55,11 +54,14 @@
 
 namespace scrnet::sim::detail {
 
-/// One mmap'd fiber stack. The lowest page is PROT_NONE: running off the
+/// Usable bytes of every process stack; its mapping adds one guard page.
+inline constexpr usize kProcStackBytes = 256 * 1024;
+
+/// One mapped fiber stack. The lowest page is PROT_NONE: running off the
 /// end of the usable region faults immediately instead of silently
 /// corrupting an adjacent stack.
 struct FiberStack {
-  void* base = nullptr;   // mmap base; the guard page starts here
+  void* base = nullptr;   // mapping base; the guard page starts here
   usize map_bytes = 0;    // guard + usable
   usize guard_bytes = 0;  // PROT_NONE prefix
 
@@ -69,36 +71,23 @@ struct FiberStack {
   explicit operator bool() const { return base != nullptr; }
 };
 
-/// Free-list of fiber stacks. Process exit returns the stack here; the
-/// next spawn reuses it, so steady-state spawn/exit churn performs no
-/// mmap/munmap traffic (BM_SimSpawnTeardown tracks this).
+/// One simulation's counts over the fiber stacks it takes from and gives
+/// back to the thread's cache (sim/mapping.h); spawn/exit churn maps
+/// nothing once the cache is warm (BM_SimSpawnTeardown, BM_SimSetup).
 class StackPool {
  public:
   struct Stats {
-    usize mapped = 0;  // stacks obtained from the OS (mmap)
-    usize reused = 0;  // acquires served from the free list
+    usize mapped = 0;  // stacks the cache could not supply, mapped afresh
+    usize reused = 0;  // acquires served from the cache
     usize live = 0;    // stacks currently owned by a fiber
-    usize pooled = 0;  // stacks parked on the free list
   };
-
-  /// `usable_bytes` is rounded up to whole pages (stack_bytes() tells the
-  /// rounded value); every stack additionally carries one guard page.
-  explicit StackPool(usize usable_bytes);
-  ~StackPool();
-
-  StackPool(const StackPool&) = delete;
-  StackPool& operator=(const StackPool&) = delete;
 
   FiberStack acquire();
   void release(const FiberStack& s);
 
   const Stats& stats() const { return stats_; }
-  usize stack_bytes() const { return stack_bytes_; }
 
  private:
-  usize page_bytes_;
-  usize stack_bytes_;  // usable bytes, page-rounded
-  std::vector<FiberStack> free_;
   Stats stats_;
 };
 

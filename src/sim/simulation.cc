@@ -16,10 +16,6 @@ namespace {
 /// destructors on the process stack run normally.
 struct ProcessCancelled {};
 
-/// Usable stack bytes of every process fiber (page-rounded by StackPool,
-/// which maps a PROT_NONE guard page below each stack).
-constexpr usize kProcStackBytes = 256 * 1024;
-
 /// Lets in-place resumes reach `bound` while one run()/run_until() lasts;
 /// however the run ends, it leaves -1 behind, so none happen outside one.
 struct HorizonScope {
@@ -36,8 +32,8 @@ struct HorizonScope {
 //
 // Every process runs on a stackful fiber (sim/fiber.h). The kernel and the
 // processes share the thread that called run(); dispatch/to_kernel are
-// plain context swaps, and an exited process returns its stack to the
-// simulation's pool.
+// plain context swaps, and an exited process gives its stack back to the
+// thread's region cache (sim/mapping.h).
 // ---------------------------------------------------------------------------
 
 Process::Process(Simulation& sim, u32 id, std::string name,
@@ -121,7 +117,7 @@ void Process::from_kernel_wait() {
 // Simulation
 // ---------------------------------------------------------------------------
 
-Simulation::Simulation() : sink_(&obs::Sink::current()), stacks_(kProcStackBytes) {}
+Simulation::Simulation() : sink_(&obs::Sink::current()) {}
 
 Simulation::~Simulation() {
   // Unwind any process still blocked mid-body so its destructors run.

@@ -221,7 +221,7 @@ class Simulation {
   /// allocation-free guarantee is asserted against these in tests.
   EventQueue::Stats queue_stats() const { return queue_.stats(); }
 
-  /// Fiber stack-pool counters (mmap'd vs recycled stacks).
+  /// This simulation's fiber stacks: mapped vs taken from the cache, live.
   detail::StackPool::Stats stack_stats() const { return stacks_.stats(); }
 
   /// The observability sink this simulation records into (TRACE_* hooks,

@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "harness/cluster.h"
+#include "harness/benchops.h"
 #include "scrmpi/coll.h"
 #include "scrmpi/mpi.h"
 
@@ -12,6 +12,7 @@ namespace scrnet::tune {
 
 namespace {
 
+using harness::RoundClock;
 using scrmpi::AllgatherAlgo;
 using scrmpi::AllreduceAlgo;
 using scrmpi::CollAlgo;
@@ -19,22 +20,6 @@ using scrmpi::Comm;
 using scrmpi::Datatype;
 using scrmpi::Mpi;
 using scrmpi::ReduceOp;
-
-/// Per-round clock: start stamped by rank 0, done max-accumulated across
-/// ranks (all ranks are fibers of one simulation, so no data races).
-struct RoundClock {
-  std::vector<SimTime> start, done;
-  explicit RoundClock(u32 rounds) : start(rounds, 0), done(rounds, 0) {}
-  void record_done(u32 round, SimTime t) {
-    done[round] = std::max(done[round], t);
-  }
-  double avg_us(u32 warmup) const {
-    double sum = 0;
-    for (usize i = warmup; i < start.size(); ++i)
-      sum += to_us(done[i] - start[i]);
-    return sum / static_cast<double>(start.size() - warmup);
-  }
-};
 
 void run_rounds(sim::Process& p, Mpi& mpi, const MeasureSpec& s,
                 RoundClock& clk) {

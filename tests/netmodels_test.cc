@@ -28,6 +28,8 @@ TEST(Ethernet, DeliversFrameWithPayloadIntact) {
   sim.run();
   EXPECT_TRUE(got);
   EXPECT_EQ(net.frames_delivered(), 1u);
+  // The frame rides its delivery event by value, inline in the queue node.
+  EXPECT_EQ(sim.queue_stats().heap_fallback, 0u);
 }
 
 TEST(Ethernet, MinFrameLatencyIsReasonable) {

@@ -11,6 +11,7 @@
 
 #include "scramnet/ring.h"
 #include "scramnet/sim_port.h"
+#include "sim/mapping.h"
 
 // ASan and TSan reserve terabytes of shadow address space at start-up, so a
 // process running under them cannot lower RLIMIT_AS to a few hundred MiB;
@@ -283,10 +284,10 @@ TEST(Ring, NextRingOfTheSameSizeFindsZeroedBanks) {
 }
 
 TEST(Ring, MappingsPastTheFreeListAreUnmappedAndLaterRingsReadZero) {
-  // The free list keeps 16 mappings; the 17th and 18th rings torn down at
-  // once are unmapped instead. Written words must not leak into any later
-  // ring, recycled or freshly mapped. A size no other test builds keeps
-  // this test's mappings to itself.
+  // The thread's cache keeps 16 bank mappings; the 17th and 18th rings
+  // torn down at once are unmapped instead. Written words must not leak
+  // into any later ring, recycled or freshly mapped. A size no other test
+  // builds keeps this test's mappings to itself.
   for (int round = 0; round < 2; ++round) {
     sim::Simulation sim;
     std::vector<std::unique_ptr<Ring>> rings;
@@ -315,6 +316,25 @@ TEST(Ring, NextRingOfTheSameSizeTakesNoPageFaults) {
     EXPECT_EQ(ring.host_read(3, 127 * 1024), 128u);
   }
   EXPECT_LT(faults, 32);
+}
+
+TEST(Ring, BanksNeverTakeAStackMapping) {
+  // A finished process leaves its stack in the thread's cache: 256 KiB and
+  // a 4 KiB guard page, 266,240 B. A ring of 65 nodes x 1,024 words needs
+  // exactly as many bytes, and must still get a mapping of its own rather
+  // than the stack, whose first page faults.
+  ASSERT_EQ(sim::detail::kProcStackBytes + sim::page_bytes(), 65u * 1024 * sizeof(u32));
+  {
+    sim::Simulation sim;
+    sim.spawn("p", [](sim::Process& p) { p.delay(ns(1)); });
+    sim.run();
+  }
+  sim::Simulation sim;
+  Ring ring(sim, RingConfig{.nodes = 65, .bank_words = 1024});
+  EXPECT_EQ(ring.host_read(0, 0), 0u);
+  ring.host_write(0, 0, 0xBEEFu);
+  sim.run();
+  EXPECT_EQ(ring.host_read(64, 0), 0xBEEFu);
 }
 
 #if !defined(SCRNET_TEST_SHADOW_SANITIZER)

@@ -1,15 +1,17 @@
 // Tests for the fiber process scheduler: spawn/teardown at scale, exception
-// and cancellation unwinding, report-text stability, stack-pool recycling,
+// and cancellation unwinding, report-text stability, stack recycling,
 // run-twice determinism, delays that resume in place, and teardown and
 // run_until with one or several processes live at once. Everything here must pass identically on both fiber switch
 // backends (asm and ucontext).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "sim/mailbox.h"
+#include "sim/mapping.h"
 #include "sim/simulation.h"
 
 namespace scrnet::sim {
@@ -150,9 +152,14 @@ TEST(SimProcess, SpawnFromRunningProcessOrdering) {
   EXPECT_EQ(log, want);
 }
 
+// The stack counts are per simulation, over a cache the thread keeps
+// across simulations: a test that runs after others in one process (as
+// the TSan job runs this binary) may find it warm, so none assumes it
+// cold.
+
 TEST(SimProcess, StackPoolRecyclesAcrossSequentialLifetimes) {
-  // 64 processes whose lifetimes never overlap: one mmap'd stack must
-  // serve all of them, every later acquire coming from the free list.
+  // 64 processes whose lifetimes never overlap: one stack serves all of
+  // them. It is mapped here only if the cache held none.
   Simulation sim;
   constexpr u32 kProcs = 64;
   u32 done = 0;
@@ -167,32 +174,65 @@ TEST(SimProcess, StackPoolRecyclesAcrossSequentialLifetimes) {
   sim.run();
   EXPECT_EQ(done, kProcs);
   const auto st = sim.stack_stats();
-  EXPECT_EQ(st.mapped, 1u);
-  EXPECT_EQ(st.reused, kProcs - 1);
+  EXPECT_LE(st.mapped, 1u);
+  EXPECT_EQ(st.mapped + st.reused, kProcs);
   EXPECT_EQ(st.live, 0u);
-  EXPECT_EQ(st.pooled, 1u);
 }
 
 TEST(SimProcess, StackPoolTracksConcurrentHighWater) {
-  // All processes alive at once: every one needs its own stack, and all
-  // stacks return to the pool at exit.
+  // All processes alive at once: every one holds a stack of its own, and
+  // all of them go back at exit.
   Simulation sim;
   constexpr u32 kProcs = 16;
+  usize high_water = 0;
   for (u32 i = 0; i < kProcs; ++i) {
-    sim.spawn(std::string("c").append(std::to_string(i)),
-              [](Process& p) { p.delay(us(1)); });
+    sim.spawn(std::string("c").append(std::to_string(i)), [&high_water](Process& p) {
+      p.delay(us(1));
+      high_water = std::max(high_water, p.simulation().stack_stats().live);
+    });
   }
   sim.run();
   const auto st = sim.stack_stats();
-  EXPECT_EQ(st.mapped, kProcs);
+  EXPECT_EQ(high_water, kProcs);
+  EXPECT_EQ(st.mapped + st.reused, kProcs);
   EXPECT_EQ(st.live, 0u);
-  EXPECT_EQ(st.pooled, kProcs);
 }
 
-TEST(SimProcess, StackSizeKnobIsPageRoundedAndUsable) {
-  detail::StackPool pool(90 * 1024);  // not page-aligned on purpose
-  EXPECT_GE(pool.stack_bytes(), 90u * 1024);
-  EXPECT_EQ(pool.stack_bytes() % 4096, 0u);
+TEST(SimProcess, SecondSimulationOnAWarmCacheMapsNoStacks) {
+  // The thread keeps up to 16 stacks past the simulation that released
+  // them, so the next simulation of 16 concurrent processes maps none.
+  constexpr u32 kProcs = 16;
+  for (int round = 0; round < 2; ++round) {
+    Simulation sim;
+    for (u32 i = 0; i < kProcs; ++i)
+      sim.spawn(std::string("w").append(std::to_string(i)), [](Process& p) { p.delay(us(1)); });
+    sim.run();
+    if (round == 0) continue;
+    EXPECT_EQ(sim.stack_stats().mapped, 0u);
+    EXPECT_EQ(sim.stack_stats().reused, kProcs);
+  }
+}
+
+TEST(SimProcessDeathTest, CachedStackStillFaultsBelowItsLimit) {
+  // A stack given back and taken again comes from the cache (the one just
+  // given back), and its guard page is still PROT_NONE.
+  detail::StackPool pool;
+  const detail::FiberStack first = pool.acquire();
+  pool.release(first);
+  const detail::FiberStack again = pool.acquire();
+  ASSERT_EQ(again.base, first.base);
+  volatile char* below = static_cast<char*>(again.limit()) - 1;
+  EXPECT_DEATH(*below = 1, "");
+  pool.release(again);
+}
+
+TEST(SimProcess, StackSizeIsPageRoundedAndUsable) {
+  detail::StackPool pool;
+  const detail::FiberStack s = pool.acquire();
+  EXPECT_EQ(s.usable_bytes(), detail::kProcStackBytes);
+  EXPECT_EQ(s.usable_bytes() % page_bytes(), 0u);
+  EXPECT_EQ(s.guard_bytes, page_bytes());
+  pool.release(s);
   // Burn a deep frame on a default process stack to prove it is there.
   Simulation sim;
   u64 sum = 0;
