@@ -6,6 +6,7 @@
 #include "bbp/endpoint.h"
 #include "bench_util.h"
 #include "common/bytes.h"
+#include "harness/cluster.h"
 #include "scramnet/hierarchy.h"
 #include "scramnet/sim_port.h"
 
@@ -19,22 +20,23 @@ double oneway_us(u32 from, u32 to, u32 bytes, HierarchyConfig cfg) {
   sim::Simulation sim;
   RingHierarchy h(sim, cfg);
   SimTime t0 = 0, t1 = 0;
-  sim.spawn("tx", [&](sim::Process& p) {
-    SimHostPort port(h, from, p);
-    bbp::Endpoint ep(port, h.nodes(), from);
-    std::vector<u8> msg(bytes);
-    t0 = p.now();
-    (void)ep.send(to, msg);
-    ep.drain();
-  });
-  sim.spawn("rx", [&](sim::Process& p) {
-    SimHostPort port(h, to, p);
-    bbp::Endpoint ep(port, h.nodes(), to);
-    std::vector<u8> buf(std::max<u32>(bytes, 4));
-    (void)ep.recv(from, buf);
-    t1 = p.now();
-  });
-  sim.run();
+  // Host 0 is node `from` and sends; host 1 is node `to` and receives.
+  harness::run_cluster(sim, 2, "host", nullptr, nullptr, nullptr,
+                       [&](sim::Process& p, u32 r) {
+                         const u32 me = r == 0 ? from : to;
+                         SimHostPort port(h, me, p);
+                         bbp::Endpoint ep(port, h.nodes(), me);
+                         if (r == 0) {
+                           std::vector<u8> msg(bytes);
+                           t0 = p.now();
+                           (void)ep.send(to, msg);
+                           ep.drain();
+                         } else {
+                           std::vector<u8> buf(std::max<u32>(bytes, 4));
+                           (void)ep.recv(from, buf);
+                           t1 = p.now();
+                         }
+                       });
   return to_us(t1 - t0);
 }
 
@@ -43,26 +45,23 @@ double bcast_all_us(u32 bytes, HierarchyConfig cfg) {
   RingHierarchy h(sim, cfg);
   const u32 n = h.nodes();
   SimTime t0 = 0, last = 0;
-  sim.spawn("root", [&](sim::Process& p) {
-    SimHostPort port(h, 0, p);
-    bbp::Endpoint ep(port, n, 0);
-    std::vector<u32> dests;
-    for (u32 r = 1; r < n; ++r) dests.push_back(r);
-    std::vector<u8> msg(bytes);
-    t0 = p.now();
-    (void)ep.mcast(dests, msg);
-    ep.drain();
-  });
-  for (u32 r = 1; r < n; ++r) {
-    sim.spawn("rx" + std::to_string(r), [&, r](sim::Process& p) {
-      SimHostPort port(h, r, p);
-      bbp::Endpoint ep(port, n, r);
-      std::vector<u8> buf(std::max<u32>(bytes, 4));
-      (void)ep.recv(0, buf);
-      if (p.now() > last) last = p.now();
-    });
-  }
-  sim.run();
+  harness::run_cluster(sim, n, "node", nullptr, nullptr, nullptr,
+                       [&](sim::Process& p, u32 r) {
+                         SimHostPort port(h, r, p);
+                         bbp::Endpoint ep(port, n, r);
+                         if (r == 0) {
+                           std::vector<u32> dests;
+                           for (u32 d = 1; d < n; ++d) dests.push_back(d);
+                           std::vector<u8> msg(bytes);
+                           t0 = p.now();
+                           (void)ep.mcast(dests, msg);
+                           ep.drain();
+                         } else {
+                           std::vector<u8> buf(std::max<u32>(bytes, 4));
+                           (void)ep.recv(0, buf);
+                           if (p.now() > last) last = p.now();
+                         }
+                       });
   return to_us(last - t0);
 }
 

@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "harness/cluster.h"
 #include "scramnet/ring.h"
 #include "scramnet/sim_port.h"
 
@@ -28,54 +29,47 @@ struct RecvResult {
   u64 pio_reads;
 };
 
-RecvResult polled(u32 gap_writes) {
+/// Host 0 waits `gap_writes` x 3 us (varying the phase relative to the
+/// poll loop), then writes a data word and a flag; host 1 waits for the
+/// flag with `receive` and reads the data once.
+template <typename Receive>
+RecvResult measure(u32 gap_writes, Receive receive) {
   sim::Simulation sim;
   scramnet::Ring ring(sim, {});
   SimTime sent = 0, got = 0;
   u64 reads = 0;
-  sim.spawn("writer", [&](sim::Process& p) {
-    scramnet::SimHostPort port(ring, 0, p);
-    p.delay(us(3) * gap_writes);  // vary phase relative to the poll loop
-    sent = p.now();
-    port.write_u32(kDataAddr, 77);
-    port.write_u32(kFlagAddr, 1);
-  });
-  sim.spawn("reader", [&](sim::Process& p) {
-    scramnet::SimHostPort port(ring, 1, p);
+  harness::run_cluster(sim, 2, "host", &ring, nullptr, nullptr,
+                       [&](sim::Process& p, u32 r) {
+                         scramnet::SimHostPort port(ring, r, p);
+                         if (r == 0) {
+                           p.delay(us(3) * gap_writes);
+                           sent = p.now();
+                           port.write_u32(kDataAddr, 77);
+                           port.write_u32(kFlagAddr, 1);
+                           return;
+                         }
+                         receive(port, reads);
+                         (void)port.read_u32(kDataAddr);
+                         ++reads;
+                         got = p.now();
+                       });
+  return {to_us(got - sent), reads};
+}
+
+RecvResult polled(u32 gap_writes) {
+  return measure(gap_writes, [](scramnet::SimHostPort& port, u64& reads) {
     port.spin_until("abl.flag", 0, [&] {
       ++reads;
       return port.read_u32(kFlagAddr) != 0;
     });
-    (void)port.read_u32(kDataAddr);
-    ++reads;
-    got = p.now();
   });
-  sim.run();
-  return {to_us(got - sent), reads};
 }
 
 RecvResult interrupt_driven(u32 gap_writes) {
-  sim::Simulation sim;
-  scramnet::Ring ring(sim, {});
-  SimTime sent = 0, got = 0;
-  u64 reads = 0;
-  sim.spawn("writer", [&](sim::Process& p) {
-    scramnet::SimHostPort port(ring, 0, p);
-    p.delay(us(3) * gap_writes);
-    sent = p.now();
-    port.write_u32(kDataAddr, 77);
-    port.write_u32(kFlagAddr, 1);
-  });
-  sim.spawn("reader", [&](sim::Process& p) {
-    scramnet::SimHostPort port(ring, 1, p);
+  return measure(gap_writes, [](scramnet::SimHostPort& port, u64&) {
     port.watch_range(kFlagAddr, kFlagAddr + 1);
     port.wait_write();  // blocked: zero bus traffic while idle, then irq dispatch
-    (void)port.read_u32(kDataAddr);
-    ++reads;
-    got = p.now();
   });
-  sim.run();
-  return {to_us(got - sent), reads};
 }
 
 }  // namespace

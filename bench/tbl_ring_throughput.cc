@@ -23,7 +23,8 @@ double raw_ring_mbps(scramnet::PacketMode mode, u32 bytes) {
   scramnet::Ring ring(sim, cfg);
   std::vector<u32> words(bytes / 4, 0x5A);
   ring.host_write_block(0, 0, words, 0);
-  sim.run();
+  harness::run_cluster(sim, 0, "host", &ring, nullptr, nullptr,
+                       [](sim::Process&, u32) {});
   return static_cast<double>(bytes) / 1e6 /
          (static_cast<double>(sim.now()) / 1e12);
 }

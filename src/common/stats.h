@@ -86,8 +86,6 @@ class LogHistogram {
     return lower_bound(kBuckets - 1);
   }
 
-  void reset() { *this = LogHistogram{}; }
-
   static u32 bucket_of(u64 v) {
     if (v < kSub) return static_cast<u32>(v);
     const u32 msb = 63 - static_cast<u32>(std::countl_zero(v));
@@ -115,7 +113,6 @@ class Counter {
  public:
   void inc(u64 by = 1) { v_ += by; }
   u64 get() const { return v_; }
-  void reset() { v_ = 0; }
 
  private:
   u64 v_ = 0;

@@ -1,8 +1,8 @@
 // Lightweight Status / Result types (no exceptions on hot paths).
 //
 // The protocol layers (BBP, scrmpi) report recoverable conditions --
-// buffer exhaustion, truncation, no-message-available -- through these
-// types rather than exceptions; programming errors still assert.
+// buffer exhaustion, bad arguments, expired waits -- through these types
+// rather than exceptions; programming errors still assert.
 #pragma once
 
 #include <cassert>
@@ -16,11 +16,8 @@ namespace scrnet {
 enum class StatusCode {
   kOk = 0,
   kNoSpace,        // data partition / queue exhausted even after GC
-  kTruncated,      // receive buffer smaller than the message
-  kNotFound,       // no matching message / entity
   kInvalidArg,     // caller error detectable at runtime
   kUnavailable,    // resource not usable in this state
-  kInternal,       // invariant violation surfaced as an error
   kTimedOut,       // bounded wait expired before the condition held
 };
 
@@ -29,11 +26,8 @@ constexpr std::string_view to_string(StatusCode c) {
   switch (c) {
     case StatusCode::kOk: return "OK";
     case StatusCode::kNoSpace: return "NO_SPACE";
-    case StatusCode::kTruncated: return "TRUNCATED";
-    case StatusCode::kNotFound: return "NOT_FOUND";
     case StatusCode::kInvalidArg: return "INVALID_ARG";
     case StatusCode::kUnavailable: return "UNAVAILABLE";
-    case StatusCode::kInternal: return "INTERNAL";
     case StatusCode::kTimedOut: return "TIMED_OUT";
   }
   return "UNKNOWN";
@@ -48,11 +42,8 @@ class Status {
 
   static Status Ok() { return Status{}; }
   static Status NoSpace(std::string m = {}) { return Status(StatusCode::kNoSpace, std::move(m)); }
-  static Status Truncated(std::string m = {}) { return Status(StatusCode::kTruncated, std::move(m)); }
-  static Status NotFound(std::string m = {}) { return Status(StatusCode::kNotFound, std::move(m)); }
   static Status InvalidArg(std::string m = {}) { return Status(StatusCode::kInvalidArg, std::move(m)); }
   static Status Unavailable(std::string m = {}) { return Status(StatusCode::kUnavailable, std::move(m)); }
-  static Status Internal(std::string m = {}) { return Status(StatusCode::kInternal, std::move(m)); }
   static Status TimedOut(std::string m = {}) { return Status(StatusCode::kTimedOut, std::move(m)); }
 
   bool ok() const { return code_ == StatusCode::kOk; }
@@ -88,10 +79,6 @@ class Result {
   T& value() & {
     assert(ok());
     return std::get<T>(v_);
-  }
-  T&& take() && {
-    assert(ok());
-    return std::get<T>(std::move(v_));
   }
   Status status() const {
     return ok() ? Status::Ok() : std::get<Status>(v_);

@@ -108,28 +108,26 @@ double tcp_api_oneway_us(TcpFabricKind kind, u32 bytes, u32 iters, u32 warmup,
                          TcpOptions opts) {
   PingPongClock clk;
   sim::Simulation sim;
-  auto fabric = make_fabric(sim, 2, kind, opts);
+  auto fabric = make_fabric(sim, 2, kind, opts.ethernet);
   const netmodels::TcpConfig cfg = default_stack(kind);
   const u32 wire_bytes = std::max<u32>(bytes, 1);  // 0B -> 1 dummy byte
-  for (u32 r = 0; r < 2; ++r) {
-    sim.spawn("tcp-host" + std::to_string(r), [&, r](sim::Process& p) {
-      netmodels::TcpStack stack(*fabric, r, cfg);
-      std::vector<u8> msg(wire_bytes), buf(wire_bytes);
-      const u32 peer = 1 - r;
-      for (u32 i = 0; i < warmup + iters; ++i) {
-        if (r == 0) {
-          if (i == warmup) clk.t_start = p.now();
-          stack.send(p, peer, msg);
-          stack.recv(p, peer, buf, wire_bytes);
-          if (i == warmup + iters - 1) clk.t_end = p.now();
-        } else {
-          stack.recv(p, peer, buf, wire_bytes);
-          stack.send(p, peer, msg);
-        }
-      }
-    });
-  }
-  sim.run();
+  run_cluster(sim, 2, "tcp-host", nullptr, fabric.get(), opts.faults,
+              [&](sim::Process& p, u32 r) {
+                netmodels::TcpStack stack(*fabric, r, cfg);
+                std::vector<u8> msg(wire_bytes), buf(wire_bytes);
+                const u32 peer = 1 - r;
+                for (u32 i = 0; i < warmup + iters; ++i) {
+                  if (r == 0) {
+                    if (i == warmup) clk.t_start = p.now();
+                    stack.send(p, peer, msg);
+                    stack.recv(p, peer, buf, wire_bytes);
+                    if (i == warmup + iters - 1) clk.t_end = p.now();
+                  } else {
+                    stack.recv(p, peer, buf, wire_bytes);
+                    stack.send(p, peer, msg);
+                  }
+                }
+              });
   return clk.oneway_us(iters);
 }
 
@@ -137,25 +135,23 @@ double myrinet_api_oneway_us(u32 bytes, u32 iters, u32 warmup) {
   PingPongClock clk;
   sim::Simulation sim;
   netmodels::MyrinetFabric fabric(sim, 2);
-  for (u32 r = 0; r < 2; ++r) {
-    sim.spawn("myr-host" + std::to_string(r), [&, r](sim::Process& p) {
-      netmodels::MyrinetApi api(fabric, r);
-      std::vector<u8> msg(bytes), buf(std::max<u32>(bytes, 1));
-      const u32 peer = 1 - r;
-      for (u32 i = 0; i < warmup + iters; ++i) {
-        if (r == 0) {
-          if (i == warmup) clk.t_start = p.now();
-          api.send(p, peer, msg);
-          api.recv(p, peer, buf, bytes);
-          if (i == warmup + iters - 1) clk.t_end = p.now();
-        } else {
-          api.recv(p, peer, buf, bytes);
-          api.send(p, peer, msg);
-        }
-      }
-    });
-  }
-  sim.run();
+  run_cluster(sim, 2, "myr-host", nullptr, &fabric, nullptr,
+              [&](sim::Process& p, u32 r) {
+                netmodels::MyrinetApi api(fabric, r);
+                std::vector<u8> msg(bytes), buf(std::max<u32>(bytes, 1));
+                const u32 peer = 1 - r;
+                for (u32 i = 0; i < warmup + iters; ++i) {
+                  if (r == 0) {
+                    if (i == warmup) clk.t_start = p.now();
+                    api.send(p, peer, msg);
+                    api.recv(p, peer, buf, bytes);
+                    if (i == warmup + iters - 1) clk.t_end = p.now();
+                  } else {
+                    api.recv(p, peer, buf, bytes);
+                    api.send(p, peer, msg);
+                  }
+                }
+              });
   return clk.oneway_us(iters);
 }
 

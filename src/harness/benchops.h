@@ -41,6 +41,7 @@ double mpi_scramnet_oneway_us(u32 bytes, u32 nodes = 4, u32 iters = 20,
                               u32 warmup = 4, ScramnetOptions opts = {});
 
 /// One-way latency (us) over a TCP/IP fabric at the sockets API level.
+/// `opts.faults` is armed against the fabric; `opts.mpi` does not apply.
 double tcp_api_oneway_us(TcpFabricKind kind, u32 bytes, u32 iters = 20,
                          u32 warmup = 4, TcpOptions opts = {});
 

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bbp/endpoint.h"
@@ -22,6 +23,7 @@
 #include "scrmpi/ch_rdma.h"
 #include "scrmpi/ch_sock.h"
 #include "scrmpi/mpi.h"
+#include "sim/fn_ref.h"
 #include "sim/simulation.h"
 
 namespace scrnet::harness {
@@ -61,6 +63,18 @@ struct TcpOptions {
   fault::FaultPlan* faults = nullptr;
 };
 
+/// The one run path every harness entry point and bench simulation takes:
+/// arm `plan` (may be null) against `ring` and `fabric` (either may be
+/// null) before any rank starts, spawn `ranks` processes named
+/// `<name><r>` that run `rank(p, r)`, run `sim`, and with counters on
+/// publish what the ring, the fabric, the kernel and the plan counted into
+/// sim.sink(). An invalid plan throws std::invalid_argument before any
+/// process is spawned. Returns the final virtual time (picoseconds).
+SimTime run_cluster(sim::Simulation& sim, u32 ranks, std::string_view name,
+                    scramnet::Ring* ring, netmodels::Fabric* fabric,
+                    fault::FaultPlan* plan,
+                    sim::FnRef<void(sim::Process&, u32)> rank);
+
 /// Run `body` on every rank of an N-node SCRAMNet cluster at the BBP level.
 /// Returns the final virtual time (picoseconds).
 SimTime run_scramnet_bbp(
@@ -97,17 +111,21 @@ SimTime run_rdma_mpi(u32 nodes,
 /// Run `body` on every rank of a *hybrid* cluster: every node sits on both
 /// a SCRAMNet ring (latency) and a TCP fabric (bandwidth), glued by
 /// scrmpi::HybridChannel with the given payload threshold. This is the
-/// paper's Section 7 "SCRAMNet together with Myrinet/ATM" design.
+/// paper's Section 7 "SCRAMNet together with Myrinet/ATM" design. The
+/// fault plan in `sopts` is armed against the ring and the bulk fabric;
+/// `bulk` configures the bulk fabric when it is Fast Ethernet.
 SimTime run_hybrid_mpi(u32 nodes, TcpFabricKind bulk_kind, u32 threshold,
                        const std::function<void(sim::Process&, scrmpi::Mpi&)>& body,
-                       ScramnetOptions sopts = {}, TcpOptions topts = {});
+                       ScramnetOptions sopts = {},
+                       const netmodels::EthernetConfig& bulk = {});
 
 /// Default TCP stack parameters for a fabric kind.
 netmodels::TcpConfig default_stack(TcpFabricKind kind);
 
 /// Build the fabric for a kind (caller owns it through the returned ptr).
+/// `ethernet` applies to Fast Ethernet only; ATM and Myrinet have no dials.
 std::unique_ptr<netmodels::Fabric> make_fabric(sim::Simulation& sim, u32 nodes,
                                                TcpFabricKind kind,
-                                               const TcpOptions& opts);
+                                               const netmodels::EthernetConfig& ethernet);
 
 }  // namespace scrnet::harness

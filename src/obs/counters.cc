@@ -22,18 +22,6 @@ void Counters::add(std::string_view group, std::string_view name, u64 delta) {
     nit->second += delta;
 }
 
-void Counters::set(std::string_view group, std::string_view name, u64 value) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto git = groups_.find(group);
-  if (git == groups_.end())
-    git = groups_.emplace(std::string(group), NameMap()).first;
-  auto nit = git->second.find(name);
-  if (nit == git->second.end())
-    git->second.emplace(std::string(name), value);
-  else
-    nit->second = value;
-}
-
 u64 Counters::get(std::string_view group, std::string_view name) const {
   std::lock_guard<std::mutex> lk(mu_);
   auto git = groups_.find(group);

@@ -35,8 +35,6 @@ class Counters {
 
   /// Accumulate `delta` onto group/name (creates the counter at 0).
   void add(std::string_view group, std::string_view name, u64 delta);
-  /// Overwrite group/name.
-  void set(std::string_view group, std::string_view name, u64 value);
   /// Read a counter; 0 if never published.
   u64 get(std::string_view group, std::string_view name) const;
 

@@ -166,7 +166,7 @@ void Engine::grant_rendezvous(u32 idx, const PktHeader& rts,
       static_cast<u32>(std::min<usize>(msg_len, r.buf.size()));
   RndvPut* put = dev_.put();
   if (put && want > 0) {
-    Result<RndvPlacement> res = put->rndv_reserve(rts.src, want, r.buf.first(want));
+    Result<RndvPlacement> res = put->rndv_reserve(want, r.buf.first(want));
     if (res.ok()) {
       r.placement = res.value();
       r.state = Req::State::kRecvWaitFin;
@@ -270,7 +270,7 @@ void Engine::handle(Packet pkt) {
         fin.aux = static_cast<u32>(h.tag);  // receiver's request id
         const std::span<const u8> data = r.send_view.first(
             std::min<usize>(r.send_view.size(), pl.bytes));
-        const Status st = put->rndv_put(r.dst, pl, data, fin, {});
+        const Status st = put->rndv_put(r.dst, pl, data, fin);
         ++rndv_put_;
         zero_copy_bytes_ += data.size();
         r.send_view = {};

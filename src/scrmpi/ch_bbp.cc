@@ -26,9 +26,7 @@ Status BbpChannel::mcast_packet(std::span<const u32> dsts, const PktHeader& hdr,
   return ep_.mcast(dsts, frame(hdr, payload));
 }
 
-Result<RndvPlacement> BbpChannel::rndv_reserve(u32 src, u32 bytes,
-                                               std::span<u8> dest) {
-  (void)src;   // the window is mine; any sender may write the extent
+Result<RndvPlacement> BbpChannel::rndv_reserve(u32 bytes, std::span<u8> dest) {
   (void)dest;  // data lands in replicated memory, read out on FIN
   Result<u32> addr = ep_.rndv_reserve(bytes);
   if (!addr.ok()) return addr.status();
@@ -40,13 +38,12 @@ Result<RndvPlacement> BbpChannel::rndv_reserve(u32 src, u32 bytes,
 
 Status BbpChannel::rndv_put(u32 dst, const RndvPlacement& placement,
                             std::span<const u8> payload,
-                            const PktHeader& fin_hdr,
-                            std::span<const u8> fin_payload) {
+                            const PktHeader& fin_hdr) {
   // Payload words first, FIN message second: both leave through my port in
   // program order and SCRAMNet delivers one sender's writes in order, so
   // the receiver seeing the FIN implies the payload words have landed.
   ep_.rndv_put(static_cast<u32>(placement.addr), payload);
-  return send_packet(dst, fin_hdr, fin_payload);
+  return send_packet(dst, fin_hdr, {});
 }
 
 Status BbpChannel::rndv_complete(const RndvPlacement& placement,

@@ -57,11 +57,9 @@ class BbpChannel final : public ChannelDevice, public RndvPut {
   // The ring's per-sender write ordering makes the FIN (a regular BBP
   // message from the same sender) arrive after the payload words.
   RndvPut* put() override { return ep_.layout().rndv_words > 0 ? this : nullptr; }
-  Result<RndvPlacement> rndv_reserve(u32 src, u32 bytes,
-                                     std::span<u8> dest) override;
+  Result<RndvPlacement> rndv_reserve(u32 bytes, std::span<u8> dest) override;
   Status rndv_put(u32 dst, const RndvPlacement& placement,
-                  std::span<const u8> payload, const PktHeader& fin_hdr,
-                  std::span<const u8> fin_payload) override;
+                  std::span<const u8> payload, const PktHeader& fin_hdr) override;
   Status rndv_complete(const RndvPlacement& placement, std::span<u8> buf,
                        u32 len) override;
   void rndv_release(const RndvPlacement& placement) override;

@@ -43,9 +43,7 @@ std::optional<Packet> RdmaChannel::poll_packet() {
   return pkt;
 }
 
-Result<RndvPlacement> RdmaChannel::rndv_reserve(u32 src, u32 bytes,
-                                                std::span<u8> dest) {
-  (void)src;  // any peer may write a registered region
+Result<RndvPlacement> RdmaChannel::rndv_reserve(u32 bytes, std::span<u8> dest) {
   // Pin the posted user buffer itself: the NIC will DMA payload bytes
   // directly into it. Registration is the (real, charged) price of the
   // zero-copy path; amortized over a large message it is cheap.
@@ -61,8 +59,7 @@ Result<RndvPlacement> RdmaChannel::rndv_reserve(u32 src, u32 bytes,
 
 Status RdmaChannel::rndv_put(u32 dst, const RndvPlacement& placement,
                              std::span<const u8> payload,
-                             const PktHeader& fin_hdr,
-                             std::span<const u8> fin_payload) {
+                             const PktHeader& fin_hdr) {
   const u64 wr = next_wr_++;
   proc_.delay(RdmaConfig::doorbell);
   fabric_.rdma_put(host_, placement.rkey, static_cast<u32>(placement.addr),
@@ -80,7 +77,7 @@ Status RdmaChannel::rndv_put(u32 dst, const RndvPlacement& placement,
     proc_.delay(RdmaConfig::cq_poll);
     if (ev->wr_id == wr) break;  // stale CQE from a timed-out earlier put
   }
-  return send_packet(dst, fin_hdr, fin_payload);
+  return send_packet(dst, fin_hdr, {});
 }
 
 Status RdmaChannel::rndv_complete(const RndvPlacement& placement,

@@ -52,11 +52,9 @@ class RdmaChannel final : public ChannelDevice, public RndvPut {
   // Zero-copy rendezvous: registration-based placement, NIC-executed put,
   // FIN sent only after the sender's CQE (data provably delivered).
   RndvPut* put() override { return this; }
-  Result<RndvPlacement> rndv_reserve(u32 src, u32 bytes,
-                                     std::span<u8> dest) override;
+  Result<RndvPlacement> rndv_reserve(u32 bytes, std::span<u8> dest) override;
   Status rndv_put(u32 dst, const RndvPlacement& placement,
-                  std::span<const u8> payload, const PktHeader& fin_hdr,
-                  std::span<const u8> fin_payload) override;
+                  std::span<const u8> payload, const PktHeader& fin_hdr) override;
   Status rndv_complete(const RndvPlacement& placement, std::span<u8> buf,
                        u32 len) override;
   void rndv_release(const RndvPlacement& placement) override;

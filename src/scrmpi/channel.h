@@ -117,21 +117,20 @@ class RndvPut {
  public:
   virtual ~RndvPut() = default;
 
-  /// Receiver side: reserve placement for up to `bytes` from world rank
-  /// `src`, targeting the posted user buffer `dest`. On success the
+  /// Receiver side: reserve placement for up to `bytes`, targeting the
+  /// posted user buffer `dest`; any sender may write it. On success the
   /// placement travels back to the sender inside the CTS payload. Failure
   /// (window full, registration failed) is not an error -- the ADI falls
   /// back to the copy path for this message.
-  virtual Result<RndvPlacement> rndv_reserve(u32 src, u32 bytes,
-                                             std::span<u8> dest) = 0;
+  virtual Result<RndvPlacement> rndv_reserve(u32 bytes, std::span<u8> dest) = 0;
 
   /// Sender side: remote-write `payload` into `placement` on `dst`, then
-  /// deliver the FIN packet. The device guarantees FIN arrives after the
-  /// data is visible at the placement (ring ordering on BBP, CQE-gated send
-  /// on RDMA), so the receiver may complete on FIN alone.
+  /// deliver the FIN packet (header only). The device guarantees FIN
+  /// arrives after the data is visible at the placement (ring ordering on
+  /// BBP, CQE-gated send on RDMA), so the receiver may complete on FIN
+  /// alone.
   virtual Status rndv_put(u32 dst, const RndvPlacement& placement,
-                          std::span<const u8> payload, const PktHeader& fin_hdr,
-                          std::span<const u8> fin_payload) = 0;
+                          std::span<const u8> payload, const PktHeader& fin_hdr) = 0;
 
   /// Receiver side, on FIN: make the first `len` placement bytes visible in
   /// `buf`. Devices that staged the payload in replicated memory pay the

@@ -4,10 +4,10 @@
 // experiment pays per event:
 //
 //  * EventNode -- a pooled, fixed-size node whose callable lives in an
-//    inline small-buffer (kInlineBytes). Callables that fit (every device
-//    lambda in this repo) cost zero heap traffic; larger ones fall back to
-//    a counted heap allocation. Nodes are recycled through a freelist, so
-//    steady-state posting never allocates at all.
+//    inline small-buffer (kInlineBytes). push() accepts only callables
+//    that fit, so an oversize capture list is a compile error, not a heap
+//    allocation. Nodes are recycled through a freelist, so steady-state
+//    posting never allocates at all.
 //
 //  * EventQueue -- a two-level calendar queue. Near-future events land in
 //    one of kBuckets fixed-width time buckets (unsorted append, O(1));
@@ -31,7 +31,6 @@
 #include <array>
 #include <bit>
 #include <cassert>
-#include <cstring>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -48,8 +47,17 @@ class EventQueue {
 
  public:
   /// Inline storage for the type-erased callable. 48 bytes covers every
-  /// capture list in the tree (largest today: 40 bytes, in Fabric::deliver_at).
+  /// capture list in the tree (largest today: exactly 48 bytes, the chunk
+  /// lambda of RdmaFabric::rdma_put).
   static constexpr usize kInlineBytes = 48;
+
+  /// The callables push() accepts: invocable, at most kInlineBytes, and no
+  /// more aligned than std::max_align_t.
+  template <typename F>
+  static constexpr bool kFitsInline =
+      std::is_invocable_v<std::decay_t<F>&> &&
+      sizeof(std::decay_t<F>) <= kInlineBytes &&
+      alignof(std::decay_t<F>) <= alignof(std::max_align_t);
 
   /// An event popped but not yet run; opaque outside the kernel. Carries
   /// the invoke pointer so running it never has to chase node->invoke.
@@ -62,7 +70,7 @@ class EventQueue {
   struct Stats {
     u64 posted = 0;          // total events enqueued
     u64 inline_stored = 0;   // callables that fit the inline buffer
-    u64 heap_fallback = 0;   // callables that needed a heap allocation
+    u64 heap_fallback = 0;   // heap-stored callables: 0 by construction
     u64 pool_chunks = 0;     // node-pool growth events (chunk allocations)
     u64 overflow_posted = 0; // events that landed beyond the bucket horizon
     u64 overflow_scanned = 0; // overflow entries migrated into buckets
@@ -84,6 +92,7 @@ class EventQueue {
   /// Enqueue `fn` to run at absolute time `t`. Ties with already-queued
   /// events break in favor of the earlier push.
   template <typename F>
+    requires kFitsInline<F>
   [[gnu::always_inline]] inline void push(SimTime t, F&& fn) {
     Node* n = acquire();
     bind(n, std::forward<F>(fn));
@@ -143,7 +152,7 @@ class EventQueue {
   Stats stats() const {
     Stats s = stats_;
     s.posted = seq_;
-    s.inline_stored = seq_ - s.heap_fallback;
+    s.inline_stored = seq_;
     return s;
   }
 
@@ -185,34 +194,16 @@ class EventQueue {
   template <typename F>
   void bind(Node* n, F&& fn) {
     using Fn = std::decay_t<F>;
-    static_assert(std::is_invocable_v<Fn&>, "event callable must be invocable");
-    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t)) {
-      new (static_cast<void*>(n->buf)) Fn(std::forward<F>(fn));
-      n->invoke = [](void* p) {
-        Fn* f = static_cast<Fn*>(p);
-        DestroyGuard<Fn> g{f};  // destroyed even if the callable throws
-        (*f)();
-      };
-      if constexpr (std::is_trivially_destructible_v<Fn>) {
-        n->destroy = nullptr;
-      } else {
-        n->destroy = [](void* p) { static_cast<Fn*>(p)->~Fn(); };
-      }
+    new (static_cast<void*>(n->buf)) Fn(std::forward<F>(fn));
+    n->invoke = [](void* p) {
+      Fn* f = static_cast<Fn*>(p);
+      DestroyGuard<Fn> g{f};  // destroyed even if the callable throws
+      (*f)();
+    };
+    if constexpr (std::is_trivially_destructible_v<Fn>) {
+      n->destroy = nullptr;
     } else {
-      auto* heap = new Fn(std::forward<F>(fn));
-      std::memcpy(n->buf, &heap, sizeof(heap));
-      n->invoke = [](void* p) {
-        Fn* f;
-        std::memcpy(&f, p, sizeof(f));
-        DeleteGuard<Fn> g{f};
-        (*f)();
-      };
-      n->destroy = [](void* p) {
-        Fn* f;
-        std::memcpy(&f, p, sizeof(f));
-        delete f;
-      };
-      ++stats_.heap_fallback;
+      n->destroy = [](void* p) { static_cast<Fn*>(p)->~Fn(); };
     }
   }
 
@@ -237,11 +228,6 @@ class EventQueue {
   struct DestroyGuard {
     Fn* f;
     ~DestroyGuard() { f->~Fn(); }
-  };
-  template <typename Fn>
-  struct DeleteGuard {
-    Fn* f;
-    ~DeleteGuard() { delete f; }
   };
 
   /// Return a node whose callable has already been destroyed (by the fused

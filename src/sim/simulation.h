@@ -178,14 +178,17 @@ class Simulation {
 
   SimTime now() const { return now_; }
 
-  /// Post a device callback `delay` after now. Any callable works; one
-  /// whose captures fit EventQueue::kInlineBytes is stored allocation-free.
+  /// Post a device callback `delay` after now. The callable's captures
+  /// must fit EventQueue::kInlineBytes (a larger one does not compile), so
+  /// it is stored allocation-free.
   template <typename F>
+    requires EventQueue::kFitsInline<F>
   void post(SimTime delay, F&& fn) {
     queue_.push(now_ + delay, std::forward<F>(fn));
   }
   /// Post a device callback at absolute time t (must be >= now).
   template <typename F>
+    requires EventQueue::kFitsInline<F>
   void post_at(SimTime t, F&& fn) {
     assert(t >= now_ && "cannot post into the past");
     queue_.push(t, std::forward<F>(fn));

@@ -263,18 +263,18 @@ Report run(Spec spec) {
       run_oneway(p, mpi, spec, dests[me], expect[me], plan, per[me]);
   };
 
+  // One SCRAMNet configuration for both devices that sit on the ring.
+  harness::ScramnetOptions so;
+  so.ring.redundant_ring = spec.redundant_ring;
+  so.bbp.slots = spec.bbp_slots;
+  so.bbp.poll_timeout = spec.op_timeout;
+  so.mpi.op_timeout = spec.op_timeout;
+  so.faults = plan;
   SimTime end = 0;
   switch (spec.device) {
-    case Device::kBbp: {
-      harness::ScramnetOptions o;
-      o.ring.redundant_ring = spec.redundant_ring;
-      o.bbp.slots = spec.bbp_slots;
-      o.bbp.poll_timeout = spec.op_timeout;
-      o.mpi.op_timeout = spec.op_timeout;
-      o.faults = plan;
-      end = harness::run_scramnet_mpi(spec.nodes, body, o);
+    case Device::kBbp:
+      end = harness::run_scramnet_mpi(spec.nodes, body, so);
       break;
-    }
     case Device::kSock: {
       harness::TcpOptions o;
       o.mpi.op_timeout = spec.op_timeout;
@@ -282,18 +282,10 @@ Report run(Spec spec) {
       end = harness::run_tcp_mpi(spec.nodes, spec.fabric, body, o);
       break;
     }
-    case Device::kHybrid: {
-      harness::ScramnetOptions so;
-      so.ring.redundant_ring = spec.redundant_ring;
-      so.bbp.slots = spec.bbp_slots;
-      so.bbp.poll_timeout = spec.op_timeout;
-      so.mpi.op_timeout = spec.op_timeout;
-      so.faults = plan;
-      harness::TcpOptions to;
+    case Device::kHybrid:
       end = harness::run_hybrid_mpi(spec.nodes, spec.fabric,
-                                    spec.hybrid_threshold, body, so, to);
+                                    spec.hybrid_threshold, body, so);
       break;
-    }
   }
 
   Report rep;

@@ -144,8 +144,7 @@ class PutMockDevice final : public ChannelDevice, public RndvPut {
 
   RndvPut* put() override { return this; }
 
-  Result<RndvPlacement> rndv_reserve(u32 /*src*/, u32 bytes,
-                                     std::span<u8> dest) override {
+  Result<RndvPlacement> rndv_reserve(u32 bytes, std::span<u8> dest) override {
     if (reserve_fail_) return Status::NoSpace("mock window exhausted");
     regions_.push_back(MockRegion{dest.first(bytes), true});
     RndvPlacement pl;
@@ -155,8 +154,7 @@ class PutMockDevice final : public ChannelDevice, public RndvPut {
   }
 
   Status rndv_put(u32 dst, const RndvPlacement& pl,
-                  std::span<const u8> payload, const PktHeader& fin_hdr,
-                  std::span<const u8> fin_payload) override {
+                  std::span<const u8> payload, const PktHeader& fin_hdr) override {
     MockRegion& r = regions_.at(pl.rkey - 1);
     if (r.live && !payload.empty()) {
       std::memcpy(r.dest.data(), payload.data(),
@@ -164,7 +162,7 @@ class PutMockDevice final : public ChannelDevice, public RndvPut {
     }
     if (!r.live) ++dead_puts_;
     ++puts_;
-    return send_packet(dst, fin_hdr, fin_payload);
+    return send_packet(dst, fin_hdr, {});
   }
 
   Status rndv_complete(const RndvPlacement&, std::span<u8>, u32) override {

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "bbp/api.h"
 #include "bbp/endpoint.h"
 #include "common/bytes.h"
 #include "scramnet/ring.h"
@@ -408,37 +407,14 @@ TEST(Bbp, ZeroLengthLiveSlotDoesNotCorruptAllocator) {
   s.run();
 }
 
-TEST(Bbp, PaperApiVeneer) {
+TEST(Bbp, EndpointRejectsARankOutsideItsSession) {
   sim::Simulation sim;
   Ring ring(sim, RingConfig{.nodes = 2, .bank_words = 4096});
-  sim.spawn("rank0", [&](sim::Process& p) {
-    SimHostPort port(ring, 0, p);
-    Bbp bbp;
-    ASSERT_TRUE(bbp.init(port, 2, 0).ok());
-    EXPECT_FALSE(bbp.init(port, 2, 0).ok());  // double init rejected
-    const auto msg = make_msg(16, 2);
-    ASSERT_TRUE(bbp.Send(1, msg).ok());
-  });
   sim.spawn("rank1", [&](sim::Process& p) {
     SimHostPort port(ring, 1, p);
-    Bbp bbp;
-    EXPECT_EQ(bbp.init(port, 2, 2).code(), StatusCode::kInvalidArg);  // rank >= nprocs
-    ASSERT_TRUE(bbp.init(port, 2, 1).ok());
-    p.delay(us(30));
-    EXPECT_TRUE(bbp.MsgAvail());
-    std::vector<u8> buf(16);
-    auto r = bbp.Recv(0, buf);
-    ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(check_pattern(buf, 2));
+    EXPECT_THROW({ Endpoint ep(port, 2, 2); }, std::invalid_argument);  // rank >= procs
   });
   sim.run();
-}
-
-TEST(Bbp, UninitializedApiReturnsUnavailable) {
-  Bbp bbp;
-  std::vector<u8> buf(4);
-  EXPECT_EQ(bbp.Send(0, buf).code(), StatusCode::kUnavailable);
-  EXPECT_FALSE(bbp.MsgAvail());
 }
 
 TEST(Bbp, LayoutRejectsABankTooSmallForItsControlPartition) {

@@ -16,6 +16,7 @@
 #include "bbp/endpoint.h"
 #include "common/bytes.h"
 #include "fault/plan.h"
+#include "harness/benchops.h"
 #include "harness/cluster.h"
 #include "netmodels/ethernet.h"
 #include "scramnet/hierarchy.h"
@@ -466,6 +467,22 @@ TEST(FaultPlan, FrameLossIsSeededAndOrderIndependent) {
   EXPECT_EQ(a.first + a.second, 40u);
 }
 
+TEST(FaultPlan, SocketsApiPingPongArmsItsPlan) {
+  // The Figure 2 sockets-API measurement arms TcpOptions::faults against
+  // its fabric like every harness run: congestion on every frame in the
+  // window stretches each one-way trip by the added delay.
+  using harness::TcpFabricKind;
+  const double clean = harness::tcp_api_oneway_us(TcpFabricKind::kFastEthernet, 64, 4, 1);
+  fault::FaultPlan plan;
+  plan.fabric_congestion(0, ms(10), us(5));
+  harness::TcpOptions opts;
+  opts.faults = &plan;
+  const double slowed =
+      harness::tcp_api_oneway_us(TcpFabricKind::kFastEthernet, 64, 4, 1, opts);
+  EXPECT_GE(slowed, clean + 5.0);
+  EXPECT_GT(plan.fired(fault::FaultKind::kCongestion), 0u);
+}
+
 TEST(FaultPlan, BbpTimesOutInsteadOfHanging) {
   // The BbpStallsForeverWithoutRedundancy scenario again, but with a
   // bounded wait configured: both sides come back with kTimedOut and the
@@ -776,8 +793,7 @@ std::string lost_message_report(const std::string& device, SimTime* sent) {
       harness::run_tcp_mpi(2, harness::TcpFabricKind::kFastEthernet, body, topts);
     if (device == "rdma") harness::run_rdma_mpi(2, body, ropts);
     if (device == "hybrid")
-      harness::run_hybrid_mpi(2, harness::TcpFabricKind::kMyrinet, 1024, body, sopts,
-                              topts);
+      harness::run_hybrid_mpi(2, harness::TcpFabricKind::kMyrinet, 1024, body, sopts);
   });
 }
 

@@ -12,6 +12,7 @@
 #include "bbp/endpoint.h"
 #include "common/bytes.h"
 #include "fault/plan.h"
+#include "harness/benchops.h"
 #include "harness/cluster.h"
 #include "obs/counters.h"
 #include "obs/sink.h"
@@ -97,7 +98,8 @@ TEST_F(ObsTest, UnwritablePathsFailWithoutThrowing) {
 
 /// Every harness entry point publishes its ranks', fabric's, fault plan's
 /// and kernel's counters into the simulation's sink once counters are
-/// enabled; the sink writes them as one JSON document.
+/// enabled; the sink writes them as one JSON document. The bench-level
+/// measurements that build their own simulation publish the same way.
 TEST_F(ObsTest, HarnessRunsPublishCountersIntoTheirSink) {
   Counters::global().enable(true);
   Sink sink("harness");
@@ -142,14 +144,25 @@ TEST_F(ObsTest, HarnessRunsPublishCountersIntoTheirSink) {
   const std::string json((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   EXPECT_NE(json.find("\"mpi.rank0\":{"), std::string::npos);
   EXPECT_FALSE(Sink().flush_counters_to(base));  // nothing recorded
+
+  // Figure 2's baselines run on the same path: the sockets API over ATM
+  // and the native Myrinet API publish their kernel and fabric counts.
+  const auto published = [](const auto& measure) {
+    Sink own("baseline");
+    Sink::Scope scope(own);
+    EXPECT_GT(measure(), 0.0);
+    EXPECT_GT(own.counters().get("sim", "events_executed"), 0u);
+    EXPECT_GT(own.counters().get("net", "frames_delivered"), 0u);
+  };
+  published([] { return harness::tcp_api_oneway_us(harness::TcpFabricKind::kAtm, 64, 2, 1); });
+  published([] { return harness::myrinet_api_oneway_us(64, 2, 1); });
 }
 
 TEST_F(ObsTest, CountersAccumulateAndDump) {
   Counters& c = Counters::global();
   c.add("bbp.rank0", "sends", 3);
   c.add("bbp.rank0", "sends", 2);
-  c.set("ring", "packets_sent", 41);
-  c.set("ring", "packets_sent", 42);
+  c.add("ring", "packets_sent", 42);
   EXPECT_EQ(c.get("bbp.rank0", "sends"), 5u);
   EXPECT_EQ(c.get("ring", "packets_sent"), 42u);
   EXPECT_EQ(c.get("ring", "no_such_counter"), 0u);

@@ -143,8 +143,8 @@ TEST(RdmaChannel, CqeOfATimedOutPutIsNotTakenForTheNextPut) {
     pl.bytes = 64;
     scrmpi::PktHeader fin;
     fin.kind = scrmpi::PktKind::kRndvFin;
-    first = ch.put()->rndv_put(1, pl, src, fin, {});
-    second = ch.put()->rndv_put(1, pl, src, fin, {});
+    first = ch.put()->rndv_put(1, pl, src, fin);
+    second = ch.put()->rndv_put(1, pl, src, fin);
   });
   sim.run();
   EXPECT_EQ(first.code(), StatusCode::kTimedOut);

@@ -5,6 +5,7 @@
 // valve, and bit-reproducibility of a full device-model run.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -219,19 +220,46 @@ TEST(EventQueueTest, SteadyStateChainDoesNotAllocate) {
   EXPECT_EQ(st.pool_chunks, 1u) << "steady-state chain should reuse one chunk";
 }
 
-TEST(EventQueueTest, OversizedCallableTakesCountedHeapFallback) {
+// Every event is stored inline: push(), post() and post_at() accept only
+// callables that fit EventQueue::kInlineBytes and std::max_align_t.
+template <usize N>
+struct Payload {
+  unsigned char bytes[N];
+  void operator()() const {}
+};
+struct alignas(2 * alignof(std::max_align_t)) OverAligned {
+  void operator()() const {}
+};
+template <typename F>
+constexpr bool kPushable = requires(sim::EventQueue& q, F f) { q.push(SimTime{1}, f); };
+template <typename F>
+constexpr bool kPostable = requires(sim::Simulation& s, F f) { s.post(ns(1), f); };
+template <typename F>
+constexpr bool kPostableAt = requires(sim::Simulation& s, F f) { s.post_at(ns(1), f); };
+
+TEST(EventQueueTest, OversizedCallableDoesNotCompile) {
+  using Fits = Payload<sim::EventQueue::kInlineBytes>;
+  using Big = Payload<sim::EventQueue::kInlineBytes + 1>;
+  static_assert(kPushable<Fits> && kPostable<Fits> && kPostableAt<Fits>);
+  static_assert(!kPushable<Big> && !kPostable<Big> && !kPostableAt<Big>);
+  static_assert(!kPushable<OverAligned> && !kPostable<OverAligned> &&
+                !kPostableAt<OverAligned>);
+  static_assert(!kPostable<int>, "not invocable");
+
+  // A callable of exactly kInlineBytes runs from the inline buffer.
   sim::Simulation simu;
-  // 64 bytes of captured state: larger than EventQueue::kInlineBytes.
-  struct Big {
-    unsigned char payload[sim::EventQueue::kInlineBytes + 16];
-  };
-  Big big{};
-  big.payload[0] = 7;
   int seen = 0;
-  simu.post(ns(1), [big, &seen] { seen = big.payload[0]; });
+  struct Full {
+    int* seen;
+    unsigned char pad[sim::EventQueue::kInlineBytes - sizeof(int*)];
+    void operator()() const { *seen = 7; }
+  };
+  static_assert(sizeof(Full) == sim::EventQueue::kInlineBytes);
+  simu.post(ns(1), Full{&seen, {}});
   simu.run();
   EXPECT_EQ(seen, 7);
-  EXPECT_EQ(simu.queue_stats().heap_fallback, 1u);
+  EXPECT_EQ(simu.queue_stats().heap_fallback, 0u);
+  EXPECT_EQ(simu.queue_stats().inline_stored, 1u);
 }
 
 TEST(EventQueueTest, NonTrivialCallableDestroyedWithoutRunning) {
