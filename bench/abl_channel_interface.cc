@@ -42,9 +42,9 @@ int main() {
   Series a{"MPI w/ channel iface", {}}, b{"MPI direct-ADI (est.)", {}},
       zc{"MPI zero-copy rndv", {}}, api{"raw BBP API", {}};
   for (u32 s : sizes) {
-    a.us.push_back(mpi_scramnet_oneway_us(s, 4, 20, 4, with_ci));
-    b.us.push_back(mpi_scramnet_oneway_us(s, 4, 20, 4, no_ci));
-    zc.us.push_back(mpi_scramnet_oneway_us(s, 4, 20, 4, zero_copy));
+    a.us.push_back(mpi_scramnet_oneway_us(s, 4, with_ci));
+    b.us.push_back(mpi_scramnet_oneway_us(s, 4, no_ci));
+    zc.us.push_back(mpi_scramnet_oneway_us(s, 4, zero_copy));
     api.us.push_back(bbp_oneway_us(s));
   }
   print_series(sizes, {a, b, zc, api});

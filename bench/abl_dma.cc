@@ -72,7 +72,7 @@ int main() {
     }
     t.add_row({std::to_string(s), Table::num(a), Table::num(b),
                Table::num(bbp_throughput_mbps(s, 1u << 20)),
-               Table::num(bbp_throughput_mbps(s, 1u << 20, 4, dma_opts()))});
+               Table::num(bbp_throughput_mbps(s, 1u << 20, dma_opts()))});
   }
   t.print(std::cout);
 

@@ -13,17 +13,19 @@ int main() {
   header("Ablation: Ethernet switch forwarding mode",
          "sensitivity of Figure 2's SCRAMNet-vs-FastEthernet crossover");
 
-  TcpOptions ct;  // default: cut-through
-  TcpOptions snf;
-  snf.ethernet.store_and_forward = true;
+  netmodels::EthernetConfig ct;  // default: cut-through
+  netmodels::EthernetConfig snf;
+  snf.store_and_forward = true;
 
   const std::vector<u32> sizes{0, 64, 256, 512, 1000, 1500, 3000, 5000};
   Series scr{"SCRAMNet API", {}}, fe_ct{"FE TCP cut-through", {}},
       fe_snf{"FE TCP store&fwd", {}};
   for (u32 s : sizes) {
     scr.us.push_back(bbp_oneway_us(s));
-    fe_ct.us.push_back(tcp_api_oneway_us(TcpFabricKind::kFastEthernet, s, 20, 4, ct));
-    fe_snf.us.push_back(tcp_api_oneway_us(TcpFabricKind::kFastEthernet, s, 20, 4, snf));
+    fe_ct.us.push_back(
+        tcp_api_oneway_us(TcpFabricKind::kFastEthernet, s, kIters, kWarmup, ct));
+    fe_snf.us.push_back(
+        tcp_api_oneway_us(TcpFabricKind::kFastEthernet, s, kIters, kWarmup, snf));
   }
   print_series(sizes, {scr, fe_ct, fe_snf});
 

@@ -30,8 +30,8 @@ int main() {
   Table t({"message bytes", "fixed-4B tput (MB/s)", "variable tput (MB/s)"});
   for (u32 s : {1024u, 16384u, 65536u}) {
     t.add_row({std::to_string(s),
-               Table::num(bbp_throughput_mbps(s, 1u << 20, 4, fixed)),
-               Table::num(bbp_throughput_mbps(s, 1u << 20, 4, variable))});
+               Table::num(bbp_throughput_mbps(s, 1u << 20, fixed)),
+               Table::num(bbp_throughput_mbps(s, 1u << 20, variable))});
   }
   std::cout << '\n';
   t.print(std::cout);
@@ -41,8 +41,8 @@ int main() {
               std::abs(f.us[1] - v.us[1]) < 2.0);
   check_shape("variable mode wins decisively on large-message latency",
               v.us.back() < 0.6 * f.us.back());
-  const double tf = bbp_throughput_mbps(65536, 1u << 20, 4, fixed);
-  const double tv = bbp_throughput_mbps(65536, 1u << 20, 4, variable);
+  const double tf = bbp_throughput_mbps(65536, 1u << 20, fixed);
+  const double tv = bbp_throughput_mbps(65536, 1u << 20, variable);
   check_shape("variable-mode throughput ~2.5x fixed mode (16.7 vs 6.5 MB/s)",
               tv / tf > 1.8 && tv / tf < 3.2);
   return 0;

@@ -9,12 +9,14 @@
 // slowest-binary-wall-clock on an idle multicore box.
 //
 //   repro_all [--jobs N] [--update-golden] [--no-compare]
-//             [--bindir DIR] [--golden DIR]
 //
-// Exit status is the number of mismatching/failed binaries (0 = suite
-// reproduces bit-exactly). --update-golden rewrites the golden files from
-// the current outputs instead of diffing (then exits 0 unless a binary
-// itself failed). --no-compare skips the golden diff entirely and fails
+// The suite binaries are this binary's siblings; the golden files are the
+// source tree's bench/golden/. Exit status is the number of
+// mismatching/failed binaries (0 = suite reproduces bit-exactly), or 2
+// with a usage line, before any binary runs, on an argument not listed
+// above. --update-golden rewrites the golden files from the current
+// outputs instead of diffing (then exits 0 unless a binary itself
+// failed). --no-compare skips the golden diff entirely and fails
 // only on nonzero child exits: the mode for runs under perturbing env
 // knobs (e.g. SCRNET_RNDV_EAGER_MAX forcing the rendezvous path), where
 // the outputs legitimately differ and the check is "every figure still
@@ -32,10 +34,6 @@
 #include "common/types.h"
 #include "sim/fiber.h"
 #include "sweep/runner.h"
-
-#ifndef SCRNET_GOLDEN_DIR
-#define SCRNET_GOLDEN_DIR "bench/golden"
-#endif
 
 using namespace scrnet;
 
@@ -83,7 +81,7 @@ std::string self_dir(const char* argv0) {
 RunResult run_one(const std::string& bindir, const std::string& name) {
   RunResult r;
   // Run the child sequential; quoting is safe because bindir comes from
-  // argv[0]/--bindir, not from untrusted input.
+  // argv[0], not from untrusted input.
   const std::string cmd = "'" + bindir + "/" + name + "' --jobs 1 2>&1";
   const auto t0 = std::chrono::steady_clock::now();
   FILE* p = popen(cmd.c_str(), "r");
@@ -136,17 +134,22 @@ std::string first_diff(const std::string& want, const std::string& got) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string bindir = self_dir(argv[0]);
-  std::string golden_dir = SCRNET_GOLDEN_DIR;
+  const std::string bindir = self_dir(argv[0]);
+  const std::string golden_dir = SCRNET_GOLDEN_DIR;
   bool update = false;
   bool compare = true;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--update-golden") == 0) update = true;
-    if (std::strcmp(argv[i], "--no-compare") == 0) compare = false;
-    if (std::strcmp(argv[i], "--bindir") == 0 && i + 1 < argc)
-      bindir = argv[++i];
-    if (std::strcmp(argv[i], "--golden") == 0 && i + 1 < argc)
-      golden_dir = argv[++i];
+    if (std::strcmp(argv[i], "--update-golden") == 0) {
+      update = true;
+    } else if (std::strcmp(argv[i], "--no-compare") == 0) {
+      compare = false;
+    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+      ++i;  // sweep::parse_jobs reads the value
+    } else if (std::strncmp(argv[i], "--jobs=", 7) != 0) {
+      std::cerr << "repro_all: unknown argument '" << argv[i] << "'\n"
+                << "usage: repro_all [--jobs N] [--update-golden] [--no-compare]\n";
+      return 2;
+    }
   }
 
   sweep::Runner runner(sweep::parse_jobs(argc, argv));

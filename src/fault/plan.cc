@@ -277,10 +277,9 @@ netmodels::FaultHook::Verdict FaultPlan::on_frame(const netmodels::Frame& f,
 
 // -- observability ----------------------------------------------------------
 
-void FaultPlan::publish_counters(obs::Counters& c,
-                                 std::string_view group) const {
+void FaultPlan::publish_counters(obs::Counters& c) const {
   for (u32 k = 0; k < static_cast<u32>(FaultKind::kCount); ++k) {
-    c.add(group, kind_name(static_cast<FaultKind>(k)), fired_[k].get());
+    c.add("fault", kind_name(static_cast<FaultKind>(k)), fired_[k].get());
   }
 }
 

@@ -170,8 +170,8 @@ class FaultPlan final : public netmodels::FaultHook {
 
   /// Count of injections of `k` that have actually taken effect so far.
   u64 fired(FaultKind k) const { return fired_[static_cast<u32>(k)].get(); }
-  /// Publish per-kind injection counts under `group`.
-  void publish_counters(obs::Counters& c, std::string_view group = "fault") const;
+  /// Publish per-kind injection counts under the group "fault".
+  void publish_counters(obs::Counters& c) const;
 
  private:
   struct PauseWindow {

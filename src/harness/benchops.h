@@ -30,58 +30,62 @@ struct RoundClock {
   }
 };
 
+/// The paper's cluster size, and the timed rounds and untimed warm-up
+/// rounds before them. Every driver below runs this many rounds; the three
+/// API-level ping-pongs take other counts too.
+inline constexpr u32 kNodes = 4;
+inline constexpr u32 kIters = 20;
+inline constexpr u32 kWarmup = 4;
+
 /// Average one-way latency (us) of `bytes`-sized messages at the BBP API
 /// level between ranks 0 and 1 of an `nodes`-node SCRAMNet cluster,
 /// measured over `iters` ping-pong round trips after `warmup` rounds.
-double bbp_oneway_us(u32 bytes, u32 nodes = 4, u32 iters = 20, u32 warmup = 4,
-                     ScramnetOptions opts = {});
+double bbp_oneway_us(u32 bytes, u32 nodes = kNodes, u32 iters = kIters,
+                     u32 warmup = kWarmup, ScramnetOptions opts = {});
 
 /// Same at the MPI layer over ch_bbp.
-double mpi_scramnet_oneway_us(u32 bytes, u32 nodes = 4, u32 iters = 20,
-                              u32 warmup = 4, ScramnetOptions opts = {});
+double mpi_scramnet_oneway_us(u32 bytes, u32 nodes = kNodes,
+                              ScramnetOptions opts = {});
 
 /// One-way latency (us) over a TCP/IP fabric at the sockets API level.
-/// `opts.faults` is armed against the fabric; `opts.mpi` does not apply.
-double tcp_api_oneway_us(TcpFabricKind kind, u32 bytes, u32 iters = 20,
-                         u32 warmup = 4, TcpOptions opts = {});
+/// `ethernet` applies to Fast Ethernet only; `faults` (may be null) is
+/// armed against the fabric.
+double tcp_api_oneway_us(TcpFabricKind kind, u32 bytes, u32 iters = kIters,
+                         u32 warmup = kWarmup,
+                         const netmodels::EthernetConfig& ethernet = {},
+                         fault::FaultPlan* faults = nullptr);
 
 /// One-way latency (us) at the native Myrinet API level.
-double myrinet_api_oneway_us(u32 bytes, u32 iters = 20, u32 warmup = 4);
+double myrinet_api_oneway_us(u32 bytes, u32 iters = kIters, u32 warmup = kWarmup);
 
-/// One-way latency (us) at the MPI layer over ch_sock on a fabric.
-double mpi_tcp_oneway_us(TcpFabricKind kind, u32 bytes, u32 iters = 20,
-                         u32 warmup = 4, TcpOptions opts = {});
+/// One-way latency (us) at the MPI layer over ch_sock on a 2-node fabric.
+double mpi_tcp_oneway_us(TcpFabricKind kind, u32 bytes);
 
 /// One-way latency (us) at the MPI layer over ch_hybrid between the two
 /// nodes of a SCRAMNet + Myrinet cluster split at `threshold` bytes.
 double mpi_hybrid_oneway_us(u32 bytes, u32 threshold);
 
 /// BBP-level broadcast latency (us): time from the root's send until the
-/// *last* of the `nodes-1` receivers has the payload; averaged over iters
-/// (receivers ack back a 0-byte message between rounds to resynchronize).
-double bbp_bcast_us(u32 bytes, u32 nodes = 4, u32 iters = 20, u32 warmup = 4,
-                    ScramnetOptions opts = {});
+/// *last* of the `nodes-1` receivers has the payload; averaged over the
+/// timed rounds (receivers ack back a 0-byte message between rounds to
+/// resynchronize).
+double bbp_bcast_us(u32 bytes, u32 nodes = kNodes);
 
-/// MPI_Bcast latency (us) with the given algorithm over SCRAMNet.
-double mpi_scramnet_bcast_us(u32 bytes, scrmpi::CollAlgo algo, u32 nodes = 4,
-                             u32 iters = 20, u32 warmup = 4,
-                             ScramnetOptions opts = {});
+/// `kNodes`-node MPI_Bcast latency (us) with the given algorithm over SCRAMNet.
+double mpi_scramnet_bcast_us(u32 bytes, scrmpi::CollAlgo algo);
 
-/// MPI_Bcast latency (us) over a TCP fabric (always point-to-point trees).
-double mpi_tcp_bcast_us(TcpFabricKind kind, u32 bytes, u32 iters = 20,
-                        u32 warmup = 4, TcpOptions opts = {});
+/// `kNodes`-node MPI_Bcast latency (us) over a TCP fabric (always
+/// point-to-point trees).
+double mpi_tcp_bcast_us(TcpFabricKind kind, u32 bytes);
 
 /// MPI_Barrier latency (us) over SCRAMNet with the given algorithm.
-double mpi_scramnet_barrier_us(scrmpi::CollAlgo algo, u32 nodes = 4,
-                               u32 iters = 20, u32 warmup = 4,
-                               ScramnetOptions opts = {});
+double mpi_scramnet_barrier_us(scrmpi::CollAlgo algo, u32 nodes);
 
 /// MPI_Barrier latency (us) over a TCP fabric.
-double mpi_tcp_barrier_us(TcpFabricKind kind, u32 nodes = 4, u32 iters = 20,
-                          u32 warmup = 4, TcpOptions opts = {});
+double mpi_tcp_barrier_us(TcpFabricKind kind, u32 nodes);
 
-/// Sustained one-way throughput (MB/s) at the BBP level for a message size.
-double bbp_throughput_mbps(u32 bytes, u32 total_bytes, u32 nodes = 4,
-                           ScramnetOptions opts = {});
+/// Sustained one-way throughput (MB/s) at the BBP level for a message size,
+/// between two nodes of a `kNodes`-node ring.
+double bbp_throughput_mbps(u32 bytes, u32 total_bytes, ScramnetOptions opts = {});
 
 }  // namespace scrnet::harness

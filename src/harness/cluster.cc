@@ -92,11 +92,11 @@ SimTime run_scramnet_mpi(
 
 SimTime run_hybrid_mpi(u32 nodes, TcpFabricKind bulk_kind, u32 threshold,
                        const std::function<void(sim::Process&, scrmpi::Mpi&)>& body,
-                       ScramnetOptions sopts, const netmodels::EthernetConfig& bulk) {
+                       ScramnetOptions sopts) {
   sim::Simulation sim;
   sopts.ring.nodes = nodes;
   scramnet::Ring ring(sim, sopts.ring);
-  auto fabric = make_fabric(sim, nodes, bulk_kind, bulk);
+  auto fabric = make_fabric(sim, nodes, bulk_kind, {});
   const netmodels::TcpConfig stack_cfg = default_stack(bulk_kind);
   return run_cluster(sim, nodes, "hybrid-rank", &ring, fabric.get(), sopts.faults,
                      [&](sim::Process& p, u32 r) {
@@ -139,7 +139,7 @@ std::unique_ptr<netmodels::Fabric> make_fabric(sim::Simulation& sim, u32 nodes,
 
 SimTime run_rdma_mpi(u32 nodes,
                      const std::function<void(sim::Process&, scrmpi::Mpi&)>& body,
-                     RdmaOptions opts) {
+                     FabricOptions opts) {
   sim::Simulation sim;
   netmodels::RdmaFabric fabric(sim, nodes);
   return run_cluster(sim, nodes, "rdma-rank", nullptr, &fabric, opts.faults,
@@ -153,9 +153,9 @@ SimTime run_rdma_mpi(u32 nodes,
 
 SimTime run_tcp_mpi(u32 nodes, TcpFabricKind kind,
                     const std::function<void(sim::Process&, scrmpi::Mpi&)>& body,
-                    TcpOptions opts) {
+                    FabricOptions opts) {
   sim::Simulation sim;
-  auto fabric = make_fabric(sim, nodes, kind, opts.ethernet);
+  auto fabric = make_fabric(sim, nodes, kind, {});
   const netmodels::TcpConfig stack_cfg = default_stack(kind);
   return run_cluster(sim, nodes, "mpi-" + to_string(kind) + "-rank", nullptr,
                      fabric.get(), opts.faults, [&](sim::Process& p, u32 r) {

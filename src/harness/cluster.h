@@ -51,15 +51,16 @@ inline std::string to_string(TcpFabricKind k) {
   return "?";
 }
 
-/// The stack is always default_stack(kind); ATM and Myrinet have no dials.
-struct TcpOptions {
-  netmodels::EthernetConfig ethernet;
+/// Options of the TCP and RDMA runs. The TCP stack is always
+/// default_stack(kind), and the fabric is built with its defaults.
+struct FabricOptions {
   // Per-byte channel costs are device-owned (SockChannel::pack_cost), so
   // the same LayerCosts work across devices.
   scrmpi::LayerCosts mpi;
   /// Optional fault plan, armed against the fabric before any rank starts
-  /// (partitions, frame loss, congestion; host dials do not apply to the
-  /// TCP path). Must outlive the run; invalid plans throw at startup.
+  /// (partitions, frame loss, congestion; for RDMA they apply to eager
+  /// frames and put chunks alike; host dials do not apply). Must outlive
+  /// the run; invalid plans throw at startup.
   fault::FaultPlan* faults = nullptr;
 };
 
@@ -91,33 +92,24 @@ SimTime run_scramnet_mpi(
 /// fabric at the MPI level (ch_sock device).
 SimTime run_tcp_mpi(u32 nodes, TcpFabricKind kind,
                     const std::function<void(sim::Process&, scrmpi::Mpi&)>& body,
-                    TcpOptions opts = {});
-
-struct RdmaOptions {
-  scrmpi::LayerCosts mpi;
-  /// Optional fault plan, armed against the RDMA fabric (partitions, frame
-  /// loss, congestion apply to eager frames and put chunks alike). Must
-  /// outlive the run; invalid plans throw at startup.
-  fault::FaultPlan* faults = nullptr;
-};
+                    FabricOptions opts = {});
 
 /// Run `body` on every rank of an N-node RDMA cluster (ch_rdma device over
 /// netmodels::RdmaFabric): eager frames two-sided, rendezvous payloads
 /// NIC-put directly into registered receive buffers.
 SimTime run_rdma_mpi(u32 nodes,
                      const std::function<void(sim::Process&, scrmpi::Mpi&)>& body,
-                     RdmaOptions opts = {});
+                     FabricOptions opts = {});
 
 /// Run `body` on every rank of a *hybrid* cluster: every node sits on both
 /// a SCRAMNet ring (latency) and a TCP fabric (bandwidth), glued by
 /// scrmpi::HybridChannel with the given payload threshold. This is the
 /// paper's Section 7 "SCRAMNet together with Myrinet/ATM" design. The
-/// fault plan in `sopts` is armed against the ring and the bulk fabric;
-/// `bulk` configures the bulk fabric when it is Fast Ethernet.
+/// fault plan in `sopts` is armed against the ring and the bulk fabric,
+/// which is built with its defaults.
 SimTime run_hybrid_mpi(u32 nodes, TcpFabricKind bulk_kind, u32 threshold,
                        const std::function<void(sim::Process&, scrmpi::Mpi&)>& body,
-                       ScramnetOptions sopts = {},
-                       const netmodels::EthernetConfig& bulk = {});
+                       ScramnetOptions sopts = {});
 
 /// Default TCP stack parameters for a fabric kind.
 netmodels::TcpConfig default_stack(TcpFabricKind kind);

@@ -37,6 +37,17 @@ void run_rounds(sim::Process& p, Mpi& mpi, const MeasureSpec& s,
   mpi.set_allreduce_algo(AllreduceAlgo::kReduceBcast);
   mpi.set_allgather_algo(AllgatherAlgo::kGatherBcast);
 
+  // One timed call per round, after a combine-release sync barrier outside
+  // the measured window; done is the last rank's return.
+  const auto synced_rounds = [&](sim::FnRef<void()> op) {
+    for (u32 i = 0; i < rounds; ++i) {
+      mpi.barrier(w);
+      if (me == 0) clk.start[i] = p.now();
+      op();
+      clk.record_done(i, p.now());
+    }
+  };
+
   if (s.op == "barrier") {
     mpi.set_barrier_algo(
         scrmpi::coll::coll_algo_from_name(s.algo, CollAlgo::kPointToPoint));
@@ -55,12 +66,7 @@ void run_rounds(sim::Process& p, Mpi& mpi, const MeasureSpec& s,
     mpi.set_bcast_algo(
         scrmpi::coll::coll_algo_from_name(s.algo, CollAlgo::kBinomial));
     std::vector<u8> buf(std::max<u32>(s.bytes, 1), 0x5a);
-    for (u32 i = 0; i < rounds; ++i) {
-      mpi.barrier(w);  // combine-release sync, outside the measured window
-      if (me == 0) clk.start[i] = p.now();
-      mpi.bcast(buf.data(), s.bytes, Datatype::kByte, 0, w);
-      clk.record_done(i, p.now());
-    }
+    synced_rounds([&] { mpi.bcast(buf.data(), s.bytes, Datatype::kByte, 0, w); });
     return;
   }
 
@@ -72,13 +78,9 @@ void run_rounds(sim::Process& p, Mpi& mpi, const MeasureSpec& s,
     // exactly, so the result (though unused) is algorithm-independent.
     std::vector<double> in(count), out(count);
     for (u32 i = 0; i < count; ++i) in[i] = static_cast<double>(i % 64);
-    for (u32 i = 0; i < rounds; ++i) {
-      mpi.barrier(w);
-      if (me == 0) clk.start[i] = p.now();
-      mpi.allreduce(in.data(), out.data(), count, Datatype::kDouble,
-                    ReduceOp::kSum, w);
-      clk.record_done(i, p.now());
-    }
+    synced_rounds([&] {
+      mpi.allreduce(in.data(), out.data(), count, Datatype::kDouble, ReduceOp::kSum, w);
+    });
     return;
   }
 
@@ -87,12 +89,8 @@ void run_rounds(sim::Process& p, Mpi& mpi, const MeasureSpec& s,
         s.algo, AllgatherAlgo::kGatherBcast));
     const u32 block = std::max<u32>(s.bytes, 1);
     std::vector<u8> in(block, static_cast<u8>(me)), out(block * s.nodes);
-    for (u32 i = 0; i < rounds; ++i) {
-      mpi.barrier(w);
-      if (me == 0) clk.start[i] = p.now();
-      mpi.allgather(in.data(), block, Datatype::kByte, out.data(), w);
-      clk.record_done(i, p.now());
-    }
+    synced_rounds(
+        [&] { mpi.allgather(in.data(), block, Datatype::kByte, out.data(), w); });
     return;
   }
 

@@ -33,6 +33,10 @@ struct RankStats {
 constexpr u32 kSendAbortStreak = 2;
 constexpr u32 kRecvAbortStreak = 3;
 
+constexpr u32 kHybridThreshold = 512;  // kHybrid payload split
+constexpr u32 kReplyBytes = 16;        // kRpc reply payload
+constexpr double kHotFraction = 0.7;   // kHotspot bias toward rank 0
+
 /// One-way latency is measured with a virtual-time stamp in the first 8
 /// payload bytes -- sender and receiver share the simulation clock, so
 /// the difference is exact (and deterministic).
@@ -63,7 +67,7 @@ std::vector<std::vector<u32>> dest_table(const Spec& s) {
         Rng rng(s.seed + 0x9E3779B97F4A7C15ull * (r + 1));
         for (u32 k = 0; k < s.ops; ++k) {
           u32 d = 0;
-          if (s.nodes > 2 && !rng.chance(s.hot_fraction)) {
+          if (s.nodes > 2 && !rng.chance(kHotFraction)) {
             d = static_cast<u32>(rng.below(s.nodes - 1));
             if (d >= r) ++d;  // uniform over ranks != r
           }
@@ -180,12 +184,11 @@ void run_rpc(sim::Process& p, scrmpi::Mpi& mpi, const Spec& s,
   const u32 me = mpi.engine().rank();
   const u32 half = s.nodes / 2;
   const u32 req_n = std::max<u32>(s.msg_bytes, 8);
-  const u32 rep_n = std::max<u32>(s.reply_bytes, 8);
   if (me >= 2 * half) return;  // odd node count: last rank sits out
 
   if (me < half) {
     const i32 server = static_cast<i32>(me + half);
-    std::vector<u8> req(req_n, 0), reply(rep_n, 0);
+    std::vector<u8> req(req_n, 0), reply(kReplyBytes, 0);
     fill_pattern(req, me);
     u32 streak = 0;
     for (u32 k = 0; k < s.ops; ++k) {
@@ -202,7 +205,7 @@ void run_rpc(sim::Process& p, scrmpi::Mpi& mpi, const Spec& s,
                       static_cast<i32>(k), world);
       }
       if (ms.ok()) {
-        ms = mpi.recv(reply.data(), rep_n, scrmpi::Datatype::kByte, server,
+        ms = mpi.recv(reply.data(), kReplyBytes, scrmpi::Datatype::kByte, server,
                       static_cast<i32>(k), world);
       }
       if (ms.ok()) {
@@ -219,7 +222,7 @@ void run_rpc(sim::Process& p, scrmpi::Mpi& mpi, const Spec& s,
     }
   } else {
     const i32 client = static_cast<i32>(me - half);
-    std::vector<u8> req(req_n, 0), reply(rep_n, 0);
+    std::vector<u8> req(req_n, 0), reply(kReplyBytes, 0);
     fill_pattern(reply, me);
     u32 streak = 0;
     for (u32 k = 0; k < s.ops; ++k) {
@@ -238,7 +241,7 @@ void run_rpc(sim::Process& p, scrmpi::Mpi& mpi, const Spec& s,
         continue;
       }
       streak = 0;
-      ms = mpi.send(reply.data(), rep_n, scrmpi::Datatype::kByte, client,
+      ms = mpi.send(reply.data(), kReplyBytes, scrmpi::Datatype::kByte, client,
                     static_cast<i32>(k), world);
       if (!ms.ok()) st.failed(ms);
     }
@@ -276,7 +279,7 @@ Report run(Spec spec) {
       end = harness::run_scramnet_mpi(spec.nodes, body, so);
       break;
     case Device::kSock: {
-      harness::TcpOptions o;
+      harness::FabricOptions o;
       o.mpi.op_timeout = spec.op_timeout;
       o.faults = plan;
       end = harness::run_tcp_mpi(spec.nodes, spec.fabric, body, o);
@@ -284,7 +287,7 @@ Report run(Spec spec) {
     }
     case Device::kHybrid:
       end = harness::run_hybrid_mpi(spec.nodes, spec.fabric,
-                                    spec.hybrid_threshold, body, so);
+                                    kHybridThreshold, body, so);
       break;
   }
 
@@ -324,10 +327,10 @@ std::string Report::render(const Spec& spec) const {
   s += " ops=" + std::to_string(spec.ops);
   s += " msg=" + std::to_string(spec.msg_bytes);
   if (spec.pattern == Pattern::kRpc)
-    s += " reply=" + std::to_string(spec.reply_bytes);
+    s += " reply=" + std::to_string(kReplyBytes);
   if (spec.pattern == Pattern::kHotspot)
     s += " hot_permille=" +
-         std::to_string(static_cast<u64>(spec.hot_fraction * 1000.0 + 0.5));
+         std::to_string(static_cast<u64>(kHotFraction * 1000.0 + 0.5));
   s += " seed=" + std::to_string(spec.seed);
   s += "\n  ops: ok=" + std::to_string(ops_ok);
   s += " timeout=" + std::to_string(ops_timeout);

@@ -34,7 +34,7 @@ namespace scrnet::workload {
 enum class Pattern : u8 {
   kRpc,       // ranks [0, n/2) are clients of ranks [n/2, n); round trips
   kIncast,    // every rank != 0 sends all its ops to rank 0
-  kHotspot,   // seeded destinations, biased toward rank 0 by hot_fraction
+  kHotspot,   // seeded destinations, biased toward rank 0
   kAllToAll,  // round-robin destinations over all peers
 };
 
@@ -65,12 +65,9 @@ struct Spec {
   Device device = Device::kBbp;
   // Bulk fabric for kSock and kHybrid runs.
   harness::TcpFabricKind fabric = harness::TcpFabricKind::kMyrinet;
-  u32 hybrid_threshold = 512;  // payload split for kHybrid
   u32 nodes = 8;
   u32 ops = 24;        // operations per sender (per client for kRpc)
   u32 msg_bytes = 64;  // request payload (floored at 8 for the timestamp)
-  u32 reply_bytes = 16;       // kRpc reply payload
-  double hot_fraction = 0.7;  // kHotspot bias toward rank 0
   u64 seed = 1;
   u32 bbp_slots = 16;
   bool redundant_ring = false;  // SCRAMNet redundant-ring switchover

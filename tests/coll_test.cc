@@ -25,10 +25,8 @@ namespace {
 
 using scrnet::u8;
 using scrnet::u32;
-using scrnet::harness::RdmaOptions;
 using scrnet::harness::ScramnetOptions;
 using scrnet::harness::TcpFabricKind;
-using scrnet::harness::TcpOptions;
 using scrnet::harness::run_hybrid_mpi;
 using scrnet::harness::run_rdma_mpi;
 using scrnet::harness::run_scramnet_mpi;

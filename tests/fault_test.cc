@@ -468,17 +468,15 @@ TEST(FaultPlan, FrameLossIsSeededAndOrderIndependent) {
 }
 
 TEST(FaultPlan, SocketsApiPingPongArmsItsPlan) {
-  // The Figure 2 sockets-API measurement arms TcpOptions::faults against
-  // its fabric like every harness run: congestion on every frame in the
+  // The Figure 2 sockets-API measurement arms its fault plan against its
+  // fabric like every harness run: congestion on every frame in the
   // window stretches each one-way trip by the added delay.
   using harness::TcpFabricKind;
   const double clean = harness::tcp_api_oneway_us(TcpFabricKind::kFastEthernet, 64, 4, 1);
   fault::FaultPlan plan;
   plan.fabric_congestion(0, ms(10), us(5));
-  harness::TcpOptions opts;
-  opts.faults = &plan;
   const double slowed =
-      harness::tcp_api_oneway_us(TcpFabricKind::kFastEthernet, 64, 4, 1, opts);
+      harness::tcp_api_oneway_us(TcpFabricKind::kFastEthernet, 64, 4, 1, {}, &plan);
   EXPECT_GE(slowed, clean + 5.0);
   EXPECT_GT(plan.fired(fault::FaultKind::kCongestion), 0u);
 }
@@ -780,9 +778,8 @@ std::string lost_message_report(const std::string& device, SimTime* sent) {
     }
   };
   harness::ScramnetOptions sopts;
-  harness::TcpOptions topts;
-  harness::RdmaOptions ropts;
-  sopts.faults = topts.faults = ropts.faults = &plan;
+  harness::FabricOptions fopts;
+  sopts.faults = fopts.faults = &plan;
   if (device == "bbp" || device == "hybrid")
     plan.link_down(0, 0);
   else
@@ -790,8 +787,8 @@ std::string lost_message_report(const std::string& device, SimTime* sent) {
   return livelock_report([&] {
     if (device == "bbp") harness::run_scramnet_mpi(2, body, sopts);
     if (device == "sock")
-      harness::run_tcp_mpi(2, harness::TcpFabricKind::kFastEthernet, body, topts);
-    if (device == "rdma") harness::run_rdma_mpi(2, body, ropts);
+      harness::run_tcp_mpi(2, harness::TcpFabricKind::kFastEthernet, body, fopts);
+    if (device == "rdma") harness::run_rdma_mpi(2, body, fopts);
     if (device == "hybrid")
       harness::run_hybrid_mpi(2, harness::TcpFabricKind::kMyrinet, 1024, body, sopts);
   });

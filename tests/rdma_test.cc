@@ -15,7 +15,7 @@
 namespace scrnet {
 namespace {
 
-using harness::RdmaOptions;
+using harness::FabricOptions;
 using harness::run_rdma_mpi;
 using netmodels::RdmaConfig;
 using netmodels::RdmaFabric;
@@ -196,7 +196,7 @@ TEST(RdmaMpi, PartitionedPutExhaustsRetriesAndTimesOut) {
   // (RdmaConfig::retry_timeout, modeling RC retry exhaustion) surfaces
   // kTimedOut; the receiver's FIN wait expires on op_timeout and tears the
   // registration down.
-  RdmaOptions opts;
+  FabricOptions opts;
   opts.mpi.op_timeout = ms(10);
   fault::FaultPlan plan;
   plan.partition(us(50), 0, 1);
@@ -242,7 +242,7 @@ TEST(RdmaMpi, ZeroLengthReceiveOfAnOverMtuMessageFailsTheSend) {
   // copy path: the sender would ship the whole message as one DATA frame,
   // above the frame MTU. ch_rdma refuses that frame with kInvalidArg; the
   // receiver, whose DATA never comes, times out on op_timeout.
-  RdmaOptions opts;
+  FabricOptions opts;
   opts.mpi.op_timeout = ms(1);
   constexpr u32 kN = 8 * 1024;
   StatusCode send_err = StatusCode::kOk, recv_err = StatusCode::kOk;
@@ -268,7 +268,7 @@ TEST(RdmaMpi, ZeroLengthReceiveOfAnOverMtuMessageFailsTheSend) {
 }
 
 TEST(RdmaMpi, CollectivesSurviveForcedRendezvous) {
-  RdmaOptions opts;
+  FabricOptions opts;
   opts.mpi.eager_cap = 64;  // push every 512-byte hop through rendezvous
   bool sums_ok = true;
   run_rdma_mpi(

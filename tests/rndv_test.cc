@@ -23,7 +23,6 @@ using harness::run_scramnet_mpi;
 using harness::run_tcp_mpi;
 using harness::ScramnetOptions;
 using harness::TcpFabricKind;
-using harness::TcpOptions;
 
 /// Bytes still reserved in this rank's billboard rendezvous window.
 u32 rndv_reserved_bytes(Mpi& mpi) {
