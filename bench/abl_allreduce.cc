@@ -13,6 +13,7 @@
 
 #include "bench_util.h"
 #include "harness/benchops.h"
+#include "sweep/runner.h"
 
 using namespace scrnet;
 using namespace scrnet::bench;
@@ -49,7 +50,8 @@ double allreduce_us(bool scramnet, Mpi::AllreduceAlgo algo,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  sweep::parse_args(argc, argv);  // --jobs only, which a run without a sweep ignores
   header("Ablation: MPI_Allreduce algorithms (4 nodes)",
          "collectives-from-multicast (paper Section 4) vs classic trees");
 

@@ -18,6 +18,7 @@
 #include <map>
 
 #include "bench_util.h"
+#include "sweep/runner.h"
 #include "tune/measure.h"
 #include "tune/table.h"
 
@@ -102,7 +103,8 @@ usize algo_index(const std::vector<std::string>& algos,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  sweep::parse_args(argc, argv);  // --jobs only, which a run without a sweep ignores
   header("Ablation: MPI_Bcast algorithm zoo",
          "binomial vs scatter-allgather vs ring/chain (cs/0408034 Fig. 1 "
          "shape); native multicast where the hardware has it");

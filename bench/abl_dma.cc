@@ -9,6 +9,7 @@
 
 #include "bench_util.h"
 #include "harness/benchops.h"
+#include "sweep/runner.h"
 
 using namespace scrnet;
 using namespace scrnet::bench;
@@ -47,7 +48,8 @@ double sender_issue_us(u32 bytes, u32 msgs, ScramnetOptions opts) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  sweep::parse_args(argc, argv);  // --jobs only, which a run without a sweep ignores
   header("Ablation: PIO vs DMA payload transfer in the BillBoard Protocol",
          "Section 2: 'programmed I/O or DMA can be used'");
 

@@ -4,12 +4,14 @@
 
 #include "bench_util.h"
 #include "harness/benchops.h"
+#include "sweep/runner.h"
 
 using namespace scrnet;
 using namespace scrnet::bench;
 using namespace scrnet::harness;
 
-int main() {
+int main(int argc, char** argv) {
+  sweep::parse_args(argc, argv);  // --jobs only, which a run without a sweep ignores
   header("Ablation: Ethernet switch forwarding mode",
          "sensitivity of Figure 2's SCRAMNet-vs-FastEthernet crossover");
 

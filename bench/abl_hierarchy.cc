@@ -7,8 +7,10 @@
 #include "bench_util.h"
 #include "common/bytes.h"
 #include "harness/cluster.h"
+#include "obs/sink.h"
 #include "scramnet/hierarchy.h"
 #include "scramnet/sim_port.h"
+#include "sweep/runner.h"
 
 using namespace scrnet;
 using namespace scrnet::bench;
@@ -37,6 +39,7 @@ double oneway_us(u32 from, u32 to, u32 bytes, HierarchyConfig cfg) {
                            t1 = p.now();
                          }
                        });
+  if (obs::Counters::enabled()) h.publish_counters(sim.sink().counters());
   return to_us(t1 - t0);
 }
 
@@ -62,12 +65,14 @@ double bcast_all_us(u32 bytes, HierarchyConfig cfg) {
                            if (p.now() > last) last = p.now();
                          }
                        });
+  if (obs::Counters::enabled()) h.publish_counters(sim.sink().counters());
   return to_us(last - t0);
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  sweep::parse_args(argc, argv);  // --jobs only, which a run without a sweep ignores
   header("Extension: two-level ring hierarchy (3 rings x 4 nodes)",
          "Section 2: 'for systems larger than 256 nodes, a hierarchy of "
          "rings can be used'");

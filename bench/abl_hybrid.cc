@@ -8,6 +8,7 @@
 
 #include "bench_util.h"
 #include "harness/benchops.h"
+#include "sweep/runner.h"
 
 using namespace scrnet;
 using namespace scrnet::bench;
@@ -19,7 +20,8 @@ constexpr u32 kThreshold = 512;  // near the SCRAMNet/Myrinet latency crossover
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  sweep::parse_args(argc, argv);  // --jobs only, which a run without a sweep ignores
   header("Extension: hybrid SCRAMNet+Myrinet cluster (MPI latency)",
          "the paper's Section 7 conclusion, implemented (512 B threshold)");
 

@@ -15,6 +15,7 @@
 #include "harness/cluster.h"
 #include "scramnet/ring.h"
 #include "scramnet/sim_port.h"
+#include "sweep/runner.h"
 
 using namespace scrnet;
 using namespace scrnet::bench;
@@ -74,7 +75,8 @@ RecvResult interrupt_driven(u32 gap_writes) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  sweep::parse_args(argc, argv);  // --jobs only, which a run without a sweep ignores
   header("Ablation: polling vs interrupt-driven receive",
          "the paper's Section 7 'future work' direction, quantified");
 

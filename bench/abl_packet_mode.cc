@@ -5,12 +5,14 @@
 
 #include "bench_util.h"
 #include "harness/benchops.h"
+#include "sweep/runner.h"
 
 using namespace scrnet;
 using namespace scrnet::bench;
 using namespace scrnet::harness;
 
-int main() {
+int main(int argc, char** argv) {
+  sweep::parse_args(argc, argv);  // --jobs only, which a run without a sweep ignores
   header("Ablation: SCRAMNet packet mode (fixed 4-byte vs variable)",
          "design choice from Section 2 of the paper");
 

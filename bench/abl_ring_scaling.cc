@@ -7,18 +7,18 @@
 // The large rows are opt-in so the default output stays byte-identical to
 // the committed golden; CI diffs the --large output against its own golden,
 // bench/golden/abl_ring_scaling_large.txt, which repro_all does not rewrite.
-#include <cstring>
 #include <iostream>
 
 #include "bench_util.h"
 #include "harness/benchops.h"
+#include "sweep/runner.h"
 
 using namespace scrnet;
 using namespace scrnet::bench;
 using namespace scrnet::harness;
 
 int main(int argc, char** argv) {
-  const bool large = argc > 1 && std::strcmp(argv[1], "--large") == 0;
+  const bool large = sweep::parse_args(argc, argv, {"--large"}).has("--large");
   header("Ablation: ring size scaling (2-16 nodes)",
          "extrapolates the paper's 4-node testbed per its Section 2 claims");
 

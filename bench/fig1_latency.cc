@@ -41,7 +41,7 @@ void print_panel(const std::vector<u32>& sizes, const Panel& pn,
 }  // namespace
 
 int main(int argc, char** argv) {
-  sweep::Runner runner(sweep::parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_args(argc, argv).jobs);
 
   header("Figure 1: SCRAMNet one-way latency, BillBoard API vs MPI",
          "Moorthy et al., IPPS 1999, Figure 1 + Section 5 headline numbers");

@@ -14,7 +14,7 @@ using namespace scrnet::bench;
 using namespace scrnet::harness;
 
 int main(int argc, char** argv) {
-  sweep::Runner runner(sweep::parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_args(argc, argv).jobs);
 
   header("Figure 3: MPI point-to-point latency across networks",
          "Moorthy et al., IPPS 1999, Figure 3");

@@ -15,7 +15,7 @@ using namespace scrnet::bench;
 using namespace scrnet::harness;
 
 int main(int argc, char** argv) {
-  sweep::Runner runner(sweep::parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_args(argc, argv).jobs);
 
   header("Figure 4: SCRAMNet point-to-point vs 4-node broadcast (API level)",
          "Moorthy et al., IPPS 1999, Figure 4 + abstract");

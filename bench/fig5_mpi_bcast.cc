@@ -16,7 +16,7 @@ using namespace scrnet::bench;
 using namespace scrnet::harness;
 
 int main(int argc, char** argv) {
-  sweep::Runner runner(sweep::parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_args(argc, argv).jobs);
 
   header("Figure 5: 4-node MPI_Bcast on SCRAMNet and Fast Ethernet",
          "Moorthy et al., IPPS 1999, Figure 5");

@@ -17,7 +17,7 @@ using namespace scrnet::bench;
 using namespace scrnet::harness;
 
 int main(int argc, char** argv) {
-  sweep::Runner runner(sweep::parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_args(argc, argv).jobs);
 
   header("Figure 6: MPI_Barrier on SCRAMNet, Fast Ethernet and ATM",
          "Moorthy et al., IPPS 1999, Figure 6");

@@ -136,12 +136,12 @@ std::vector<Spec> catalog() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  sweep::Runner runner(sweep::parse_args(argc, argv).jobs);
   bench::header("Fault scenarios: degraded-mode behavior and tail latency",
                 "robustness extension (paper Section 6 ring recovery; "
                 "bounded-wait timeouts instead of hangs)");
 
   const std::vector<Spec> specs = catalog();
-  sweep::Runner runner(sweep::parse_jobs(argc, argv));
   const std::vector<workload::Report> reports = runner.map(
       "flt", specs, [](const Spec& s) { return workload::run(s); });
 

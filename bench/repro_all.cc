@@ -24,7 +24,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -134,25 +133,14 @@ std::string first_diff(const std::string& want, const std::string& got) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const sweep::Args args =
+      sweep::parse_args(argc, argv, {"--update-golden", "--no-compare"});
   const std::string bindir = self_dir(argv[0]);
   const std::string golden_dir = SCRNET_GOLDEN_DIR;
-  bool update = false;
-  bool compare = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--update-golden") == 0) {
-      update = true;
-    } else if (std::strcmp(argv[i], "--no-compare") == 0) {
-      compare = false;
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      ++i;  // sweep::parse_jobs reads the value
-    } else if (std::strncmp(argv[i], "--jobs=", 7) != 0) {
-      std::cerr << "repro_all: unknown argument '" << argv[i] << "'\n"
-                << "usage: repro_all [--jobs N] [--update-golden] [--no-compare]\n";
-      return 2;
-    }
-  }
+  const bool update = args.has("--update-golden");
+  const bool compare = !args.has("--no-compare");
 
-  sweep::Runner runner(sweep::parse_jobs(argc, argv));
+  sweep::Runner runner(args.jobs);
   std::cout << "repro_all: " << kSuite.size()
             << " binaries, jobs=" << runner.jobs() << ", golden=" << golden_dir
             << (update ? " (UPDATING)" : compare ? "" : " (NO COMPARE)")

@@ -32,7 +32,7 @@ double raw_ring_mbps(scramnet::PacketMode mode, u32 bytes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  sweep::Runner runner(sweep::parse_jobs(argc, argv));
+  sweep::Runner runner(sweep::parse_args(argc, argv).jobs);
 
   header("Table: SCRAMNet ring throughput (Section 2 specifications)",
          "Moorthy et al., IPPS 1999, Section 2");

@@ -21,12 +21,6 @@ class DestSet {
  public:
   DestSet() = default;
 
-  static DestSet single(u32 r) {
-    DestSet s;
-    s.set(r);
-    return s;
-  }
-
   void set(u32 r) {
     if (r < 64) {
       lo_ |= u64{1} << r;

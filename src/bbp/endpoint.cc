@@ -172,10 +172,14 @@ void Endpoint::collect_garbage() {
   BBP_VALIDATE(*this, "collect_garbage");
 }
 
-Status Endpoint::post(const DestSet& dests, std::span<const u8> payload,
+Status Endpoint::post(std::span<const u32> dest_list, std::span<const u8> payload,
                       bool block) {
+  DestSet dests;
+  for (u32 d : dest_list) {
+    if (d >= layout_.procs) return Status::InvalidArg("bbp: bad dest");
+    dests.set(d);
+  }
   TRACE_SPAN(obs::Layer::kBbp, me_, "bbp.post", port_);
-  // send() and mcast() range-checked every destination.
   if (dests.empty()) return Status::InvalidArg("bbp: empty destination set");
   if (payload.size() > layout_.max_message_bytes())
     return Status::InvalidArg("bbp: message exceeds data partition");
@@ -226,31 +230,19 @@ Status Endpoint::post(const DestSet& dests, std::span<const u8> payload,
 }
 
 Status Endpoint::send(u32 dest, std::span<const u8> payload) {
-  if (dest >= layout_.procs) return Status::InvalidArg("bbp: bad dest");
-  return post(DestSet::single(dest), payload, /*block=*/true);
+  return post({&dest, 1}, payload, /*block=*/true);
 }
 
 Status Endpoint::try_send(u32 dest, std::span<const u8> payload) {
-  if (dest >= layout_.procs) return Status::InvalidArg("bbp: bad dest");
-  return post(DestSet::single(dest), payload, /*block=*/false);
+  return post({&dest, 1}, payload, /*block=*/false);
 }
 
 Status Endpoint::mcast(std::span<const u32> dests, std::span<const u8> payload) {
-  DestSet set;
-  for (u32 d : dests) {
-    if (d >= layout_.procs) return Status::InvalidArg("bbp: bad dest");
-    set.set(d);
-  }
-  return post(set, payload, /*block=*/true);
+  return post(dests, payload, /*block=*/true);
 }
 
 Status Endpoint::try_mcast(std::span<const u32> dests, std::span<const u8> payload) {
-  DestSet set;
-  for (u32 d : dests) {
-    if (d >= layout_.procs) return Status::InvalidArg("bbp: bad dest");
-    set.set(d);
-  }
-  return post(set, payload, /*block=*/false);
+  return post(dests, payload, /*block=*/false);
 }
 
 // ---------------------------------------------------------------------------

@@ -215,7 +215,10 @@ class Endpoint {
   Result<u32> alloc_slot(u32 len_bytes, bool block);
   /// Reconcile ACK words and reclaim completed slots (FIFO order).
   void collect_garbage();
-  Status post(const DestSet& dests, std::span<const u8> payload, bool block);
+  /// Post one message to every rank in `dest_list`: kInvalidArg for a rank
+  /// out of range, an empty list or a payload above the data partition.
+  Status post(std::span<const u32> dest_list, std::span<const u8> payload,
+              bool block);
 
   // -- receive side --------------------------------------------------------
   /// One poll pass over sender s's MESSAGE flag word; enqueues new

@@ -36,4 +36,9 @@ SimTime RingHierarchy::full_propagation_bound() const {
          backbone_.full_propagation_bound() + 2 * cfg_.bridge_latency;
 }
 
+void RingHierarchy::publish_counters(obs::Counters& c) const {
+  backbone_.publish_counters(c, "ring");
+  for (const Ring& leaf : leaves_) leaf.publish_counters(c, "ring");
+}
+
 }  // namespace scrnet::scramnet

@@ -63,6 +63,10 @@ class RingHierarchy {
   /// Worst-case write propagation (farthest leaf-to-leaf path).
   SimTime full_propagation_bound() const;
 
+  /// Publish the backbone's and every leaf's counters under "ring", where
+  /// they sum, as a flat ring's do.
+  void publish_counters(obs::Counters& c) const;
+
  private:
   HierarchyConfig cfg_;
   Ring backbone_;

@@ -10,17 +10,6 @@
 
 namespace scrnet::scrmpi {
 
-namespace {
-/// The RTS payload is the 4-byte total message length (hdr.len must always
-/// equal the *framed* payload size, which for an RTS is 4).
-u32 rts_msg_len(std::span<const u8> payload) {
-  assert(payload.size() == 4);
-  u32 len = 0;
-  std::memcpy(&len, payload.data(), 4);
-  return len;
-}
-}  // namespace
-
 Engine::Engine(ChannelDevice& dev, LayerCosts costs) : dev_(dev), costs_(costs) {
   // CI's forced-rendezvous leg lowers the eager/rendezvous switch point for
   // a whole run via the environment; an explicit eager_cap always wins.
@@ -129,16 +118,20 @@ Request Engine::irecv(i32 src, u16 ctx, i32 tag, std::span<u8> buf) {
     if (!match(r, it->hdr)) continue;
     Unexpected u = std::move(*it);
     unexpected_.erase(it);
-    if (u.hdr.kind == PktKind::kRndvRts) {
-      grant_rendezvous(idx, u.hdr, u.payload);
-    } else {
-      complete_recv_into(idx, u.hdr, u.payload);
-    }
+    arrive(idx, u.hdr, u.payload);
     return Request{idx};
   }
   r.state = Req::State::kRecvPosted;
   posted_.push_back(idx);
   return Request{idx};
+}
+
+void Engine::arrive(u32 idx, const PktHeader& hdr,
+                    std::span<const u8> payload) {
+  if (hdr.kind == PktKind::kRndvRts)
+    grant_rendezvous(idx, hdr, payload);
+  else
+    complete_recv_into(idx, hdr, payload);
 }
 
 void Engine::grant_rendezvous(u32 idx, const PktHeader& rts,
@@ -209,52 +202,44 @@ bool Engine::progress() {
   return any;
 }
 
+Engine::Req* Engine::reply_target(const PktHeader& h, Req::State want) {
+  if (h.aux >= reqs_.size()) {
+    ++malformed_packets_;
+    return nullptr;
+  }
+  Req& r = reqs_[h.aux];
+  if (r.state == want) return &r;
+  ++stale_packets_;
+  // The request's wait timed out before this reply arrived; its id was
+  // parked exactly so the reply can be reaped here. A FIN finds the
+  // placement already released by timeout_request.
+  if (r.state == Req::State::kZombie) free_req(h.aux);
+  return nullptr;
+}
+
 void Engine::handle(Packet pkt) {
   ++packets_handled_;
   const PktHeader& h = pkt.hdr;
   switch (h.kind) {
-    case PktKind::kShort: {
-      dev_.cpu(LayerCosts::match);
-      for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-        if (!match(reqs_[*it], h)) continue;
-        const u32 idx = *it;
-        posted_.erase(it);
-        complete_recv_into(idx, h, pkt.payload);
-        return;
-      }
-      unexpected_.push_back(Unexpected{h, std::move(pkt.payload)});
-      return;
-    }
+    case PktKind::kShort:
     case PktKind::kRndvRts: {
+      // A torn frame can pair an RTS kind with another packet's length.
+      if (h.kind == PktKind::kRndvRts && pkt.payload.size() != 4) break;
       dev_.cpu(LayerCosts::match);
       for (auto it = posted_.begin(); it != posted_.end(); ++it) {
         if (!match(reqs_[*it], h)) continue;
         const u32 idx = *it;
         posted_.erase(it);
-        grant_rendezvous(idx, h, pkt.payload);
+        arrive(idx, h, pkt.payload);
         return;
       }
       unexpected_.push_back(Unexpected{h, std::move(pkt.payload)});
       return;
     }
     case PktKind::kRndvCts: {
-      const u32 idx = h.aux;
-      if (idx >= reqs_.size()) {
-        ++malformed_packets_;
-        return;
-      }
-      Req& r = reqs_[idx];
-      if (r.state == Req::State::kZombie) {
-        // The sender's wait timed out before this CTS arrived; the request
-        // id was parked exactly so this packet can be reaped safely.
-        ++stale_packets_;
-        free_req(idx);
-        return;
-      }
-      if (r.state != Req::State::kSendWaitCts) {
-        ++stale_packets_;
-        return;
-      }
+      Req* const target = reply_target(h, Req::State::kSendWaitCts);
+      if (!target) return;
+      Req& r = *target;
       RndvPut* put = dev_.put();
       if (put && pkt.payload.size() == kPlacementBytes) {
         // Zero-copy grant: put the payload straight from the user buffer
@@ -293,46 +278,20 @@ void Engine::handle(Packet pkt) {
       return;
     }
     case PktKind::kRndvData: {
-      const u32 idx = h.aux;
-      if (idx >= reqs_.size()) {
-        ++malformed_packets_;
-        return;
-      }
-      Req& r = reqs_[idx];
-      if (r.state == Req::State::kZombie) {
-        ++stale_packets_;
-        free_req(idx);
-        return;
-      }
-      if (r.state != Req::State::kRecvWaitData) {
-        ++stale_packets_;
-        return;
-      }
+      Req* const target = reply_target(h, Req::State::kRecvWaitData);
+      if (!target) return;
+      Req& r = *target;
       const i32 keep_tag = r.status.tag;  // envelope came with the RTS
       const i32 keep_src = r.status.source;
-      complete_recv_into(idx, h, pkt.payload);
+      complete_recv_into(h.aux, h, pkt.payload);
       r.status.tag = keep_tag;
       r.status.source = keep_src;
       return;
     }
     case PktKind::kRndvFin: {
-      const u32 idx = h.aux;
-      if (idx >= reqs_.size()) {
-        ++malformed_packets_;
-        return;
-      }
-      Req& r = reqs_[idx];
-      if (r.state == Req::State::kZombie) {
-        // Receiver timed out mid-rendezvous: the placement was already
-        // released by timeout_request, so only the id needs reaping.
-        ++stale_packets_;
-        free_req(idx);
-        return;
-      }
-      if (r.state != Req::State::kRecvWaitFin) {
-        ++stale_packets_;
-        return;
-      }
+      Req* const target = reply_target(h, Req::State::kRecvWaitFin);
+      if (!target) return;
+      Req& r = *target;
       // The device guarantees FIN-after-data: the payload is already at the
       // placement. Make it visible in the user buffer (free for true RDMA;
       // a replicated-memory read for BBP) -- note no per-byte unpack charge
@@ -367,8 +326,9 @@ void Engine::handle(Packet pkt) {
       return;
     }
   }
-  // Unknown packet kind: under fault injection a corrupted or stale frame
-  // can decode to garbage; count and drop rather than kill the rank.
+  // Unknown packet kind, or an RTS without its 4-byte length: under fault
+  // injection a corrupted or stale frame can decode to garbage; count and
+  // drop rather than kill the rank.
   ++malformed_packets_;
 }
 

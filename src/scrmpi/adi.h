@@ -165,16 +165,21 @@ class Engine {
 
   u32 alloc_req();
   void free_req(u32 idx);
-  bool match(const Req& r, const PktHeader& h) const {
-    return r.ctx == h.ctx &&
-           (r.want_src == kAnySource || static_cast<u32>(r.want_src) == h.src) &&
-           (r.want_tag == kAnyTag || r.want_tag == h.tag);
-  }
   bool match(i32 src, u16 ctx, i32 tag, const PktHeader& h) const {
     return ctx == h.ctx && (src == kAnySource || static_cast<u32>(src) == h.src) &&
            (tag == kAnyTag || tag == h.tag);
   }
+  bool match(const Req& r, const PktHeader& h) const {
+    return match(r.want_src, r.ctx, r.want_tag, h);
+  }
   void handle(Packet pkt);
+  /// The request a CTS, DATA or FIN names (hdr.aux) if it is in state
+  /// `want`, else null: an id out of range counts as malformed, any other
+  /// state as stale, and a zombie is reaped.
+  Req* reply_target(const PktHeader& h, Req::State want);
+  /// A kShort or RTS matched to posted request `idx`: complete the
+  /// receive, or grant the rendezvous.
+  void arrive(u32 idx, const PktHeader& hdr, std::span<const u8> payload);
   void complete_recv_into(u32 req_idx, const PktHeader& hdr,
                           std::span<const u8> payload);
   /// Answer an RTS matched to posted request `idx`: try to reserve a

@@ -1,29 +1,18 @@
 #include "scrmpi/ch_bbp.h"
 
 #include <algorithm>
-#include <cstring>
+#include <utility>
 
 namespace scrnet::scrmpi {
 
-std::vector<u8> BbpChannel::frame(const PktHeader& hdr,
-                                  std::span<const u8> payload) const {
-  std::vector<u8> bytes(kHeaderBytes + payload.size());
-  u32 words[kHeaderWords];
-  encode_header(hdr, words);
-  std::memcpy(bytes.data(), words, kHeaderBytes);
-  if (!payload.empty())
-    std::memcpy(bytes.data() + kHeaderBytes, payload.data(), payload.size());
-  return bytes;
-}
-
 Status BbpChannel::send_packet(u32 dst, const PktHeader& hdr,
                                std::span<const u8> payload) {
-  return ep_.send(dst, frame(hdr, payload));
+  return ep_.send(dst, frame_packet(hdr, payload));
 }
 
 Status BbpChannel::mcast_packet(std::span<const u32> dsts, const PktHeader& hdr,
                                 std::span<const u8> payload) {
-  return ep_.mcast(dsts, frame(hdr, payload));
+  return ep_.mcast(dsts, frame_packet(hdr, payload));
 }
 
 Result<RndvPlacement> BbpChannel::rndv_reserve(u32 bytes, std::span<u8> dest) {
@@ -70,22 +59,11 @@ std::optional<Packet> BbpChannel::poll_packet() {
   const u32 max_frame = kHeaderBytes + ep_.layout().max_message_bytes();
   while (const auto src = ep_.msg_avail()) {
     std::vector<u8> buf(std::min(*ep_.peek_len(*src), max_frame));
-    auto r = ep_.recv(*src, buf);
-    if (!r.ok() || r.value().truncated || r.value().len < kHeaderBytes) {
-      ++dropped_frames_;
-      continue;
-    }
-    Packet pkt;
-    u32 words[kHeaderWords];
-    std::memcpy(words, buf.data(), kHeaderBytes);
-    pkt.hdr = decode_header(words);
-    if (r.value().len - kHeaderBytes != pkt.hdr.len) {
-      ++dropped_frames_;
-      continue;
-    }
-    buf.erase(buf.begin(), buf.begin() + kHeaderBytes);
-    pkt.payload = std::move(buf);
-    return pkt;
+    const auto r = ep_.recv(*src, buf);
+    std::optional<Packet> pkt;
+    if (r.ok() && !r.value().truncated) pkt = unframe_packet(std::move(buf));
+    if (pkt) return pkt;
+    ++dropped_frames_;
   }
   return std::nullopt;
 }

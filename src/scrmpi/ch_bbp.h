@@ -67,8 +67,6 @@ class BbpChannel final : public ChannelDevice, public RndvPut {
   bbp::Endpoint& endpoint() { return ep_; }
 
  private:
-  std::vector<u8> frame(const PktHeader& hdr, std::span<const u8> payload) const;
-
   bbp::Endpoint& ep_;
   u64 dropped_frames_ = 0;
 };

@@ -12,6 +12,16 @@ Status HybridChannel::send_packet(u32 dst, const PktHeader& hdr,
     if (st.ok()) ++low_pkts_;
     return st;
   }
+  // An RTS is a 4-byte control packet standing in for a large transfer:
+  // route it by the message length it announces, not its own frame size.
+  // Otherwise every rendezvous send -- whatever rail its data will ride --
+  // lands on the low leg, and a burst of isends can fill the billboard's
+  // slot ring in both directions before either peer reaches a progress
+  // call (the classic eager flow-control deadlock). Keeping control
+  // traffic on its payload's rail keeps per-rail backpressure
+  // proportional to the traffic actually headed there.
+  const usize route_bytes =
+      hdr.kind == PktKind::kRndvRts ? rts_msg_len(payload) : payload.size();
   // Point-to-point: preamble with the per-destination sequence number so
   // the receiver can restore cross-network ordering.
   std::vector<u8> wrapped(kPreambleBytes + payload.size());
@@ -28,20 +38,6 @@ Status HybridChannel::send_packet(u32 dst, const PktHeader& hdr,
   // receiver's stash skips a hole only when the whole path is already
   // degraded, and re-using the seq for a later packet would corrupt
   // ordering for good.
-  // An RTS is a 4-byte control packet standing in for a large transfer:
-  // route it by the message length it announces, not its own frame size.
-  // Otherwise every rendezvous send -- whatever rail its data will ride --
-  // lands on the low leg, and a burst of isends can fill the billboard's
-  // slot ring in both directions before either peer reaches a progress
-  // call (the classic eager flow-control deadlock). Keeping control
-  // traffic on its payload's rail keeps per-rail backpressure
-  // proportional to the traffic actually headed there.
-  usize route_bytes = payload.size();
-  if (hdr.kind == PktKind::kRndvRts && payload.size() >= 4) {
-    u32 announced = 0;
-    std::memcpy(&announced, payload.data(), 4);
-    route_bytes = announced;
-  }
   if (route_bytes <= threshold_) {
     Status st = low_.send_packet(dst, h, wrapped);
     if (st.ok()) ++low_pkts_;

@@ -1,7 +1,7 @@
 #include "scrmpi/ch_rdma.h"
 
 #include <cassert>
-#include <cstring>
+#include <utility>
 
 namespace scrnet::scrmpi {
 
@@ -14,17 +14,7 @@ Status RdmaChannel::send_packet(u32 dst, const PktHeader& hdr,
   if (kHeaderBytes + payload.size() > fabric_.mtu_payload())
     return Status::InvalidArg("ch_rdma: packet exceeds frame MTU");
   proc_.delay(RdmaConfig::doorbell);
-  netmodels::Frame f;
-  f.src = host_;
-  f.dst = dst;
-  f.payload.resize(kHeaderBytes + payload.size());
-  u32 words[kHeaderWords];
-  encode_header(hdr, words);
-  std::memcpy(f.payload.data(), words, kHeaderBytes);
-  if (!payload.empty())
-    std::memcpy(f.payload.data() + kHeaderBytes, payload.data(),
-                payload.size());
-  fabric_.transmit(std::move(f));
+  fabric_.transmit({host_, dst, frame_packet(hdr, payload)});
   return Status::Ok();
 }
 
@@ -33,13 +23,8 @@ std::optional<Packet> RdmaChannel::poll_packet() {
   if (!f) return std::nullopt;
   // The fabric delivers or drops whole frames, and every frame is one
   // send_packet: nothing arrives torn.
-  assert(f->payload.size() >= kHeaderBytes);
-  Packet pkt;
-  u32 words[kHeaderWords];
-  std::memcpy(words, f->payload.data(), kHeaderBytes);
-  pkt.hdr = decode_header(words);
-  assert(f->payload.size() - kHeaderBytes == pkt.hdr.len);
-  pkt.payload.assign(f->payload.begin() + kHeaderBytes, f->payload.end());
+  std::optional<Packet> pkt = unframe_packet(std::move(f->payload));
+  assert(pkt);
   return pkt;
 }
 

@@ -1,20 +1,15 @@
 #include "scrmpi/ch_sock.h"
 
 #include <cstring>
+#include <utility>
 
 namespace scrnet::scrmpi {
 
 Status SockChannel::send_packet(u32 dst, const PktHeader& hdr,
                                 std::span<const u8> payload) {
-  std::vector<u8> frame(kHeaderBytes + payload.size());
-  u32 words[kHeaderWords];
-  encode_header(hdr, words);
-  std::memcpy(frame.data(), words, kHeaderBytes);
-  if (!payload.empty())
-    std::memcpy(frame.data() + kHeaderBytes, payload.data(), payload.size());
   // The stack buffers and never blocks; a partitioned path fails at the
   // receiver (the stream goes silent), surfaced by the ADI's op timeout.
-  stack_.send(proc_, dst, frame);
+  stack_.send(proc_, dst, frame_packet(hdr, payload));
   return Status::Ok();
 }
 
@@ -28,23 +23,20 @@ std::optional<Packet> SockChannel::poll_packet() {
   // through the fabric).
   for (u32 src = 0; src < size_; ++src) {
     if (want_[src] == 0) {
-      // Try to decode an envelope from this source's stream.
+      // Read the frame's length from the envelope at this stream's head.
       u8 hdr_bytes[kHeaderBytes];
       if (!stack_.peek(src, hdr_bytes)) continue;
       u32 words[kHeaderWords];
       std::memcpy(words, hdr_bytes, kHeaderBytes);
-      want_hdr_[src] = decode_header(words);
-      want_[src] = kHeaderBytes + want_hdr_[src].len;
+      want_[src] = kHeaderBytes + decode_header(words).len;
     }
     if (stack_.buffered(src) < want_[src]) continue;
-    // Whole frame present: consume it.
+    // Whole frame present: consume it. Its length came from its own
+    // envelope, so it always unframes.
     std::vector<u8> frame(want_[src]);
     stack_.consume(proc_, src, frame, want_[src]);
-    Packet pkt;
-    pkt.hdr = want_hdr_[src];
-    pkt.payload.assign(frame.begin() + kHeaderBytes, frame.end());
     want_[src] = 0;
-    return pkt;
+    return unframe_packet(std::move(frame));
   }
   idle_at_ = absorbed;
   return std::nullopt;

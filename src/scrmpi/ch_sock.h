@@ -53,10 +53,9 @@ class SockChannel final : public ChannelDevice {
   netmodels::TcpStack& stack_;
   sim::Process& proc_;
   u32 size_;
-  // Per-source: decoded header of a partially arrived packet (want_ > 0
-  // means we know the total frame size we are waiting for).
+  // Per-source: size of the frame at the stream's head, read from its
+  // envelope (0 until one has arrived).
   std::vector<usize> want_;
-  std::vector<PktHeader> want_hdr_ = std::vector<PktHeader>(size_);
   // stack_.frames_absorbed() at the last scan that found no whole frame;
   // 0 before any frame, when every stream is empty.
   u64 idle_at_ = 0;

@@ -11,10 +11,12 @@
 // SCRAMNet; header+stream bytes on sockets).
 #pragma once
 
+#include <cassert>
 #include <cstring>
 #include <optional>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -73,6 +75,43 @@ struct Packet {
   PktHeader hdr;
   std::vector<u8> payload;
 };
+
+/// The packet frame a device carries as one byte string: the envelope's
+/// kHeaderBytes, then exactly hdr.len payload bytes.
+inline std::vector<u8> frame_packet(const PktHeader& hdr,
+                                    std::span<const u8> payload) {
+  std::vector<u8> bytes(kHeaderBytes + payload.size());
+  u32 words[kHeaderWords];
+  encode_header(hdr, words);
+  std::memcpy(bytes.data(), words, kHeaderBytes);
+  if (!payload.empty())
+    std::memcpy(bytes.data() + kHeaderBytes, payload.data(), payload.size());
+  return bytes;
+}
+
+/// The packet in a frame, its payload moved out of `bytes`; nullopt for a
+/// runt (shorter than the envelope) or a frame whose payload is not the
+/// envelope's len bytes long.
+inline std::optional<Packet> unframe_packet(std::vector<u8> bytes) {
+  if (bytes.size() < kHeaderBytes) return std::nullopt;
+  u32 words[kHeaderWords];
+  std::memcpy(words, bytes.data(), kHeaderBytes);
+  Packet pkt;
+  pkt.hdr = decode_header(words);
+  if (bytes.size() - kHeaderBytes != pkt.hdr.len) return std::nullopt;
+  bytes.erase(bytes.begin(), bytes.begin() + kHeaderBytes);
+  pkt.payload = std::move(bytes);
+  return pkt;
+}
+
+/// The RTS payload: the rendezvous message's total length as 4 bytes
+/// (hdr.len is always the framed payload size, which for an RTS is 4).
+inline u32 rts_msg_len(std::span<const u8> payload) {
+  assert(payload.size() == 4);
+  u32 len = 0;
+  std::memcpy(&len, payload.data(), 4);
+  return len;
+}
 
 /// Destination placement a receiver grants to a sender in a zero-copy
 /// rendezvous CTS. Carried as the CTS payload (kPlacementBytes on the

@@ -1,7 +1,7 @@
 #include "scrmpi/coll.h"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 #include <vector>
 
 namespace scrnet::scrmpi::coll {
@@ -186,82 +186,80 @@ void barrier_dissemination(Ctx& c) {
 // Allreduce
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// MPICH's fold to a power of two, shared by the two allreduces that pair
+// ranks by XOR: of the np = pof2 + rem ranks, each odd rank below 2*rem
+// hands its vector to the even rank below it and sits out; the pof2
+// survivors run the algorithm and the sitters get the result back.
+
+/// Fold this rank in: returns its survivor number (the even rank, having
+/// reduced its neighbour's vector into `vec` through `tmp`, is me/2; a
+/// rank from 2*rem up is me - rem), or -1 when it sits out.
+i32 fold_in(Ctx& c, u32 rem, std::span<u8> vec, std::span<u8> tmp, u32 count,
+            Datatype dt, ReduceOp op) {
+  const u32 me = c.me;
+  if (me >= 2 * rem) return static_cast<i32>(me - rem);
+  if (me % 2 == 1) {
+    c.send(me - 1, tag::kAllreduce, vec);
+    return -1;
+  }
+  c.recv(me + 1, tag::kAllreduce, tmp);
+  apply_reduce(dt, op, vec.data(), tmp.data(), count);
+  return static_cast<i32>(me / 2);
+}
+
+/// Hand the result back: each even rank below 2*rem sends `vec` to the odd
+/// rank above it, which sat out.
+void fold_out(Ctx& c, u32 rem, std::span<u8> vec) {
+  const u32 me = c.me;
+  if (me >= 2 * rem) return;
+  if (me % 2 == 1)
+    c.recv(me - 1, tag::kAllreduce, vec);
+  else
+    c.send(me + 1, tag::kAllreduce, vec);
+}
+
+/// The rank of survivor `s` (the inverse of fold_in's numbering).
+u32 survivor_rank(u32 s, u32 rem) { return s < rem ? s * 2 : s + rem; }
+
+}  // namespace
+
 void allreduce_recursive_doubling(Ctx& c, void* recvbuf, u32 count,
                                   Datatype dt, ReduceOp op) {
   // MPICH's recursive doubling: fold the ranks beyond the largest power of
   // two into their even neighbors, double among the survivors, then push
   // the result back out. Requires commutative ops (all of ReduceOp is).
-  const u32 np = c.np, me = c.me;
+  const u32 np = c.np;
   if (np == 1) return;
-  const u32 bytes = coll_bytes(count, dt);
-  u8* buf = static_cast<u8*>(recvbuf);
-
-  u32 pof2 = 1;
-  while (pof2 * 2 <= np) pof2 *= 2;
+  const std::span<u8> vec{static_cast<u8*>(recvbuf), coll_bytes(count, dt)};
+  const u32 pof2 = std::bit_floor(np);
   const u32 rem = np - pof2;
-  std::vector<u8> tmp(bytes);
+  std::vector<u8> tmp(vec.size());
 
-  // Fold phase: odd ranks below 2*rem contribute to their even neighbor.
-  i32 newrank;
-  if (me < 2 * rem) {
-    if (me % 2 == 1) {
-      c.send(me - 1, tag::kAllreduce, {buf, bytes});
-      newrank = -1;  // sits out of the doubling phase
-    } else {
-      c.recv(me + 1, tag::kAllreduce, tmp);
-      apply_reduce(dt, op, buf, tmp.data(), count);
-      newrank = static_cast<i32>(me / 2);
-    }
-  } else {
-    newrank = static_cast<i32>(me - rem);
-  }
-
-  // Doubling phase among the pof2 survivors.
+  const i32 newrank = fold_in(c, rem, vec, tmp, count, dt, op);
   if (newrank >= 0) {
     for (u32 mask = 1; mask < pof2; mask <<= 1) {
-      const u32 newpeer = static_cast<u32>(newrank) ^ mask;
-      const u32 peer = newpeer < rem ? newpeer * 2 : newpeer + rem;
-      c.sendrecv(peer, {buf, bytes}, peer, tmp, tag::kAllreduce);
-      apply_reduce(dt, op, buf, tmp.data(), count);
+      const u32 peer = survivor_rank(static_cast<u32>(newrank) ^ mask, rem);
+      c.sendrecv(peer, vec, peer, tmp, tag::kAllreduce);
+      apply_reduce(dt, op, vec.data(), tmp.data(), count);
     }
   }
-
-  // Unfold: even ranks push the final result to the neighbors that sat out.
-  if (me < 2 * rem) {
-    if (me % 2 == 1)
-      c.recv(me - 1, tag::kAllreduce, {buf, bytes});
-    else
-      c.send(me + 1, tag::kAllreduce, {buf, bytes});
-  }
+  fold_out(c, rem, vec);
 }
 
 void allreduce_rabenseifner(Ctx& c, void* recvbuf, u32 count, Datatype dt,
                             ReduceOp op) {
-  const u32 np = c.np, me = c.me;
+  const u32 np = c.np;
   if (np == 1) return;
   const u32 esz = datatype_size(dt);
   u8* buf = static_cast<u8*>(recvbuf);
-
-  u32 pof2 = 1;
-  while (pof2 * 2 <= np) pof2 *= 2;
+  const std::span<u8> vec{buf, static_cast<usize>(count) * esz};
+  const u32 pof2 = std::bit_floor(np);
   const u32 rem = np - pof2;
-  std::vector<u8> tmp(static_cast<usize>(count) * esz);
+  std::vector<u8> tmp(vec.size());
 
-  // Fold to a power of two, exactly like recursive doubling.
-  i32 newrank;
-  if (me < 2 * rem) {
-    if (me % 2 == 1) {
-      c.send(me - 1, tag::kAllreduce, {buf, tmp.size()});
-      newrank = -1;
-    } else {
-      c.recv(me + 1, tag::kAllreduce, tmp);
-      apply_reduce(dt, op, buf, tmp.data(), count);
-      newrank = static_cast<i32>(me / 2);
-    }
-  } else {
-    newrank = static_cast<i32>(me - rem);
-  }
-
+  const i32 newrank = fold_in(c, rem, vec, tmp, count, dt, op);
   if (newrank >= 0) {
     const u32 nr = static_cast<u32>(newrank);
     // The vector splits into pof2 blocks indexed by survivor rank; block
@@ -269,7 +267,6 @@ void allreduce_rabenseifner(Ctx& c, void* recvbuf, u32 count, Datatype dt,
     const auto eoff = [&](u32 i) {
       return i * (count / pof2) + std::min(i, count % pof2);
     };
-    const auto real = [&](u32 nd) { return nd < rem ? nd * 2 : nd + rem; };
     const auto span_of = [&](u8* base, u32 b0, u32 b1) {
       return std::span<u8>{base + static_cast<usize>(eoff(b0)) * esz,
                            static_cast<usize>(eoff(b1) - eoff(b0)) * esz};
@@ -280,7 +277,7 @@ void allreduce_rabenseifner(Ctx& c, void* recvbuf, u32 count, Datatype dt,
     // half and fold the peer's contribution into mine.
     u32 lo = 0, hi = pof2;
     for (u32 mask = pof2 >> 1; mask > 0; mask >>= 1) {
-      const u32 peer = real(nr ^ mask);
+      const u32 peer = survivor_rank(nr ^ mask, rem);
       const u32 mid = lo + (hi - lo) / 2;
       const bool keep_low = (nr & mask) == 0;
       const u32 klo = keep_low ? lo : mid, khi = keep_low ? mid : hi;
@@ -297,7 +294,7 @@ void allreduce_rabenseifner(Ctx& c, void* recvbuf, u32 count, Datatype dt,
     // Recursive-doubling allgather: mirror the halving back out, swapping
     // reduced windows with the sibling at each scale.
     for (u32 mask = 1; mask < pof2; mask <<= 1) {
-      const u32 peer = real(nr ^ mask);
+      const u32 peer = survivor_rank(nr ^ mask, rem);
       const u32 size = hi - lo;
       const bool low_half = (nr & mask) == 0;
       const u32 slo = low_half ? hi : lo - size;
@@ -308,14 +305,7 @@ void allreduce_rabenseifner(Ctx& c, void* recvbuf, u32 count, Datatype dt,
       hi = std::max(hi, shi);
     }
   }
-
-  // Unfold the folded-out odd ranks.
-  if (me < 2 * rem) {
-    if (me % 2 == 1)
-      c.recv(me - 1, tag::kAllreduce, {buf, tmp.size()});
-    else
-      c.send(me + 1, tag::kAllreduce, {buf, tmp.size()});
-  }
+  fold_out(c, rem, vec);
 }
 
 void allreduce_ring(Ctx& c, void* recvbuf, u32 count, Datatype dt,

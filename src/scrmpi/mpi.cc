@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "obs/counters.h"
 #include "obs/trace.h"
@@ -21,6 +22,18 @@ constexpr i32 kTagGather = coll::tag::kGather;
 constexpr i32 kTagScatter = coll::tag::kScatter;
 constexpr i32 kTagSplit = coll::tag::kSplit;
 constexpr i32 kTagAlltoall = coll::tag::kAlltoall;
+
+/// World rank of `comm` source rank `src`; kAnySource stays a wildcard.
+i32 world_source(const Comm& comm, i32 src) {
+  return src == kAnySource ? kAnySource
+                           : static_cast<i32>(comm.world_of(static_cast<u32>(src)));
+}
+
+/// `st` with its world-rank source read back as a rank of `comm`.
+MpiStatus comm_source(const Comm& comm, MpiStatus st) {
+  if (st.source != kAnySource) st.source = comm.rank_of_world(static_cast<u32>(st.source));
+  return st;
+}
 }  // namespace
 
 /// RAII scope accumulating virtual time spent inside a blocking MPI call.
@@ -67,9 +80,8 @@ Request Mpi::irecv(void* buf, u32 count, Datatype dt, i32 src, i32 tag,
   assert((src == kAnySource || (src >= 0 && static_cast<u32>(src) < comm.size())) &&
          "bad source rank");
   engine_.device().cpu(LayerCosts::binding);
-  const i32 world_src =
-      src == kAnySource ? kAnySource : static_cast<i32>(comm.world_of(static_cast<u32>(src)));
-  return engine_.irecv(world_src, comm.p2p_ctx(), tag, as_bytes(buf, count, dt));
+  return engine_.irecv(world_source(comm, src), comm.p2p_ctx(), tag,
+                       as_bytes(buf, count, dt));
 }
 
 MpiStatus Mpi::send(const void* buf, u32 count, Datatype dt, i32 dest, i32 tag,
@@ -92,9 +104,7 @@ MpiStatus Mpi::recv(void* buf, u32 count, Datatype dt, i32 src, i32 tag,
 }
 
 MpiStatus Mpi::wait(Request r, const Comm& comm) {
-  MpiStatus st = engine_.wait(r);
-  if (st.source != kAnySource) st.source = comm.rank_of_world(static_cast<u32>(st.source));
-  return st;
+  return comm_source(comm, engine_.wait(r));
 }
 
 void Mpi::waitall(std::span<Request> rs, const Comm& comm) {
@@ -102,25 +112,18 @@ void Mpi::waitall(std::span<Request> rs, const Comm& comm) {
 }
 
 std::pair<usize, MpiStatus> Mpi::waitany(std::span<Request> rs, const Comm& comm) {
-  auto [i, st] = engine_.waitany(rs);
-  if (st.source != kAnySource) st.source = comm.rank_of_world(static_cast<u32>(st.source));
-  return {i, st};
+  const auto [i, st] = engine_.waitany(rs);
+  return {i, comm_source(comm, st)};
 }
 
 MpiStatus Mpi::probe(i32 src, i32 tag, const Comm& comm) {
-  const i32 world_src =
-      src == kAnySource ? kAnySource : static_cast<i32>(comm.world_of(static_cast<u32>(src)));
-  MpiStatus st = engine_.probe(world_src, comm.p2p_ctx(), tag);
-  if (st.source != kAnySource) st.source = comm.rank_of_world(static_cast<u32>(st.source));
-  return st;
+  return comm_source(comm, engine_.probe(world_source(comm, src), comm.p2p_ctx(), tag));
 }
 
 std::optional<MpiStatus> Mpi::iprobe(i32 src, i32 tag, const Comm& comm) {
-  const i32 world_src =
-      src == kAnySource ? kAnySource : static_cast<i32>(comm.world_of(static_cast<u32>(src)));
-  auto st = engine_.iprobe(world_src, comm.p2p_ctx(), tag);
-  if (st && st->source != kAnySource)
-    st->source = comm.rank_of_world(static_cast<u32>(st->source));
+  std::optional<MpiStatus> st =
+      engine_.iprobe(world_source(comm, src), comm.p2p_ctx(), tag);
+  if (st) *st = comm_source(comm, *st);
   return st;
 }
 
@@ -211,47 +214,17 @@ void Mpi::barrier_native(const Comm& comm) {
 // Selector resolution (the decision table behind kAuto)
 // ---------------------------------------------------------------------------
 
-std::string_view Mpi::table_pick(std::string_view op, u32 nodes,
-                                 u32 bytes) {
-  const tune::DecisionTable& t =
-      table_ ? *table_ : tune::DecisionTable::builtin();
-  return t.pick(engine_.device().kind(), op, nodes, bytes);
-}
-
-CollAlgo Mpi::resolve_bcast(u32 nodes, u32 bytes) {
-  CollAlgo a = bcast_algo_;
-  if (a == CollAlgo::kAuto)
-    a = coll::coll_algo_from_name(table_pick("bcast", nodes, bytes),
-                                  CollAlgo::kBinomial);
-  if (a == CollAlgo::kNativeMcast && engine_.device().mcast_cap() == 0)
-    a = CollAlgo::kBinomial;
-  return a;
-}
-
-CollAlgo Mpi::resolve_barrier(u32 nodes) {
-  CollAlgo a = barrier_algo_;
-  if (a == CollAlgo::kAuto)
-    a = coll::coll_algo_from_name(table_pick("barrier", nodes, 0),
-                                  CollAlgo::kPointToPoint);
-  if (a == CollAlgo::kNativeMcast && engine_.device().mcast_cap() == 0)
-    a = CollAlgo::kPointToPoint;
-  return a;
-}
-
-AllreduceAlgo Mpi::resolve_allreduce(u32 nodes, u32 bytes) {
-  AllreduceAlgo a = allreduce_algo_;
-  if (a == AllreduceAlgo::kAuto)
-    a = coll::allreduce_algo_from_name(table_pick("allreduce", nodes, bytes),
-                                       AllreduceAlgo::kReduceBcast);
-  return a;
-}
-
-AllgatherAlgo Mpi::resolve_allgather(u32 nodes, u32 block_bytes) {
-  AllgatherAlgo a = allgather_algo_;
-  if (a == AllgatherAlgo::kAuto)
-    a = coll::allgather_algo_from_name(
-        table_pick("allgather", nodes, block_bytes),
-        AllgatherAlgo::kGatherBcast);
+template <typename Algo>
+Algo Mpi::resolve(Algo a, Algo (*from_name)(std::string_view, Algo),
+                  Algo fallback, std::string_view op, u32 nodes, u32 bytes) {
+  if (a == Algo::kAuto) {
+    const tune::DecisionTable& t =
+        table_ ? *table_ : tune::DecisionTable::builtin();
+    a = from_name(t.pick(engine_.device().kind(), op, nodes, bytes), fallback);
+  }
+  if constexpr (std::is_same_v<Algo, CollAlgo>)
+    if (a == CollAlgo::kNativeMcast && engine_.device().mcast_cap() == 0)
+      a = fallback;
   return a;
 }
 
@@ -269,7 +242,8 @@ void Mpi::bcast(void* buf, u32 count, Datatype dt, i32 root, const Comm& comm) {
   u8* data = static_cast<u8*>(buf);
   const u32 vroot = static_cast<u32>(root);
   coll::Ctx cx(engine_, comm);
-  switch (resolve_bcast(comm.size(), bytes)) {
+  switch (resolve(bcast_algo_, coll::coll_algo_from_name, CollAlgo::kBinomial,
+                  "bcast", comm.size(), bytes)) {
     case CollAlgo::kNativeMcast:
       bcast_native(buf, bytes, root, comm);
       break;
@@ -294,7 +268,8 @@ void Mpi::barrier(const Comm& comm) {
   ++stats_.barriers;
   engine_.device().cpu(LayerCosts::binding);
   coll::Ctx cx(engine_, comm);
-  switch (resolve_barrier(comm.size())) {
+  switch (resolve(barrier_algo_, coll::coll_algo_from_name,
+                  CollAlgo::kPointToPoint, "barrier", comm.size(), 0)) {
     case CollAlgo::kNativeMcast:
       barrier_native(comm);
       break;
@@ -343,7 +318,9 @@ void Mpi::allreduce(const void* sendbuf, void* recvbuf, u32 count, Datatype dt,
                     ReduceOp op, const Comm& comm) {
   ++stats_.allreduces;
   const u32 bytes = coll_bytes(count, dt);
-  const AllreduceAlgo a = resolve_allreduce(comm.size(), bytes);
+  const AllreduceAlgo a =
+      resolve(allreduce_algo_, coll::allreduce_algo_from_name,
+              AllreduceAlgo::kReduceBcast, "allreduce", comm.size(), bytes);
   if (a == AllreduceAlgo::kReduceBcast) {
     // Composite: the inner reduce/bcast charge their own binding cost and
     // TimedCall scopes, exactly as before the zoo.
@@ -419,7 +396,9 @@ void Mpi::allgather(const void* sendbuf, u32 count, Datatype dt, void* recvbuf,
   if (total > 0xFFFFFFFFull)
     throw std::invalid_argument(
         "scrmpi: allgather result overflows 32-bit byte count");
-  if (resolve_allgather(comm.size(), block) == AllgatherAlgo::kRing) {
+  if (resolve(allgather_algo_, coll::allgather_algo_from_name,
+              AllgatherAlgo::kGatherBcast, "allgather", comm.size(),
+              block) == AllgatherAlgo::kRing) {
     TimedCall tc(*this);
     engine_.device().cpu(LayerCosts::binding);
     const u32 me = static_cast<u32>(rank(comm));

@@ -159,14 +159,13 @@ class Mpi {
   void bcast_native(void* buf, u32 bytes, i32 root, const Comm& comm);
   void barrier_native(const Comm& comm);
 
-  /// Resolve a selector for this call: kAuto goes through the decision
-  /// table; kNativeMcast downgrades to a p2p algorithm when the device
-  /// has no hardware multicast.
-  CollAlgo resolve_bcast(u32 nodes, u32 bytes);
-  CollAlgo resolve_barrier(u32 nodes);
-  AllreduceAlgo resolve_allreduce(u32 nodes, u32 bytes);
-  AllgatherAlgo resolve_allgather(u32 nodes, u32 block_bytes);
-  std::string_view table_pick(std::string_view op, u32 nodes, u32 bytes);
+  /// Resolve selector `a` for one call of `op`: kAuto takes the decision
+  /// table's pick, read by `from_name`, and an unknown name falls back to
+  /// `fallback`; so does kNativeMcast on a device without hardware
+  /// multicast.
+  template <typename Algo>
+  Algo resolve(Algo a, Algo (*from_name)(std::string_view, Algo),
+               Algo fallback, std::string_view op, u32 nodes, u32 bytes);
   std::span<const u8> as_bytes(const void* p, u32 count, Datatype dt) const {
     return {static_cast<const u8*>(p), static_cast<usize>(count) * datatype_size(dt)};
   }

@@ -1,7 +1,9 @@
 #include "sweep/runner.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <string>
 
 #include "obs/sink.h"
@@ -14,16 +16,46 @@ namespace {
 /// order, so the label of every run -- and with it the name of any per-run
 /// trace/counters file -- is identical at any --jobs value.
 std::atomic<u64> g_seq{0};
+
+[[noreturn]] void usage_exit(std::string_view prog,
+                             const std::vector<std::string_view>& specs,
+                             std::string_view why) {
+  std::cerr << prog << ": " << why << "\nusage: " << prog;
+  for (std::string_view f : specs) std::cerr << " [" << f << "]";
+  std::cerr << "\n";
+  std::exit(2);
+}
 }  // namespace
 
-u32 parse_jobs(int argc, char** argv) {
+Args parse_args(int argc, char** argv,
+                std::initializer_list<std::string_view> flags) {
+  std::vector<std::string_view> specs{"--jobs N"};
+  specs.insert(specs.end(), flags);
+  std::string_view prog = argv[0];
+  prog.remove_prefix(prog.rfind('/') + 1);  // npos + 1 == 0: no directory
+  Args args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-      return static_cast<u32>(std::atol(argv[i + 1]));
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0)
-      return static_cast<u32>(std::atol(argv[i] + 7));
+    const std::string_view arg = argv[i], name = arg.substr(0, arg.find('='));
+    const auto spec = std::find_if(specs.begin(), specs.end(), [&](std::string_view f) {
+      return f.substr(0, f.find(' ')) == name;
+    });
+    const bool takes_value = spec != specs.end() && spec->size() > name.size();
+    const char* value = nullptr;
+    if (name.size() < arg.size())
+      value = argv[i] + name.size() + 1;
+    else if (takes_value && i + 1 < argc)
+      value = argv[++i];
+    if (spec == specs.end() || takes_value != (value != nullptr))
+      usage_exit(prog, specs, std::string("bad argument '").append(arg).append("'"));
+    args.given[name] = value;
   }
-  return 0;
+  if (const char* j = args.value("--jobs")) {
+    const char* end = j + std::strlen(j);
+    const auto [stop, err] = std::from_chars(j, end, args.jobs);
+    if (err != std::errc() || stop != end)
+      usage_exit(prog, specs, std::string("--jobs takes a count, not '").append(j).append("'"));
+  }
+  return args;
 }
 
 Runner::Runner(u32 jobs) : jobs_(jobs) {

@@ -30,6 +30,8 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <initializer_list>
+#include <map>
 #include <optional>
 #include <string_view>
 #include <thread>
@@ -41,10 +43,29 @@
 
 namespace scrnet::sweep {
 
-/// Parse `--jobs N` / `--jobs=N` from a main's argv. Returns 0 when
-/// absent, which Runner resolves to hardware_concurrency(). The job count
-/// never changes a sweep's output, only its wall clock.
-u32 parse_jobs(int argc, char** argv);
+/// A main's command line. Every program takes `--jobs N` (or `--jobs=N`):
+/// `jobs` is 0 when it is absent, which Runner resolves to
+/// hardware_concurrency(), and the job count never changes a sweep's
+/// output, only its wall clock. `given` maps each flag given, --jobs
+/// included, to its value (null for a switch).
+struct Args {
+  u32 jobs = 0;
+  std::map<std::string_view, const char*> given;
+
+  bool has(std::string_view flag) const { return given.contains(flag); }
+  const char* value(std::string_view flag) const {
+    const auto it = given.find(flag);
+    return it == given.end() ? nullptr : it->second;
+  }
+};
+
+/// Parse argv against the program's own `flags`, each spelt as its usage
+/// line shows it: "--large" is a switch, "--cc FILE" takes a value (also
+/// as `--cc=FILE`). Any other argument, a flag without its value or a
+/// `--jobs` that is not a count prints "usage: <program> [--jobs N]
+/// [<flag>]..." to stderr and exits 2, before the program runs anything.
+Args parse_args(int argc, char** argv,
+                std::initializer_list<std::string_view> flags = {});
 
 class Runner {
  public:

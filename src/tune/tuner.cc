@@ -9,7 +9,7 @@
 // the grid (hybrid, mocks) on their pre-tuner behavior.
 //
 // Usage:
-//   tuner [--jobs N] [--cc builtin_table.inc] [--quick]
+//   tuner [--jobs N] [--cc FILE] [--quick]
 //
 // stdout carries the measurement matrix and then the table's text form
 // (DecisionTable::serialize()); --cc writes the same rules as the Rule
@@ -22,7 +22,6 @@
 // Output is bit-identical at any --jobs: each grid cell is one
 // self-contained deterministic simulation and results are stored by
 // element index (docs/sweep.md).
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -40,12 +39,6 @@ using namespace scrnet::tune;
 
 namespace {
 
-const char* parse_opt(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  return nullptr;
-}
-
 /// Winner per (size index) for one (device, op, nodes) row group.
 struct RowWinners {
   std::vector<std::string> algo;  // parallel to kSweepSizes (1 for barrier)
@@ -62,17 +55,12 @@ u32 limit_after(const std::vector<u32>& grid, usize i) {
   return (grid[i] + grid[i + 1]) / 2;
 }
 
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  sweep::Runner runner(sweep::parse_jobs(argc, argv));
-  const bool quick = has_flag(argc, argv, "--quick");
+  const sweep::Args args = sweep::parse_args(argc, argv, {"--cc FILE", "--quick"});
+  sweep::Runner runner(args.jobs);
+  const bool quick = args.has("--quick");
   const std::vector<u32> size_grid =
       quick ? std::vector<u32>{8, 4096} : kSweepSizes;
   const std::vector<u32> node_grid = quick ? std::vector<u32>{4, 8} : kSweepNodes;
@@ -171,7 +159,7 @@ int main(int argc, char** argv) {
   std::cout << "\nDecision table (" << table.size() << " rules):\n"
             << table.serialize();
 
-  if (const char* cc = parse_opt(argc, argv, "--cc")) {
+  if (const char* cc = args.value("--cc")) {
     std::ofstream f(cc);
     f << "// Generated by src/tune/tuner --cc; see docs/collectives.md for\n"
          "// the regeneration workflow. Rule initializers, included by\n"

@@ -214,6 +214,25 @@ TEST(HeaderCodec, RoundTripsAllFields) {
   EXPECT_EQ(r.aux, h.aux);
 }
 
+TEST(HeaderCodec, FrameIsTheEnvelopeThenExactlyItsPayload) {
+  PktHeader h;
+  h.kind = PktKind::kShort;
+  h.tag = 9;
+  h.len = 3;
+  const std::vector<u8> bytes = frame_packet(h, std::vector<u8>{7, 8, 9});
+  ASSERT_EQ(bytes.size(), kHeaderBytes + 3);
+  const std::optional<Packet> pkt = unframe_packet(bytes);
+  ASSERT_TRUE(pkt);
+  EXPECT_EQ(pkt->hdr.tag, 9);
+  EXPECT_EQ(pkt->payload, (std::vector<u8>{7, 8, 9}));
+  // A runt, and frames one byte short or long of the envelope's len.
+  EXPECT_FALSE(unframe_packet(std::vector<u8>(bytes.begin(), bytes.begin() + 19)));
+  EXPECT_FALSE(unframe_packet(std::vector<u8>(bytes.begin(), bytes.end() - 1)));
+  std::vector<u8> longer = bytes;
+  longer.push_back(0);
+  EXPECT_FALSE(unframe_packet(longer));
+}
+
 TEST(Engine, ShortMessageMatchesPostedRecv) {
   Pair p;
   std::vector<u8> buf(8, 0);
@@ -574,15 +593,17 @@ Packet stray_packet(PktKind kind, u32 aux, std::vector<u8> payload = {}) {
 TEST(Engine, StrayRendezvousPacketsAreCountedAndDropped) {
   // Under fault injection a CTS, DATA or FIN can name a request id that
   // does not exist, or a live request in another state, and a corrupted
-  // frame can decode to an unknown kind. Each is counted and dropped
-  // without touching any request.
+  // frame can decode to an unknown kind or to an RTS without its 4-byte
+  // length. Each is counted and dropped without touching any request.
   Pair p;
   auto& q1 = p.fab.queues_[1];
   for (PktKind k : {PktKind::kRndvCts, PktKind::kRndvData, PktKind::kRndvFin})
     q1.push_back(stray_packet(k, 7));  // e1 has no request 7
   q1.push_back(stray_packet(static_cast<PktKind>(0xEE), 0));
+  q1.push_back(stray_packet(PktKind::kRndvRts, 0, {1, 0}));
   p.e1.progress();
-  EXPECT_EQ(p.e1.malformed_packets(), 4u);
+  EXPECT_EQ(p.e1.malformed_packets(), 5u);
+  EXPECT_EQ(p.e1.unexpected_depth(), 0u);
   EXPECT_EQ(p.e1.stale_packets(), 0u);
 
   std::vector<u8> buf(4);
@@ -591,7 +612,7 @@ TEST(Engine, StrayRendezvousPacketsAreCountedAndDropped) {
     q1.push_back(stray_packet(k, rr.idx, {9, 9, 9, 9}));
   p.e1.progress();
   EXPECT_EQ(p.e1.stale_packets(), 3u);
-  EXPECT_EQ(p.e1.malformed_packets(), 4u);
+  EXPECT_EQ(p.e1.malformed_packets(), 5u);
   EXPECT_EQ(buf, std::vector<u8>(4, 0));
 
   // The posted receive is untouched: the real message still completes it.

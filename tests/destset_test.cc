@@ -12,6 +12,12 @@
 namespace scrnet::bbp {
 namespace {
 
+DestSet single(u32 r) {
+  DestSet s;
+  s.set(r);
+  return s;
+}
+
 std::vector<u32> members(const DestSet& s) {
   std::vector<u32> out;
   s.for_each([&](u32 r) { out.push_back(r); });
@@ -37,25 +43,25 @@ TEST(DestSet, InlineHeapBoundary) {
   // equality with a never-spilled set still holds.
   s.clear(64);
   s.clear(65);
-  EXPECT_EQ(s, DestSet::single(63));
+  EXPECT_EQ(s, single(63));
   EXPECT_EQ(s.count(), 1u);
 }
 
 TEST(DestSet, WithinBoundaries) {
   EXPECT_TRUE(DestSet().within(0));
-  EXPECT_TRUE(DestSet::single(31).within(32));
-  EXPECT_FALSE(DestSet::single(32).within(32));
-  EXPECT_TRUE(DestSet::single(63).within(64));
+  EXPECT_TRUE(single(31).within(32));
+  EXPECT_FALSE(single(32).within(32));
+  EXPECT_TRUE(single(63).within(64));
   // Word-boundary proc counts: rank 64 is out of range for a 64-proc
   // world and in range from 65 on.
-  EXPECT_FALSE(DestSet::single(64).within(64));
-  EXPECT_TRUE(DestSet::single(64).within(65));
-  EXPECT_FALSE(DestSet::single(65).within(65));
-  EXPECT_TRUE(DestSet::single(127).within(128));
-  EXPECT_FALSE(DestSet::single(128).within(128));
-  EXPECT_TRUE(DestSet::single(128).within(129));
+  EXPECT_FALSE(single(64).within(64));
+  EXPECT_TRUE(single(64).within(65));
+  EXPECT_FALSE(single(65).within(65));
+  EXPECT_TRUE(single(127).within(128));
+  EXPECT_FALSE(single(128).within(128));
+  EXPECT_TRUE(single(128).within(129));
   // A cleared-back-to-canonical set has no phantom high ranks.
-  DestSet s = DestSet::single(200);
+  DestSet s = single(200);
   s.clear(200);
   EXPECT_TRUE(s.within(1));
 }
@@ -74,7 +80,7 @@ TEST(DestSet, SetAlgebra) {
   EXPECT_FALSE(a.within(130));
 
   // or_with a shorter set must not truncate the longer one.
-  DestSet c = DestSet::single(1);
+  DestSet c = single(1);
   a.or_with(c);
   EXPECT_EQ(members(a), (std::vector<u32>{1, 2, 70, 130}));
 

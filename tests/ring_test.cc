@@ -1,5 +1,6 @@
 // Tests for the SCRAMNet ring device model.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -300,22 +301,42 @@ TEST(Ring, MappingsPastTheFreeListAreUnmappedAndLaterRingsReadZero) {
 }
 
 TEST(Ring, NextRingOfTheSameSizeTakesNoPageFaults) {
-  // The second ring reuses the first one's mapping, whose written pages
-  // stay resident: one word written into each of 128 granules faults
-  // nothing in, where fresh banks would fault in 128 pages. Only the
-  // writes are counted; an ASan heap, which never hands freed memory
-  // straight back, still adds 16 faults there.
-  long faults = 0;
-  for (int round = 0; round < 2; ++round) {
+  // ~Ring zeroes the granules its writes touched and keeps the mapping, so
+  // the next take of the same size gets those pages back resident and
+  // zero: a second ring's writes to them fault nothing in, where fresh
+  // banks would fault in one page per granule. This checks that property
+  // itself, not the process's fault count, which an allocator's own faults
+  // (an ASan heap's, say) move from run to run.
+  const RingConfig cfg{.nodes = 4};
+  const usize bytes = usize{cfg.nodes} * cfg.bank_words * sizeof(u32);
+  const auto write_granules = [&] {
     sim::Simulation sim;
-    Ring ring(sim, RingConfig{.nodes = 4});
-    const long before = minor_faults();
+    Ring ring(sim, cfg);
     for (u32 g = 0; g < 128; ++g) ring.host_write(0, g * 1024, g + 1);
-    faults = minor_faults() - before;
     sim.run();
     EXPECT_EQ(ring.host_read(3, 127 * 1024), 128u);
+  };
+  write_granules();
+
+  const sim::Region kept = sim::take_region(bytes, /*guard=*/false);
+  ASSERT_FALSE(kept.fresh);
+  const usize page = sim::page_bytes();
+  std::vector<unsigned char> resident((bytes + page - 1) / page);
+  ASSERT_EQ(mincore(kept.base, bytes, resident.data()), 0);
+  const u32* words = static_cast<const u32*>(kept.base);
+  for (u32 n = 0; n < cfg.nodes; ++n) {
+    for (u32 g = 0; g < 128; ++g) {
+      const usize w = usize{n} * cfg.bank_words + usize{g} * 1024;
+      EXPECT_TRUE(resident[w * sizeof(u32) / page] & 1u) << "node " << n << " granule " << g;
+      EXPECT_EQ(words[w], 0u) << "node " << n << " granule " << g;
+    }
   }
-  EXPECT_LT(faults, 32);
+  sim::give_region(kept.base, bytes, /*guard=*/false);
+  write_granules();
+  // The second ring took that region: its teardown gave it back last.
+  const sim::Region again = sim::take_region(bytes, /*guard=*/false);
+  EXPECT_EQ(again.base, kept.base);
+  sim::give_region(again.base, bytes, /*guard=*/false);
 }
 
 TEST(Ring, BanksNeverTakeAStackMapping) {

@@ -34,19 +34,56 @@ std::vector<double> oneway_sweep(Runner& r, const std::vector<u32>& sizes,
   });
 }
 
-// Elements are claimed last first, yet results come back in element
-// (submission) order. At jobs 1 the caller alone claims, so the claim
-// order is exactly reversed; at jobs 4 every element is claimed once.
 TEST(Runner, ParseJobsTakesBothFlagForms) {
   char prog[] = "bench", jobs[] = "--jobs", three[] = "3", eq[] = "--jobs=5";
   char* split[] = {prog, jobs, three};
   char* joined[] = {prog, eq};
   char* none[] = {prog};
-  EXPECT_EQ(sweep::parse_jobs(3, split), 3u);
-  EXPECT_EQ(sweep::parse_jobs(2, joined), 5u);
-  EXPECT_EQ(sweep::parse_jobs(1, none), 0u);
+  EXPECT_EQ(sweep::parse_args(3, split).jobs, 3u);
+  EXPECT_EQ(sweep::parse_args(2, joined).jobs, 5u);
+  EXPECT_EQ(sweep::parse_args(1, none).jobs, 0u);
 }
 
+TEST(Args, TakesTheProgramsOwnSwitchesAndOptions) {
+  char prog[] = "./bin/tuner", quick[] = "--quick", cc[] = "--cc", file[] = "t.inc",
+       eq[] = "--cc=u.inc";
+  char* split[] = {prog, cc, file, quick};
+  char* joined[] = {prog, eq};
+  const sweep::Args a = sweep::parse_args(4, split, {"--cc FILE", "--quick"});
+  EXPECT_TRUE(a.has("--quick"));
+  EXPECT_STREQ(a.value("--cc"), "t.inc");
+  EXPECT_EQ(a.jobs, 0u);
+  const sweep::Args b = sweep::parse_args(2, joined, {"--cc FILE", "--quick"});
+  EXPECT_FALSE(b.has("--quick"));
+  EXPECT_STREQ(b.value("--cc"), "u.inc");
+  EXPECT_EQ(b.value("--quick"), nullptr);
+}
+
+// Anything else prints the usage line, named after the program, and exits
+// 2: an unknown flag, a switch given a value, and --jobs or an option
+// without a value or with a count that is not one.
+TEST(ArgsDeathTest, RejectsWhatTheProgramDoesNotTake) {
+  const auto rejects = [](std::vector<std::string> words) {
+    std::vector<char*> argv;
+    for (std::string& w : words) argv.push_back(w.data());
+    EXPECT_EXIT(sweep::parse_args(static_cast<int>(argv.size()), argv.data(),
+                                  {"--large", "--cc FILE"}),
+                ::testing::ExitedWithCode(2),
+                "usage: abl \\[--jobs N\\] \\[--large\\] \\[--cc FILE\\]")
+        << words[1];
+  };
+  rejects({"/x/abl", "--larg"});
+  rejects({"/x/abl", "--large=1"});
+  rejects({"/x/abl", "--jobs"});
+  rejects({"/x/abl", "--cc"});
+  rejects({"/x/abl", "--jobs", "four"});
+  rejects({"/x/abl", "--jobs=-1"});
+  rejects({"/x/abl", "-j", "2"});
+}
+
+// Elements are claimed last first, yet results come back in element
+// (submission) order. At jobs 1 the caller alone claims, so the claim
+// order is exactly reversed; at jobs 4 every element is claimed once.
 TEST(Runner, ResultsArriveInSubmissionOrder) {
   std::vector<int> xs(32);
   std::iota(xs.begin(), xs.end(), 0);
